@@ -1,23 +1,28 @@
 """Federated algorithms over simulated clients.
 
-Five methods plus a heterogeneous variant, all sharing the same round
-structure: clients update locally and replace their states with the
-across-client mean whenever mod(t, K) = 0.  Oracle draws are keyed by
-(client, round, inner step, phase) so that trajectories are bit-stable
-under any execution order, and so that the exact reductions hold
-(dual averaging with zero regularizer == extra SGD; smoothed inexact
-prox with delta = 0 == unsmoothed; identical clients == homogeneous).
+Five methods plus a heterogeneous variant, all run by one round loop,
+:func:`_round_loop`: clients take local steps and replace their states
+with the across-client mean whenever mod(t, K) = 0.  The methods differ
+only in the local step each one hands to that loop (extra-gradient,
+inexact proximal point plus an extra step, plain SGD, dual averaging).
+Oracle draws are keyed by (client, round, inner step, phase) so that
+trajectories are bit-stable under any execution order, and so that the
+exact reductions hold (dual averaging with zero regularizer == extra
+SGD; smoothed inexact prox with delta = 0 == unsmoothed; identical
+clients == homogeneous).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec, affine_operator, affine_parts, eval_operator
+from .gaps import dispersion
+from .operators import (OperatorSpec, _sample_ball, affine_operator,
+                        affine_parts, eval_operator)
 from .oracles import OracleSpec, noiseless, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
@@ -42,7 +47,6 @@ class RunConfig:
     H: int | None = None
     gamma: float | None = None
     delta: float = 0.0
-    D: float = 1.0
     master_seed: int = 0
     log_every: int | None = None
     log_steps: bool = False
@@ -59,8 +63,6 @@ class RunConfig:
             raise ValueError("H must be >= 1")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.D <= 0:
-            raise ValueError("D must be positive")
         if self.log_every is not None and self.log_every < 1:
             raise ValueError("log_every must be >= 1")
 
@@ -106,15 +108,6 @@ class Trajectory:
     warnings: list[str] = field(default_factory=list)
 
 
-def _drift(points: np.ndarray) -> float:
-    # identical rows must read as exactly zero dispersion; the mean of M
-    # identical floats is not bit-exact in general
-    if (points == points[0]).all():
-        return 0.0
-    center = points.mean(axis=0)
-    return float(((points - center) ** 2).sum(axis=1).mean())
-
-
 def _is_stochastic(oracle: OracleSpec, delta: float = 0.0) -> bool:
     return delta > 0 or (oracle.sigma > 0 and oracle.noise_model != "none")
 
@@ -135,16 +128,35 @@ def _query_clients(oracles: Sequence[OracleSpec], points: np.ndarray,
     return out
 
 
-class _OutputAverager:
-    """Streaming mean of the per-round client means; memory O(d)."""
+def _round_loop(cfg: RunConfig, dim: int, step: Callable,
+                algo: str) -> Trajectory:
+    """The round structure every runner shares.
 
-    def __init__(self, dim: int):
-        self.value = np.zeros(dim)
-        self.count = 0
-
-    def add(self, round_mean: np.ndarray) -> None:
-        self.count += 1
-        self.value += (round_mean - self.value) / self.count
+    ``step(t, z, sync)`` is the runner's local update of all M client
+    states z; it returns ``(z_next, x, p)``: the next states before
+    averaging, the points whose dispersion is drift_x, and the points
+    whose client mean is the round's output.  The loop runs T = K R
+    steps from z0, averages z_next across clients when ``sync`` (that
+    is, mod(t, K) = 0), keeps the running mean of the round outputs
+    (memory O(d)), and records every cadence steps and at t = T.
+    """
+    z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
+    output = np.zeros(dim)
+    records: list[TrajectoryRecord] = []
+    cadence = cfg.record_cadence()
+    for t in range(1, cfg.T + 1):
+        sync = t % cfg.K == 0
+        z, x, p = step(t, z, sync)
+        if sync:
+            z[:] = z.mean(axis=0)
+        round_mean = p.mean(axis=0)
+        output += (round_mean - output) / t
+        if t % cadence == 0 or t == cfg.T:
+            records.append(TrajectoryRecord(
+                t=t, mean_iterate=round_mean, output_avg=output.copy(),
+                drift_z=dispersion(z), drift_x=dispersion(x)))
+    return Trajectory(algo=algo, records=records, final_output=output,
+                      config=cfg)
 
 
 def _run_extragradient(oracles: Sequence[OracleSpec], cfg: RunConfig,
@@ -154,29 +166,17 @@ def _run_extragradient(oracles: Sequence[OracleSpec], cfg: RunConfig,
     if any(o.dim != dim for o in oracles):
         raise ValueError("all client oracles must share the same dimension")
     stream = RngStream(cfg.master_seed)
-    M, K, T = cfg.M, cfg.K, cfg.T
     eta = cfg.eta
-    z = np.tile(cfg.initial_point(dim), (M, 1))
-    out = _OutputAverager(dim)
-    records: list[TrajectoryRecord] = []
-    cadence = cfg.record_cadence()
 
-    for t in range(1, T + 1):
+    def step(t, z, sync):
         u = mirror_map(MirrorState(t - 1, eta), reg, z)
         x = z - eta * _query_clients(oracles, u, stream, t, PHASE_EXTRAPOLATE)
-        if t % K == 0:
+        if sync:
             x[:] = x.mean(axis=0)
         v = mirror_map(MirrorState(t, eta), reg, x)
-        z = z - eta * _query_clients(oracles, v, stream, t, PHASE_UPDATE)
-        if t % K == 0:
-            z[:] = z.mean(axis=0)
-        out.add(v.mean(axis=0))
-        if t % cadence == 0 or t == T:
-            records.append(TrajectoryRecord(
-                t=t, mean_iterate=v.mean(axis=0), output_avg=out.value.copy(),
-                drift_z=_drift(z), drift_x=_drift(x)))
-    return Trajectory(algo=algo, records=records, final_output=out.value,
-                      config=cfg)
+        return z - eta * _query_clients(oracles, v, stream, t,
+                                        PHASE_UPDATE), x, v
+    return _round_loop(cfg, dim, step, algo)
 
 
 def run_lesgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
@@ -211,30 +211,18 @@ def run_lesgd_hetero(oracles: Sequence[OracleSpec],
 
 def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     """Plain local SGD on the operator; sound only for co-coercive classes."""
-    dim = oracle.dim
     stream = RngStream(cfg.master_seed)
-    M, K, T = cfg.M, cfg.K, cfg.T
-    x = np.tile(cfg.initial_point(dim), (M, 1))
-    out = _OutputAverager(dim)
-    records: list[TrajectoryRecord] = []
-    cadence = cfg.record_cadence()
-    warnings: list[str] = []
-    if not (oracle.base.beta < math.inf):
-        warnings.append(
-            "operator does not declare a finite co-coercivity constant; "
-            "plain local SGD has no guarantee on this problem")
-    for t in range(1, T + 1):
+
+    def step(t, x, sync):
         x = x - cfg.eta * _query_clients([oracle], x, stream, t,
                                          PHASE_EXTRAPOLATE)
-        if t % K == 0:
-            x[:] = x.mean(axis=0)
-        out.add(x.mean(axis=0))
-        if t % cadence == 0 or t == T:
-            records.append(TrajectoryRecord(
-                t=t, mean_iterate=x.mean(axis=0), output_avg=out.value.copy(),
-                drift_z=_drift(x), drift_x=_drift(x)))
-    return Trajectory(algo="lsgd", records=records, final_output=out.value,
-                      config=cfg, warnings=warnings)
+        return x, x, x
+    traj = _round_loop(cfg, oracle.dim, step, "lsgd")
+    if not (oracle.base.beta < math.inf):
+        traj.warnings.append(
+            "operator does not declare a finite co-coercivity constant; "
+            "plain local SGD has no guarantee on this problem")
+    return traj
 
 
 def _inner_prox(oracle: OracleSpec, anchor: np.ndarray, eta: float,
@@ -268,39 +256,27 @@ def solve_inner_prox(op: OperatorSpec | OracleSpec, z: np.ndarray, eta: float,
 
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
                       algo: str) -> Trajectory:
-    dim = oracle.dim
     stream = RngStream(cfg.master_seed)
-    M, K, T = cfg.M, cfg.K, cfg.T
     eta = cfg.eta
     H = cfg.H if cfg.H is not None else default_inner_steps(cfg.K, cfg.R)
     gamma = cfg.gamma
     if gamma is None:
         gamma = derived_gamma(eta, oracle.base.L)
-    z = np.tile(cfg.initial_point(dim), (M, 1))
-    out = _OutputAverager(dim)
-    records: list[TrajectoryRecord] = []
-    cadence = cfg.record_cadence()
     batch_inner = not _is_stochastic(oracle, delta)
 
-    for t in range(1, T + 1):
+    def step(t, z, sync):
         if batch_inner:
             x = _inner_prox(oracle, z, eta, gamma, H, 0.0, None, 0, t)
         else:
             x = np.empty_like(z)
-            for m in range(M):
+            for m in range(cfg.M):
                 x[m] = _inner_prox(oracle, z[m], eta, gamma, H, delta,
                                    stream, m, t)
         # outer extra step: fresh, unsmoothed draw at x_t^m
-        z = z - eta * _query_clients([oracle], x, stream, t, PHASE_UPDATE)
-        if t % K == 0:
-            z[:] = z.mean(axis=0)
-        out.add(x.mean(axis=0))
-        if t % cadence == 0 or t == T:
-            records.append(TrajectoryRecord(
-                t=t, mean_iterate=x.mean(axis=0), output_avg=out.value.copy(),
-                drift_z=_drift(z), drift_x=_drift(x)))
-    return Trajectory(algo=algo, records=records, final_output=out.value,
-                      config=cfg)
+        return z - eta * _query_clients([oracle], x, stream, t,
+                                        PHASE_UPDATE), x, x
+    # the trajectory reports the inner-loop parameters the run used
+    return _round_loop(replace(cfg, H=H, gamma=gamma), oracle.dim, step, algo)
 
 
 def run_lippax(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
@@ -475,11 +451,8 @@ def estimate_heterogeneity(ops: Sequence[OperatorSpec], radius: float,
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise ValueError("client operators must share the same dimension")
-    d = dims.pop()
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n_points, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    pts = u * (radius * rng.random(n_points) ** (1.0 / d))[:, None]
+    pts = _sample_ball(np.random.default_rng(seed), n_points, dims.pop(),
+                       radius)
     values = np.stack([eval_operator(op, pts) for op in ops])
     mean = values.mean(axis=0)
     return float(np.linalg.norm(values - mean, axis=2).max())

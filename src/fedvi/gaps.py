@@ -266,6 +266,16 @@ def exact_prox_point(op: OperatorSpec, z: np.ndarray, eta: float) -> np.ndarray:
     return x
 
 
+def dispersion(points: np.ndarray) -> float:
+    """Mean squared deviation of the rows from their mean."""
+    # identical rows must read as exactly zero dispersion; the mean of M
+    # identical floats is not bit-exact in general
+    if (points == points[0]).all():
+        return 0.0
+    center = points.mean(axis=0)
+    return float(((points - center) ** 2).sum(axis=1).mean())
+
+
 def client_drift(points: np.ndarray, which: str = "z",
                  t: int = 0) -> DriftSnapshot:
     """Mean squared deviation from the client mean, plus the pairwise max."""
@@ -274,8 +284,7 @@ def client_drift(points: np.ndarray, which: str = "z",
         raise ValueError("need a (M >= 2, d) array of client points")
     if which not in ("z", "x"):
         raise ValueError("which must be 'z' or 'x'")
-    center = points.mean(axis=0)
-    drift = float(((points - center) ** 2).sum(axis=1).mean())
+    drift = dispersion(points)
     diffs = points[:, None, :] - points[None, :, :]
     pairwise = float((diffs ** 2).sum(axis=2).max())
     return DriftSnapshot(t=t, points=points.copy(),

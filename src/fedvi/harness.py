@@ -17,6 +17,7 @@ import json
 import math
 import struct
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -24,9 +25,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .algorithms import (ALGO_IDS, THEOREM_IDS, RunConfig, Trajectory,
-                         constants_of, estimate_heterogeneity, mean_operator,
-                         run_lda, run_lesgd, run_lesgd_hetero, run_lippax,
-                         run_lsgd, run_slippax, step_size)
+                         constants_of, mean_operator, run_lda, run_lesgd,
+                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
+                         step_size)
 from .gaps import composite_gap, restricted_gap
 from .operators import (OperatorSpec, affine_operator, affine_parts,
                         load_affine_text, make_test_problem,
@@ -267,7 +268,6 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
     gamma = algo.get("gamma")
     delta = algo.get("delta")
     H = algo.get("H")
-    theorem_id = schedule
     if schedule is not None:
         D = cfg.gap["D"]
         G_eff = op.G
@@ -284,49 +284,62 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
         eta = eta if eta is not None else plan.eta
         gamma = gamma if gamma is not None else plan.gamma
         delta = delta if delta is not None else plan.delta
-    return theorem_id, eta, gamma, (delta or 0.0), H
+    return eta, gamma, (delta or 0.0), H
 
 
-def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
+def _run_once(cfg: ExperimentConfig, spec: dict
+              ) -> tuple[Trajectory, OperatorSpec, float]:
+    """Build and run one (sweep point, seed) run of the configured algorithm.
+
+    Returns the trajectory, the operator its gaps are measured on (the
+    mean operator for heterogeneous clients), and the runner's wall time
+    in seconds.
+    """
     M, K, R = spec["M"], spec["K"], spec["R"]
     sigma, seed = spec["sigma"], spec["seed"]
     op = build_problem(cfg)
     algo_id = cfg.algorithm["id"]
 
     xi = None
-    hetero_ops: list[OperatorSpec] | None = None
+    clients = [op]
     gap_op = op
     if algo_id == "lesgd-hetero":
-        hetero_ops, xi = _hetero_operators(op, cfg, M)
-        gap_op = mean_operator(hetero_ops)
-    theorem_id, eta, gamma, delta, H = _resolve_plan(cfg, op, M, K, R, sigma, xi)
+        clients, xi = _hetero_operators(op, cfg, M)
+        gap_op = mean_operator(clients)
+    eta, gamma, delta, H = _resolve_plan(cfg, op, M, K, R, sigma, xi)
 
     run_cfg = RunConfig(M=M, K=K, R=R, eta=eta, gamma=gamma, delta=delta,
-                        H=H, D=cfg.gap["D"],
+                        H=H, log_every=cfg.log_every,
                         master_seed=_run_master_seed(seed, M, K, R, sigma),
-                        log_every=cfg.log_every,
                         z0=None if cfg.z0 is None else np.asarray(cfg.z0, float))
     noise_model = cfg.noise["model"] if sigma > 0 else "none"
+    oracles = [OracleSpec(base=o, noise_model=noise_model, sigma=sigma)
+               for o in clients]
 
     t0 = time.perf_counter()
     if algo_id == "lesgd-hetero":
-        oracles = [OracleSpec(base=o, noise_model=noise_model, sigma=sigma)
-                   for o in hetero_ops]
         traj = run_lesgd_hetero(oracles, run_cfg)
+    elif algo_id == "lda":
+        traj = run_lda(oracles[0], cfg.regularizer, run_cfg)
     else:
-        oracle = OracleSpec(base=op, noise_model=noise_model, sigma=sigma)
-        if algo_id == "lda":
-            traj = run_lda(oracle, cfg.regularizer, run_cfg)
-        else:
-            runner = {"lesgd": run_lesgd, "lippax": run_lippax,
-                      "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
-            traj = runner(oracle, run_cfg)
-    wall_ms = (time.perf_counter() - t0) * 1e3 if cfg.timing else None
+        runner = {"lesgd": run_lesgd, "lippax": run_lippax,
+                  "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
+        traj = runner(oracles[0], run_cfg)
+    return traj, gap_op, time.perf_counter() - t0
+
+
+def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
+    traj, gap_op, wall_s = _run_once(cfg, spec)
+    for message in traj.warnings:
+        warnings.warn(message, RuntimeWarning)
+    run_cfg = traj.config
+    wall_ms = wall_s * 1e3 if cfg.timing else None
 
     center = (np.asarray(cfg.gap["center"], float)
               if not isinstance(cfg.gap["center"], str)
-              else run_cfg.initial_point(op.dim))
+              else run_cfg.initial_point(gap_op.dim))
     solution = gap_op.solution
+    algo_id = cfg.algorithm["id"]
     use_composite = cfg.regularizer.kind != "zero" and algo_id == "lda"
     rows = []
     for rec in traj.records:
@@ -339,11 +352,13 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
         dist = (float(np.linalg.norm(rec.output_avg - solution))
                 if solution is not None else None)
         rows.append(ResultRow(
-            algo=algo_id, theorem_id=theorem_id, d=op.dim, M=M, K=K, R=R,
-            sigma=sigma, eta=eta, gamma=gamma, delta=delta,
-            H=traj.config.H, seed=seed, round=rec.t // K,
-            gap_value=est.value, gap_certified=est.certified,
-            drift_z=rec.drift_z, dist_to_solution=dist, wall_ms=wall_ms))
+            algo=algo_id, theorem_id=cfg.algorithm.get("schedule"),
+            d=gap_op.dim, M=run_cfg.M, K=run_cfg.K, R=run_cfg.R,
+            sigma=spec["sigma"], eta=run_cfg.eta, gamma=run_cfg.gamma,
+            delta=run_cfg.delta, H=run_cfg.H, seed=spec["seed"],
+            round=rec.t // run_cfg.K, gap_value=est.value,
+            gap_certified=est.certified, drift_z=rec.drift_z,
+            dist_to_solution=dist, wall_ms=wall_ms))
     return rows
 
 
@@ -465,33 +480,7 @@ def run_single(cfg: ExperimentConfig) -> Trajectory:
     the raw trajectory rather than CSV rows."""
     if cfg.sweep:
         raise ValueError("run_single expects a config without sweep axes")
-    spec = cfg.expand_runs()[0]
-    M, K, R = spec["M"], spec["K"], spec["R"]
-    sigma, seed = spec["sigma"], spec["seed"]
-    op = build_problem(cfg)
-    algo_id = cfg.algorithm["id"]
-    xi = None
-    hetero_ops = None
-    if algo_id == "lesgd-hetero":
-        hetero_ops, xi = _hetero_operators(op, cfg, M)
-    theorem_id, eta, gamma, delta, H = _resolve_plan(cfg, op, M, K, R,
-                                                     sigma, xi)
-    run_cfg = RunConfig(M=M, K=K, R=R, eta=eta, gamma=gamma, delta=delta,
-                        H=H, D=cfg.gap["D"],
-                        master_seed=_run_master_seed(seed, M, K, R, sigma),
-                        log_every=cfg.log_every,
-                        z0=None if cfg.z0 is None else np.asarray(cfg.z0, float))
-    noise_model = cfg.noise["model"] if sigma > 0 else "none"
-    if algo_id == "lesgd-hetero":
-        oracles = [OracleSpec(base=o, noise_model=noise_model, sigma=sigma)
-                   for o in hetero_ops]
-        return run_lesgd_hetero(oracles, run_cfg)
-    oracle = OracleSpec(base=op, noise_model=noise_model, sigma=sigma)
-    if algo_id == "lda":
-        return run_lda(oracle, cfg.regularizer, run_cfg)
-    runner = {"lesgd": run_lesgd, "lippax": run_lippax,
-              "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
-    return runner(oracle, run_cfg)
+    return _run_once(cfg, cfg.expand_runs()[0])[0]
 
 
 def verify_problem(cfg: ExperimentConfig, n_pairs: int = 10_000,

@@ -24,7 +24,6 @@ KINDS = (
     "skew",
     "quadratic-gradient",
     "bounded-nonlinear",
-    "regularized",
 )
 
 # max |d^2/du^2 tanh(u)| = 4 / (3 sqrt(3)); halved it bounds the
@@ -98,9 +97,6 @@ def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     if op.kind == "bounded-nonlinear":
         C, b0 = op.payload["C"], op.payload["b0"]
         return np.tanh(z @ C.T + b0) @ C
-    if op.kind == "regularized":
-        base = op.payload["base"]
-        return eval_operator(base, z) + (z - op.payload["center"]) / op.payload["eta"]
     raise AssertionError(f"unhandled kind {op.kind}")
 
 
@@ -113,9 +109,6 @@ def op_jacobian(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
         C, b0 = op.payload["C"], op.payload["b0"]
         w = 1.0 / np.cosh(C @ z + b0) ** 2
         return C.T @ (w[:, None] * C)
-    if op.kind == "regularized":
-        base = op.payload["base"]
-        return op_jacobian(base, z) + np.eye(op.dim) / op.payload["eta"]
     raise AssertionError(f"unhandled kind {op.kind}")
 
 
@@ -168,27 +161,6 @@ def affine_operator(A: np.ndarray, b: np.ndarray, kind: str = "affine",
                     solution: np.ndarray | None = None) -> OperatorSpec:
     """Affine operator V(z) = Az + b with constants read off the spectra."""
     return _affine_spec(kind, A, b, solution=solution)
-
-
-def regularize(op: OperatorSpec, center: np.ndarray, eta: float) -> OperatorSpec:
-    """The (1/eta)-strongly monotone operator V(x) + (1/eta)(x - center)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    center = _check_point(op, np.asarray(center, float))
-    payload: dict[str, Any] = {"base": op, "center": _frozen(center), "eta": float(eta)}
-    if op.is_affine:
-        A, b = affine_parts(op)
-        A_eff = A + np.eye(op.dim) / eta
-        b_eff = b - center / eta
-        payload["A"] = _frozen(A_eff)
-        payload["b"] = _frozen(b_eff)
-        payload["solution"] = _frozen(np.linalg.solve(A_eff, -b_eff))
-        beta = beta_affine(A_eff)
-    else:
-        beta = INF
-    return OperatorSpec(dim=op.dim, kind="regularized", payload=payload,
-                        L=op.L + 1.0 / eta, G=INF, beta=beta,
-                        Lambda=op.Lambda, is_affine=op.is_affine)
 
 
 def operator_bound_on_ball(op: OperatorSpec, center: np.ndarray,

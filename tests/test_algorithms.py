@@ -445,8 +445,7 @@ class TestRunLesgdHetero:
 class TestRunConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(M=0), dict(K=0), dict(R=0), dict(eta=0.0), dict(eta=-1.0),
-        dict(gamma=0.0), dict(H=0), dict(delta=-0.1), dict(D=0.0),
-        dict(log_every=0),
+        dict(gamma=0.0), dict(H=0), dict(delta=-0.1), dict(log_every=0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

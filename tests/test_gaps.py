@@ -6,8 +6,7 @@ import pytest
 
 from fedvi.gaps import (check_eg_cocoercivity, client_drift, composite_gap,
                         exact_prox_point, restricted_gap)
-from fedvi.operators import (affine_operator, eval_operator,
-                             make_test_problem, regularize)
+from fedvi.operators import affine_operator, eval_operator, make_test_problem
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
 
 
@@ -190,9 +189,11 @@ class TestExactProxPoint:
 
 class TestClientDrift:
     def test_identical_points(self):
-        snap = client_drift(np.ones((3, 2)), which="z", t=5)
-        assert snap.drift_z == 0.0 and snap.pairwise_max == 0.0
-        assert snap.t == 5 and snap.drift_x is None
+        # 0.1 is not a float whose mean over 3 rows is bit-exact
+        for value in (1.0, 0.1):
+            snap = client_drift(np.full((3, 2), value), which="z", t=5)
+            assert snap.drift_z == 0.0 and snap.pairwise_max == 0.0
+            assert snap.t == 5 and snap.drift_x is None
 
     def test_two_clients_symmetric(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])

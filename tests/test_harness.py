@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from fedvi.algorithms import default_inner_steps, derived_gamma, mean_operator
 from fedvi.cli import main as cli_main
-from fedvi.harness import (ConfigError, ExperimentConfig, compare_reduction,
-                           fit_rate, rows_to_csv, run_experiment,
+from fedvi.gaps import restricted_gap
+from fedvi.harness import (ConfigError, ExperimentConfig, _hetero_operators,
+                           build_problem, compare_reduction, fit_rate,
+                           rows_to_csv, run_experiment, run_single,
                            verify_problem)
 
 
@@ -117,6 +120,60 @@ class TestRunExperiment:
         rows = run_experiment(tree)
         assert len(rows) == 4
         assert all(np.isfinite(r.gap_value) for r in rows)
+
+    def test_csv_reports_resolved_inner_parameters(self):
+        """H and gamma cells hold what LIPPAX used, also when derived."""
+        tree = minimal_config(log_every=4)
+        tree["problem"] = {"kind": "bounded-nonlinear", "dim": 3, "seed": 1}
+        tree["algorithm"] = {"id": "lippax", "schedule": "T3"}
+        tree["federation"] = {"M": 2, "K": 3, "R": 4}
+        (row,) = run_experiment(tree)
+        assert row.H == default_inner_steps(3, 4)
+
+        tree = minimal_config()
+        tree["algorithm"] = {"id": "lippax", "eta": 0.2}
+        rows = run_experiment(tree)
+        L = build_problem(ExperimentConfig.from_dict(tree)).L
+        assert all(r.gamma == derived_gamma(0.2, L) for r in rows)
+
+    def test_runner_warnings_reach_the_caller(self):
+        tree = minimal_config()
+        tree["problem"] = {"kind": "skew", "dim": 2, "seed": 0}
+        tree["algorithm"] = {"id": "lsgd", "eta": 0.1}
+        with pytest.warns(RuntimeWarning, match="co-coercivity"):
+            run_experiment(tree)
+
+
+def _stochastic(algorithm, M, **problem):
+    tree = minimal_config(log_every=2, seeds=[4])
+    tree["problem"].update(problem)
+    tree["algorithm"] = algorithm
+    tree["federation"] = {"M": M, "K": 2, "R": 6}
+    tree["noise"] = {"sigma": 0.5, "model": "gaussian-isotropic"}
+    return tree
+
+
+class TestRunSingle:
+    @pytest.mark.parametrize("tree", [
+        _stochastic({"id": "lippax", "eta": 0.2}, M=2),
+        _stochastic({"id": "lesgd-hetero", "eta": 0.1}, M=3,
+                    hetero={"offset_scale": 0.5}),
+    ], ids=["lippax", "lesgd-hetero"])
+    def test_matches_run_experiment_rows(self, tree):
+        """run_single and run_experiment build the same run of a seed."""
+        cfg = ExperimentConfig.from_dict(tree)
+        rows = run_experiment(cfg)
+        traj = run_single(cfg)
+        op = build_problem(cfg)
+        if cfg.algorithm["id"] == "lesgd-hetero":
+            M = cfg.federation["M"]
+            op = mean_operator(_hetero_operators(op, cfg, M)[0])
+        assert len(traj.records) == len(rows) == 3
+        for rec, row in zip(traj.records, rows):
+            assert rec.t // row.K == row.round
+            gap = restricted_gap(op, rec.output_avg, np.zeros(op.dim), 1.0)
+            assert gap.value == row.gap_value
+            assert rec.drift_z == row.drift_z
 
 
 class TestFitRate:

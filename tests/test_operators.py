@@ -5,8 +5,7 @@ import pytest
 
 from fedvi.operators import (affine_operator, eval_operator,
                              load_affine_text, make_test_problem, op_jacobian,
-                             operator_bound_on_ball, regularize,
-                             verify_properties)
+                             operator_bound_on_ball, verify_properties)
 
 ZOO = [
     make_test_problem("affine", 6, {"L": 1.0}, seed=0),
@@ -28,16 +27,6 @@ class TestEvalOperator:
         op = make_test_problem("skew", 2)
         np.testing.assert_array_equal(
             eval_operator(op, np.array([3.0, 0.0])), [0.0, -3.0])
-
-    def test_regularized_hand_value(self):
-        """V(x) = x, center 0, eta 0.5: F(x) = x + 2x = 3x."""
-        base = affine_operator(np.eye(2), np.zeros(2))
-        reg = regularize(base, np.zeros(2), 0.5)
-        got = eval_operator(reg, np.array([1.0, 0.0]))
-        base_plus_linear = (eval_operator(base, np.array([1.0, 0.0]))
-                            + 2.0 * np.array([1.0, 0.0]))
-        np.testing.assert_allclose(got, base_plus_linear, atol=1e-14)
-        np.testing.assert_allclose(got, [3.0, 0.0], atol=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         op = make_test_problem("affine", 3)
@@ -150,53 +139,6 @@ class TestVerifyProperties:
     def test_non_monotone_affine_rejected_at_construction(self):
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(2), np.zeros(2))
-
-
-class TestRegularize:
-    def test_pure_regularizer(self):
-        zero_op = affine_operator(np.zeros((2, 2)), np.zeros(2))
-        reg = regularize(zero_op, np.zeros(2), 1.0)
-        z = np.array([1.5, -2.0])
-        np.testing.assert_array_equal(eval_operator(reg, z), z)
-
-    def test_affine_matrix_identity(self):
-        """Regularizing an affine operator adds (1/eta) I to its matrix."""
-        op = make_test_problem("affine", 4, {"L": 1.0}, seed=6)
-        center = np.array([0.5, -1.0, 0.0, 2.0])
-        eta = 0.3
-        reg = regularize(op, center, eta)
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.standard_normal(4)
-            expected = eval_operator(op, x) + (x - center) / eta
-            np.testing.assert_allclose(eval_operator(reg, x), expected,
-                                       atol=1e-12)
-        assert reg.L == pytest.approx(op.L + 1 / eta)
-
-    def test_fixed_point_by_linear_solve(self):
-        op = make_test_problem("affine", 4, {"L": 1.0}, seed=6)
-        A = op.payload["A"]
-        b = op.payload["b"]
-        center = np.array([1.0, 0.0, -1.0, 0.5])
-        eta = 0.7
-        x_star = np.linalg.solve(np.eye(4) + eta * A, center - eta * b)
-        reg = regularize(op, center, eta)
-        assert np.linalg.norm(eval_operator(reg, x_star)) < 1e-10
-        np.testing.assert_allclose(reg.solution, x_star, atol=1e-10)
-
-    def test_strong_monotonicity(self):
-        op = make_test_problem("bounded-nonlinear", 3, seed=8)
-        eta = 0.4
-        reg = regularize(op, np.zeros(3), eta)
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            x, y = rng.standard_normal((2, 3)) * 3
-            lhs = (eval_operator(reg, x) - eval_operator(reg, y)) @ (x - y)
-            assert lhs >= (1 / eta) * np.sum((x - y) ** 2) * (1 - 1e-9)
-
-    def test_nonpositive_eta_rejected(self):
-        with pytest.raises(ValueError):
-            regularize(ZOO[0], np.zeros(6), 0.0)
 
 
 class TestBoundOnBall:
