@@ -12,7 +12,8 @@ from .harness import (ConfigError, ExperimentConfig, RateFit, ResultRow,
                       compare_reduction, fit_rate, run_experiment)
 from .operators import (OperatorSpec, PropertyReport, affine_operator,
                         eval_operator, load_affine_text, make_test_problem,
-                        op_jacobian, operator_bound_on_ball, verify_properties)
+                        op_jacobian, op_vjp, operator_bound_on_ball,
+                        verify_properties)
 from .oracles import OracleSpec, noiseless, sample_oracle
 from .regularizers import (MirrorState, RegularizerSpec, ZERO_REG, mirror_map,
                            prox, reg_value)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSpec, affine_parts, eval_operator, op_jacobian
+from .operators import (OperatorSpec, affine_parts, eval_operator,
+                        op_jacobian, op_vjp)
 from .regularizers import RegularizerSpec, prox, reg_value
 
 GAP_METHODS = ("auto", "exact-concave", "multistart-ascent", "grid")
@@ -51,20 +52,16 @@ class CocoercivityReport:
     max_violation: float
 
 
-def _gap_objective(op: OperatorSpec, x_o: np.ndarray, z: np.ndarray) -> float:
-    return float(eval_operator(op, z) @ (x_o - z))
+def _rownorm(W: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a (..., 1, d) stack, as (..., 1, 1)."""
+    return np.sqrt(W @ np.swapaxes(W, -1, -2))
 
 
-def _gap_gradient(op: OperatorSpec, x_o: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return op_jacobian(op, z).T @ (x_o - z) - eval_operator(op, z)
-
-
-def _project_ball(z: np.ndarray, center: np.ndarray, D: float) -> np.ndarray:
-    w = z - center
-    n = np.linalg.norm(w)
-    if n <= D:
-        return z.copy()
-    return center + w * (D / n)
+def _project_ball(Z: np.ndarray, center: np.ndarray, D: float) -> np.ndarray:
+    """Project each row of a (..., 1, d) stack onto the ball."""
+    W = Z - center
+    n = _rownorm(W)
+    return np.where(n <= D, Z, center + W * (D / np.maximum(n, D)))
 
 
 def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
@@ -118,33 +115,63 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
 def _duality_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                  D: float, z_star: np.ndarray) -> float:
     """Concavity bound: sup - g(z*) <= <grad, center - z*> + D ||grad||."""
-    grad = _gap_gradient(op, x_o, z_star)
+    grad = (op_jacobian(op, z_star).T @ (x_o - z_star)
+            - eval_operator(op, z_star))
     return float(grad @ (center - z_star)) + D * float(np.linalg.norm(grad))
 
 
-def _ascent_starts(x_o: np.ndarray, center: np.ndarray, D: float,
-                   n_starts: int, seed: int) -> list[np.ndarray]:
-    rng = np.random.default_rng((seed, 0xA5CE))
-    starts = [center.copy(), _project_ball(x_o, center, D)]
+def _check_ball_and_ascent(D: float, n_starts: int, n_iters: int) -> None:
+    if D <= 0:
+        raise ValueError("ball radius D must be positive")
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    if n_iters < 0:
+        raise ValueError("n_iters must be >= 0")
+
+
+def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
+                       D: float, n_starts: int, n_iters: int, seed: int,
+                       prox_step=lambda U, step: U, feasible=lambda Z: Z
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Projected (proximal) ascent on <V(z), x_o - z> from n_starts points.
+
+    All starts advance together as one (n_starts, 1, d) stack of row
+    vectors.  Every product over starts is a stacked matmul, never one
+    2-D GEMM, so no start's bits depend on how many starts run beside it.
+    Returns the final feasible points (n_starts, d) and their objective
+    values.
+    """
     d = center.shape[0]
-    while len(starts) < n_starts:
-        u = rng.standard_normal(d)
-        starts.append(center + D * u / np.linalg.norm(u))
-    return starts[:n_starts]
 
+    def grad(Z: np.ndarray) -> np.ndarray:
+        return op_vjp(op, Z, x_o - Z) - eval_operator(op, Z)
 
-def _lipschitz_estimate(grad_fn, center: np.ndarray, D: float,
-                        seed: int) -> float:
+    # step 1/(2L), L the largest gradient-difference ratio of 20 probe pairs
     rng = np.random.default_rng((seed, 0x11B5))
-    d = center.shape[0]
-    best = 1e-12
-    for _ in range(20):
-        z1 = center + D * rng.standard_normal(d) / math.sqrt(d)
-        z2 = center + D * rng.standard_normal(d) / math.sqrt(d)
-        dz = np.linalg.norm(z1 - z2)
-        if dz > 1e-12:
-            best = max(best, np.linalg.norm(grad_fn(z1) - grad_fn(z2)) / dz)
-    return best
+    P = center + D * rng.standard_normal((20, 2, 1, d)) / math.sqrt(d)
+    G = grad(P)
+    dz, dg = _rownorm(P[:, 0] - P[:, 1]), _rownorm(G[:, 0] - G[:, 1])
+    ok = dz > 1e-12
+    step = 1.0 / (2.0 * (dg[ok] / dz[ok]).max(initial=1e-12))
+
+    # starts: the center, x_o projected, then points on the sphere
+    rng = np.random.default_rng((seed, 0xA5CE))
+    U = rng.standard_normal((max(n_starts - 2, 0), 1, d))
+    Z = np.concatenate([center[None, None],
+                        _project_ball(x_o[None, None], center, D),
+                        center + D * U / _rownorm(U)])[:n_starts]
+    Z = feasible(Z)
+    for _ in range(n_iters):
+        Z = _project_ball(prox_step(Z + step * grad(Z), step), center, D)
+    Z = feasible(Z)
+    values = eval_operator(op, Z) @ np.swapaxes(x_o - Z, -1, -2)
+    return Z[:, 0], values.ravel()
+
+
+def _best_start(Z: np.ndarray, values: np.ndarray) -> GapEstimate:
+    k = int(np.argmax(values))
+    return GapEstimate(value=float(values[k]), method="multistart-ascent",
+                       certified=False, maximizer=Z[k])
 
 
 def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
@@ -152,8 +179,7 @@ def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                    n_iters: int = 500, grid_points: int = 1000,
                    seed: int = 0) -> GapEstimate:
     """sup of <V(z), x_o - z> over the ball ||z - center|| <= D."""
-    if D <= 0:
-        raise ValueError("ball radius D must be positive")
+    _check_ball_and_ascent(D, n_starts, n_iters)
     if method not in GAP_METHODS:
         raise ValueError(f"unknown gap method {method!r}")
     x_o = np.asarray(x_o, dtype=float)
@@ -165,7 +191,7 @@ def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         if not op.is_affine:
             raise ValueError("exact-concave requires an affine operator")
         z_star, _ = _exact_concave_max(op, x_o, center, D)
-        value = _gap_objective(op, x_o, z_star)
+        value = float(eval_operator(op, z_star) @ (x_o - z_star))
         dual = _duality_gap(op, x_o, center, D, z_star)
         certified = dual <= 1e-7 * (1.0 + abs(value))
         return GapEstimate(value=value, method="exact-concave",
@@ -177,18 +203,8 @@ def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         return GapEstimate(value=value, method="grid", certified=True,
                            maximizer=z_star)
 
-    grad = lambda z: _gap_gradient(op, x_o, z)
-    step = 1.0 / (2.0 * _lipschitz_estimate(grad, center, D, seed))
-    best_val, best_z = -math.inf, None
-    for z0 in _ascent_starts(x_o, center, D, n_starts, seed):
-        z = z0
-        for _ in range(n_iters):
-            z = _project_ball(z + step * grad(z), center, D)
-        val = _gap_objective(op, x_o, z)
-        if val > best_val:
-            best_val, best_z = val, z
-    return GapEstimate(value=best_val, method="multistart-ascent",
-                       certified=False, maximizer=best_z)
+    return _best_start(*_multistart_ascent(op, x_o, center, D, n_starts,
+                                           n_iters, seed))
 
 
 def _grid_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
@@ -212,8 +228,7 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
                   center: np.ndarray, D: float, n_starts: int = 16,
                   n_iters: int = 500, seed: int = 0) -> GapEstimate:
     """sup of <V(z), v_o - z> + phi(v_o) - phi(z) over the ball and dom phi."""
-    if D <= 0:
-        raise ValueError("ball radius D must be positive")
+    _check_ball_and_ascent(D, n_starts, n_iters)
     v_o = np.asarray(v_o, dtype=float)
     center = np.asarray(center, dtype=float)
     if reg.kind == "zero":
@@ -224,30 +239,21 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
         if np.linalg.norm(inside - center) > D:
             raise ValueError("phi is infinite everywhere on the ball")
 
-    phi_vo = reg_value(reg, v_o)
-    grad = lambda z: _gap_gradient(op, v_o, z)
-    step = 1.0 / (2.0 * _lipschitz_estimate(grad, center, D, seed))
-
-    def feasible(z: np.ndarray) -> np.ndarray:
+    def feasible(Z: np.ndarray) -> np.ndarray:
         if reg.kind != "box-indicator":
-            return _project_ball(z, center, D)
+            return _project_ball(Z, center, D)
         # alternating projections onto box and ball; the final clip keeps
         # phi finite and can leave the ball only by a vanishing margin
         for _ in range(50):
-            z = _project_ball(np.clip(z, reg.lo, reg.hi), center, D)
-        return np.clip(z, reg.lo, reg.hi)
+            Z = _project_ball(np.clip(Z, reg.lo, reg.hi), center, D)
+        return np.clip(Z, reg.lo, reg.hi)
 
-    best_val, best_z = -math.inf, None
-    for z0 in _ascent_starts(v_o, center, D, n_starts, seed):
-        z = feasible(z0)
-        for _ in range(n_iters):
-            z = _project_ball(prox(reg, z + step * grad(z), step), center, D)
-        z = feasible(z)
-        val = _gap_objective(op, v_o, z) + phi_vo - reg_value(reg, z)
-        if val > best_val:
-            best_val, best_z = val, z
-    return GapEstimate(value=best_val, method="multistart-ascent",
-                       certified=False, maximizer=best_z)
+    Z, values = _multistart_ascent(
+        op, v_o, center, D, n_starts, n_iters, seed, feasible=feasible,
+        prox_step=lambda U, step: prox(reg, U, step))
+    phi_vo = reg_value(reg, v_o)
+    return _best_start(Z, values + phi_vo - np.array(
+        [reg_value(reg, z) for z in Z]))
 
 
 def exact_prox_point(op: OperatorSpec, z: np.ndarray, eta: float) -> np.ndarray:

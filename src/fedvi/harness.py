@@ -28,7 +28,7 @@ from .algorithms import (ALGO_IDS, THEOREM_IDS, RunConfig, Trajectory,
                          constants_of, mean_operator, run_lda, run_lesgd,
                          run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
                          step_size)
-from .gaps import composite_gap, restricted_gap
+from .gaps import GAP_METHODS, composite_gap, restricted_gap
 from .operators import (OperatorSpec, affine_operator, affine_parts,
                         load_affine_text, make_test_problem,
                         operator_bound_on_ball, verify_properties)
@@ -101,6 +101,11 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; build with from_dict / from_file."""
@@ -139,18 +144,33 @@ class ExperimentConfig:
         else:
             _expect(_get(tree, "algorithm.eta") is not None, "algorithm.eta",
                     "required when no theorem schedule is given")
+        for name in ("eta", "gamma"):
+            v = _get(tree, f"algorithm.{name}")
+            _expect(v is None or (_is_number(v) and v > 0),
+                    f"algorithm.{name}", "must be a positive number")
         federation = _get(tree, "federation", required=True)
         for name in ("M", "K", "R"):
             v = federation.get(name)
             _expect(isinstance(v, int) and v >= 1, f"federation.{name}",
                     "must be an integer >= 1")
         noise = _get(tree, "noise", {"sigma": 0.0, "model": "none"})
-        _expect(noise.get("sigma", 0.0) >= 0, "noise.sigma",
-                "must be nonnegative")
+        sigma = noise.get("sigma", 0.0)
+        _expect(_is_number(sigma) and sigma >= 0, "noise.sigma",
+                "must be a nonnegative number")
         _expect(noise.get("model", "gaussian-isotropic") in NOISE_MODELS,
                 "noise.model", f"must be one of {NOISE_MODELS}")
         gap = _get(tree, "gap", {})
-        _expect(_get(tree, "gap.D", 1.0) > 0, "gap.D", "must be positive")
+        D = _get(tree, "gap.D", 1.0)
+        _expect(_is_number(D) and D > 0, "gap.D", "must be a positive number")
+        _expect(gap.get("method", "auto") in GAP_METHODS, "gap.method",
+                f"must be one of {GAP_METHODS}")
+        z0 = _get(tree, "z0")
+        if z0 is not None:
+            _expect(isinstance(z0, list) and all(map(_is_number, z0)), "z0",
+                    "must be a list of numbers")
+            # a matrix-file problem's dimension is known only once loaded
+            _expect("file" in problem or len(z0) == problem["dim"], "z0",
+                    f"must have problem.dim = {problem.get('dim')} entries")
         reg_tree = _get(tree, "regularizer")
         if reg_tree is None:
             reg = ZERO_REG
@@ -178,13 +198,13 @@ class ExperimentConfig:
             problem=problem, algorithm=algorithm, federation=federation,
             noise={"sigma": float(noise.get("sigma", 0.0)),
                    "model": noise.get("model", "gaussian-isotropic")},
-            gap={"D": float(_get(tree, "gap.D", 1.0)),
+            gap={"D": float(D),
                  "center": gap.get("center", "z0"),
                  "method": gap.get("method", "auto")},
             regularizer=reg,
             sweep=sweep, seeds=list(seeds),
             log_every=_get(tree, "log_every"),
-            z0=_get(tree, "z0"),
+            z0=z0,
             output=_get(tree, "output"),
             timing=bool(_get(tree, "timing", False)),
             max_runs=int(_get(tree, "max_runs", RUN_CAP_DEFAULT)),

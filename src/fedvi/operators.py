@@ -112,6 +112,22 @@ def op_jacobian(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     raise AssertionError(f"unhandled kind {op.kind}")
 
 
+def op_vjp(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product J(z)^T w, over leading batch axes of z and w.
+
+    No Jacobian is formed.  A batch of shape (n, 1, d) is evaluated as
+    stacked products, so each row's bits do not depend on n.
+    """
+    z = _check_point(op, z)
+    w = np.asarray(w, dtype=float)
+    if op.is_affine:
+        return w @ op.payload["A"]
+    if op.kind == "bounded-nonlinear":
+        C, b0 = op.payload["C"], op.payload["b0"]
+        return ((w @ C.T) / np.cosh(z @ C.T + b0) ** 2) @ C
+    raise AssertionError(f"unhandled kind {op.kind}")
+
+
 def affine_parts(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Return (A, b) with V(z) = Az + b; rejects non-affine operators."""
     if not op.is_affine:

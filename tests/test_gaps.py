@@ -1,13 +1,17 @@
 """Restricted and composite gap evaluators, drift stats, and the
 extra-gradient co-coercivity check."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fedvi.gaps import (check_eg_cocoercivity, client_drift, composite_gap,
-                        exact_prox_point, restricted_gap)
-from fedvi.operators import affine_operator, eval_operator, make_test_problem
-from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
+from fedvi.gaps import (_multistart_ascent, check_eg_cocoercivity,
+                        client_drift, composite_gap, exact_prox_point,
+                        restricted_gap)
+from fedvi.operators import (affine_operator, eval_operator, make_test_problem,
+                             op_jacobian)
+from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox, reg_value
 
 
 def grid_oracle(op, x_o, center, D, n_r=600, n_theta=600):
@@ -23,6 +27,107 @@ def grid_oracle(op, x_o, center, D, n_r=600, n_theta=600):
                              (rr * np.sin(tt)).ravel()], axis=1)
     vals = np.einsum("ij,ij->i", eval_operator(op, pts), x_o - pts)
     return float(vals.max())
+
+
+def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
+                          n_iters=500, seed=0):
+    """The one-start-at-a-time ascent the batched evaluator replaced.
+
+    Returns (best value, maximizer); with reg it is the composite gap's
+    proximal ascent, without it restricted_gap's projected ascent.
+    """
+    def project(z):
+        w = z - center
+        n = np.linalg.norm(w)
+        return z.copy() if n <= D else center + w * (D / n)
+
+    def grad(z):
+        return op_jacobian(op, z).T @ (x_o - z) - eval_operator(op, z)
+
+    rng = np.random.default_rng((seed, 0x11B5))
+    d = center.shape[0]
+    lip = 1e-12
+    for _ in range(20):
+        z1 = center + D * rng.standard_normal(d) / math.sqrt(d)
+        z2 = center + D * rng.standard_normal(d) / math.sqrt(d)
+        dz = np.linalg.norm(z1 - z2)
+        if dz > 1e-12:
+            lip = max(lip, np.linalg.norm(grad(z1) - grad(z2)) / dz)
+    step = 1.0 / (2.0 * lip)
+
+    rng = np.random.default_rng((seed, 0xA5CE))
+    starts = [center.copy(), project(x_o)]
+    while len(starts) < n_starts:
+        u = rng.standard_normal(d)
+        starts.append(center + D * u / np.linalg.norm(u))
+
+    def feasible(z):
+        if reg is None:
+            return z
+        if reg.kind != "box-indicator":
+            return project(z)
+        for _ in range(50):
+            z = project(np.clip(z, reg.lo, reg.hi))
+        return np.clip(z, reg.lo, reg.hi)
+
+    best_val, best_z = -math.inf, None
+    for z in starts[:n_starts]:
+        z = feasible(z)
+        for _ in range(n_iters):
+            u = z + step * grad(z)
+            z = project(u if reg is None else prox(reg, u, step))
+        z = feasible(z)
+        val = float(eval_operator(op, z) @ (x_o - z))
+        if reg is not None:
+            val += reg_value(reg, x_o) - reg_value(reg, z)
+        if val > best_val:
+            best_val, best_z = val, z
+    return best_val, best_z
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_restricted_matches_per_start_loop(self, d):
+        op = make_test_problem("bounded-nonlinear", d, seed=6)
+        rng = np.random.default_rng(d)
+        x_o, center = rng.standard_normal(d), 0.3 * rng.standard_normal(d)
+        est = restricted_gap(op, x_o, center, 2.0, seed=3)
+        value, z = reference_multistart(op, x_o, center, 2.0, seed=3)
+        assert est.value == pytest.approx(value, rel=1e-9)
+        np.testing.assert_allclose(est.maximizer, z, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("reg", [
+        RegularizerSpec(kind="l1", lam=0.05),
+        RegularizerSpec(kind="box-indicator", lo=[-0.6] * 8, hi=[0.6] * 8),
+    ], ids=["l1", "box"])
+    def test_composite_matches_per_start_loop(self, reg):
+        op = make_test_problem("bilinear-saddle", 8, {"b_scale": 0.1}, seed=21)
+        v_o = 0.2 * np.random.default_rng(5).standard_normal(8)
+        # D = 1 cuts the box's corners, so both projections are active
+        est = composite_gap(op, reg, v_o, np.zeros(8), 1.0, seed=1)
+        value, z = reference_multistart(op, v_o, np.zeros(8), 1.0, reg=reg,
+                                        seed=1)
+        assert est.value == pytest.approx(value, rel=1e-9)
+        np.testing.assert_allclose(est.maximizer, z, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 20])
+    def test_starts_do_not_depend_on_batch_size(self, d):
+        op = make_test_problem("bounded-nonlinear", d, seed=6)
+        x_o = np.random.default_rng(0).standard_normal(d)
+        center = np.zeros(d)
+        few, few_vals = _multistart_ascent(op, x_o, center, 2.0, 2, 120, 4)
+        many, many_vals = _multistart_ascent(op, x_o, center, 2.0, 16, 120, 4)
+        np.testing.assert_array_equal(few, many[:2])
+        np.testing.assert_array_equal(few_vals, many_vals[:2])
+
+    @pytest.mark.parametrize("kwargs", [dict(n_starts=0), dict(n_iters=-5)])
+    def test_bad_ascent_sizes_rejected(self, kwargs):
+        op = make_test_problem("bounded-nonlinear", 3, seed=0)
+        reg = RegularizerSpec(kind="l1", lam=0.1)
+        with pytest.raises(ValueError, match="n_"):
+            restricted_gap(op, np.zeros(3), np.zeros(3), 1.0, **kwargs)
+        with pytest.raises(ValueError, match="n_"):
+            composite_gap(op, reg, np.zeros(3), np.zeros(3), 1.0, **kwargs)
 
 
 class TestRestrictedGap:
@@ -88,7 +193,8 @@ class TestRestrictedGap:
         values = [restricted_gap(op, x_o, np.zeros(3), 2.0, n_starts=n,
                                  n_iters=120, seed=4).value
                   for n in (2, 4, 8, 16)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
+        # the first n starts do not depend on how many run beside them
+        assert all(a <= b for a, b in zip(values, values[1:]))
         est = restricted_gap(op, x_o, np.zeros(3), 2.0, n_starts=4,
                              n_iters=120, seed=4)
         assert not est.certified and est.method == "multistart-ascent"

@@ -53,6 +53,24 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(tree)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("mutate,path", [
+        (lambda t: t.update(gap={"D": 1.0, "method": "newton"}), "gap.method"),
+        (lambda t: t.update(gap={"D": "x"}), "gap.D"),
+        (lambda t: t["noise"].update(sigma="1"), "noise.sigma"),
+        (lambda t: t["algorithm"].update(eta=-1), "algorithm.eta"),
+        (lambda t: t["algorithm"].update(eta=0.0), "algorithm.eta"),
+        (lambda t: t["algorithm"].update(gamma=0), "algorithm.gamma"),
+        (lambda t: t.update(z0=[0.0, 0.0, 0.0]), "z0"),
+        (lambda t: t.update(z0=["a", 0.0]), "z0"),
+    ], ids=["method", "D-string", "sigma-string", "eta-negative", "eta-zero",
+            "gamma-zero", "z0-length", "z0-string"])
+    def test_malformed_gap_and_step_fields_rejected(self, mutate, path):
+        tree = minimal_config()
+        mutate(tree)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(tree)
+        assert err.value.path == path
+
     def test_eta_required_without_schedule(self):
         tree = minimal_config()
         tree["algorithm"] = {"id": "lesgd"}
@@ -308,6 +326,18 @@ class TestCli:
         tree = minimal_config()
         tree["federation"]["M"] = 0
         assert cli_main(["run", self._write(tmp_path, tree)]) == 2
+
+    @pytest.mark.parametrize("mutate", [
+        lambda t: t["gap"].update(method="newton"),
+        lambda t: t["noise"].update(sigma="1"),
+        lambda t: t["algorithm"].update(eta=-1),
+        lambda t: t.update(z0=[0, 0, 0]),
+    ], ids=["gap-method", "sigma-string", "eta-negative", "z0-length"])
+    def test_malformed_fields_exit_2(self, tmp_path, mutate, capsys):
+        tree = minimal_config()
+        mutate(tree)
+        assert cli_main(["run", self._write(tmp_path, tree)]) == 2
+        assert "config rejected" in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

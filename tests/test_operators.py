@@ -5,7 +5,7 @@ import pytest
 
 from fedvi.operators import (affine_operator, eval_operator,
                              load_affine_text, make_test_problem, op_jacobian,
-                             operator_bound_on_ball, verify_properties)
+                             op_vjp, operator_bound_on_ball, verify_properties)
 
 ZOO = [
     make_test_problem("affine", 6, {"L": 1.0}, seed=0),
@@ -39,6 +39,32 @@ class TestEvalOperator:
         batched = eval_operator(op, z)
         looped = np.stack([eval_operator(op, zi) for zi in z])
         np.testing.assert_allclose(batched, looped, atol=1e-14)
+
+
+class TestOpVjp:
+    KINDS = [make_test_problem("affine", 5, seed=1),
+             make_test_problem("bilinear-saddle", 6, seed=2),
+             make_test_problem("bounded-nonlinear", 4, seed=3)]
+
+    @pytest.mark.parametrize("op", KINDS, ids=lambda op: op.kind)
+    def test_single_point_matches_jacobian(self, op):
+        rng = np.random.default_rng(0)
+        z, w = rng.standard_normal((2, op.dim))
+        np.testing.assert_allclose(op_vjp(op, z, w), op_jacobian(op, z).T @ w,
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("op", KINDS, ids=lambda op: op.kind)
+    def test_batch_matches_jacobian_per_row(self, op):
+        rng = np.random.default_rng(1)
+        z, w = rng.standard_normal((2, 7, op.dim))
+        looped = np.stack([op_jacobian(op, zi).T @ wi for zi, wi in zip(z, w)])
+        np.testing.assert_allclose(op_vjp(op, z, w), looped,
+                                   rtol=1e-12, atol=0)
+
+    def test_dimension_mismatch_rejected(self):
+        op = make_test_problem("bounded-nonlinear", 3, seed=0)
+        with pytest.raises(ValueError, match="dimension"):
+            op_vjp(op, np.zeros(4), np.zeros(3))
 
 
 class TestMakeTestProblem:
