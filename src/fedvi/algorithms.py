@@ -8,8 +8,9 @@ inexact proximal point plus an extra step, plain SGD, dual averaging).
 Oracle draws are keyed by (client, round, inner step, phase) so that
 trajectories are bit-stable under any execution order, and so that the
 exact reductions hold (dual averaging with zero regularizer == extra
-SGD; smoothed inexact prox with delta = 0 == unsmoothed; identical
-clients == homogeneous).
+SGD; smoothed inexact prox with delta = 0 == unsmoothed; zero client
+offsets == homogeneous).  Every oracle query of a step is one
+:func:`sample_oracle` call on the (M, d) client stack.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gaps import dispersion
-from .operators import (OperatorSpec, _sample_ball, affine_operator,
-                        affine_parts, eval_operator)
+from .operators import OperatorSpec
 from .oracles import OracleSpec, noiseless, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
@@ -108,24 +108,24 @@ class Trajectory:
     warnings: list[str] = field(default_factory=list)
 
 
-def _is_stochastic(oracle: OracleSpec, delta: float = 0.0) -> bool:
-    return delta > 0 or (oracle.sigma > 0 and oracle.noise_model != "none")
-
-
-def _query_clients(oracles: Sequence[OracleSpec], points: np.ndarray,
-                   stream: RngStream, t: int, phase: int) -> np.ndarray:
+def _query_clients(oracle: OracleSpec, points: np.ndarray, stream: RngStream,
+                   t: int, phase: int, inner: int = 0, delta: float = 0.0,
+                   client: int = 0) -> np.ndarray:
     """One oracle draw per client, at that client's point and path.
 
-    Always evaluated row by row: the homogeneous and per-client-oracle
-    code paths must produce bit-identical floats for the exact-reduction
-    contracts, and batched matmuls sum in a different order.
+    Row m of the (M, d) stack is client ``client + m`` on path
+    (client + m, t, inner, phase).  All rows are one :func:`sample_oracle`
+    call, which evaluates each row on its own, so a client's bits never
+    depend on M.
     """
-    out = np.empty_like(points)
-    for m in range(points.shape[0]):
-        oracle = oracles[m if len(oracles) > 1 else 0]
-        rng = stream.at(m, t, 0, phase) if _is_stochastic(oracle) else None
-        out[m] = sample_oracle(oracle, points[m], rng, delta=0.0)
-    return out
+    rng = None
+    if oracle.is_stochastic(delta):
+        # made lazily, so each generator is drawn from right after it is
+        # made; making all M first ran about 30% slower with 8 worker
+        # threads on a 2-core x86 host
+        rng = (stream.at(client + m, t, inner, phase)
+               for m in range(len(points)))
+    return sample_oracle(oracle, points, rng, delta)
 
 
 def _round_loop(cfg: RunConfig, dim: int, step: Callable,
@@ -159,29 +159,33 @@ def _round_loop(cfg: RunConfig, dim: int, step: Callable,
                       config=cfg)
 
 
-def _run_extragradient(oracles: Sequence[OracleSpec], cfg: RunConfig,
-                       reg: RegularizerSpec, algo: str) -> Trajectory:
-    """Two-query extra-gradient family in the dual space (Eq. (5)/(7) shape)."""
-    dim = oracles[0].dim
-    if any(o.dim != dim for o in oracles):
-        raise ValueError("all client oracles must share the same dimension")
+def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
+                       reg: RegularizerSpec, algo: str,
+                       offsets: np.ndarray | None = None) -> Trajectory:
+    """Two-query extra-gradient family in the dual space (Eq. (5)/(7) shape).
+
+    With ``offsets``, client m queries V(z) + offsets[m].
+    """
     stream = RngStream(cfg.master_seed)
     eta = cfg.eta
 
+    def query(points, t, phase):
+        q = _query_clients(oracle, points, stream, t, phase)
+        return q if offsets is None else q + offsets
+
     def step(t, z, sync):
         u = mirror_map(MirrorState(t - 1, eta), reg, z)
-        x = z - eta * _query_clients(oracles, u, stream, t, PHASE_EXTRAPOLATE)
+        x = z - eta * query(u, t, PHASE_EXTRAPOLATE)
         if sync:
             x[:] = x.mean(axis=0)
         v = mirror_map(MirrorState(t, eta), reg, x)
-        return z - eta * _query_clients(oracles, v, stream, t,
-                                        PHASE_UPDATE), x, v
-    return _round_loop(cfg, dim, step, algo)
+        return z - eta * query(v, t, PHASE_UPDATE), x, v
+    return _round_loop(cfg, oracle.dim, step, algo)
 
 
 def run_lesgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     """Local Extra SGD: extrapolate at z, update with the operator at x."""
-    return _run_extragradient([oracle], cfg, ZERO_REG, "lesgd")
+    return _run_extragradient(oracle, cfg, ZERO_REG, "lesgd")
 
 
 def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
@@ -191,7 +195,7 @@ def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
     The round-t mirror map is the prox of phi with weight t * eta; with a
     zero regularizer the trajectory coincides with run_lesgd draw-for-draw.
     """
-    traj = _run_extragradient([oracle], cfg, reg, "lda")
+    traj = _run_extragradient(oracle, cfg, reg, "lda")
     if not (oracle.base.G < math.inf):
         traj.warnings.append(
             "operator does not declare a finite bound G; the composite "
@@ -199,14 +203,17 @@ def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
     return traj
 
 
-def run_lesgd_hetero(oracles: Sequence[OracleSpec],
+def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
                      cfg: RunConfig) -> Trajectory:
-    """LESGD with one oracle per client; the mean operator is not queried."""
-    oracles = list(oracles)
-    if len(oracles) != cfg.M:
-        raise ValueError(f"need exactly M={cfg.M} client oracles, "
-                         f"got {len(oracles)}")
-    return _run_extragradient(oracles, cfg, ZERO_REG, "lesgd-hetero")
+    """LESGD where client m queries V(z) + offsets[m]; offsets is (M, d).
+
+    The mean operator is V itself when the offsets sum to zero.
+    """
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.shape != (cfg.M, oracle.dim):
+        raise ValueError(f"offsets have shape {offsets.shape}, expected "
+                         f"(M, d) = ({cfg.M}, {oracle.dim})")
+    return _run_extragradient(oracle, cfg, ZERO_REG, "lesgd-hetero", offsets)
 
 
 def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
@@ -214,7 +221,7 @@ def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     stream = RngStream(cfg.master_seed)
 
     def step(t, x, sync):
-        x = x - cfg.eta * _query_clients([oracle], x, stream, t,
+        x = x - cfg.eta * _query_clients(oracle, x, stream, t,
                                          PHASE_EXTRAPOLATE)
         return x, x, x
     traj = _round_loop(cfg, oracle.dim, step, "lsgd")
@@ -225,33 +232,26 @@ def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     return traj
 
 
-def _inner_prox(oracle: OracleSpec, anchor: np.ndarray, eta: float,
-                gamma: float, H: int, delta: float, stream: RngStream | None,
-                client: int, t: int) -> np.ndarray:
-    """H SGD steps on the regularized operator V(x) + (x - anchor) / eta.
-
-    Smoothing (delta > 0) perturbs only these inner queries.  Supports a
-    batch of anchors in the deterministic case.
-    """
-    x = anchor.copy()
-    stochastic = _is_stochastic(oracle, delta)
-    for ell in range(1, H + 1):
-        rng = stream.at(client, t, ell, PHASE_INNER) if stochastic else None
-        q = sample_oracle(oracle, x, rng, delta=delta)
-        x = x - gamma * (q + (x - anchor) / eta)
-    return x
-
-
 def solve_inner_prox(op: OperatorSpec | OracleSpec, z: np.ndarray, eta: float,
                      gamma: float, H: int, stream: RngStream | None = None,
                      delta: float = 0.0, client: int = 0,
                      round_index: int = 1) -> np.ndarray:
-    """Standalone inner proximal loop, exposed for testing the contraction."""
+    """H SGD steps on the regularized operator V(x) + (x - anchor) / eta.
+
+    ``z`` is one anchor (d,) on client ``client``'s paths, or an (M, d)
+    stack whose row m is client ``client + m``.  Smoothing (delta > 0)
+    perturbs only these inner queries.
+    """
     oracle = op if isinstance(op, OracleSpec) else noiseless(op)
-    if _is_stochastic(oracle, delta) and stream is None:
+    if oracle.is_stochastic(delta) and stream is None:
         raise ValueError("stochastic inner loop requires an RngStream")
-    return _inner_prox(oracle, np.asarray(z, dtype=float), eta, gamma, H,
-                       delta, stream, client, round_index)
+    anchor = np.atleast_2d(np.asarray(z, dtype=float))
+    x = anchor.copy()
+    for ell in range(1, H + 1):
+        q = _query_clients(oracle, x, stream, round_index, PHASE_INNER, ell,
+                           delta, client)
+        x = x - gamma * (q + (x - anchor) / eta)
+    return x.reshape(np.shape(z))
 
 
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
@@ -262,18 +262,12 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
     gamma = cfg.gamma
     if gamma is None:
         gamma = derived_gamma(eta, oracle.base.L)
-    batch_inner = not _is_stochastic(oracle, delta)
 
     def step(t, z, sync):
-        if batch_inner:
-            x = _inner_prox(oracle, z, eta, gamma, H, 0.0, None, 0, t)
-        else:
-            x = np.empty_like(z)
-            for m in range(cfg.M):
-                x[m] = _inner_prox(oracle, z[m], eta, gamma, H, delta,
-                                   stream, m, t)
+        x = solve_inner_prox(oracle, z, eta, gamma, H, stream, delta,
+                             round_index=t)
         # outer extra step: fresh, unsmoothed draw at x_t^m
-        return z - eta * _query_clients([oracle], x, stream, t,
+        return z - eta * _query_clients(oracle, x, stream, t,
                                         PHASE_UPDATE), x, x
     # the trajectory reports the inner-loop parameters the run used
     return _round_loop(replace(cfg, H=H, gamma=gamma), oracle.dim, step, algo)
@@ -443,26 +437,3 @@ def constants_of(op: OperatorSpec, xi: float | None = None,
     """Constants dict for step_size, read off an operator's declarations."""
     return {"L": op.L, "G": G_override if G_override is not None else op.G,
             "beta": op.beta, "Lambda": op.Lambda, "d": op.dim, "xi": xi}
-
-
-def estimate_heterogeneity(ops: Sequence[OperatorSpec], radius: float,
-                           n_points: int = 1000, seed: int = 0) -> float:
-    """Max over sampled z in the ball of ||V_m(z) - mean V(z)||."""
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise ValueError("client operators must share the same dimension")
-    pts = _sample_ball(np.random.default_rng(seed), n_points, dims.pop(),
-                       radius)
-    values = np.stack([eval_operator(op, pts) for op in ops])
-    mean = values.mean(axis=0)
-    return float(np.linalg.norm(values - mean, axis=2).max())
-
-
-def mean_operator(ops: Sequence[OperatorSpec]) -> OperatorSpec:
-    """The averaged operator (1/M) sum V_m, for gap evaluation (affine only)."""
-    if not all(op.is_affine for op in ops):
-        raise ValueError("mean_operator is implemented for affine clients only")
-    parts = [affine_parts(op) for op in ops]
-    A = np.mean([p[0] for p in parts], axis=0)
-    b = np.mean([p[1] for p in parts], axis=0)
-    return affine_operator(A, b)

@@ -25,12 +25,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from .algorithms import (ALGO_IDS, THEOREM_IDS, RunConfig, Trajectory,
-                         constants_of, mean_operator, run_lda, run_lesgd,
-                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
-                         step_size)
+                         constants_of, run_lda, run_lesgd, run_lesgd_hetero,
+                         run_lippax, run_lsgd, run_slippax, step_size)
 from .gaps import GAP_METHODS, composite_gap, restricted_gap
-from .operators import (OperatorSpec, affine_operator, affine_parts,
-                        load_affine_text, make_test_problem,
+from .operators import (OperatorSpec, load_affine_text, make_test_problem,
                         operator_bound_on_ball, verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, sample_oracle
 from .regularizers import REG_KINDS, RegularizerSpec, ZERO_REG
@@ -130,7 +128,10 @@ class ExperimentConfig:
         problem = _get(tree, "problem", required=True)
         _expect(isinstance(problem, dict), "problem", "must be an object")
         kind = _get(tree, "problem.kind", required=True)
-        if "file" not in problem:
+        if "file" in problem:
+            _expect(isinstance(problem["file"], str), "problem.file",
+                    "must be a path")
+        else:
             _expect(isinstance(_get(tree, "problem.dim"), int),
                     "problem.dim", "must be an integer")
         algorithm = _get(tree, "algorithm", required=True)
@@ -252,7 +253,14 @@ def _run_master_seed(seed: int, M: int, K: int, R: int, sigma: float) -> int:
 
 def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
     if "file" in cfg.problem:
-        return load_affine_text(cfg.problem["file"])
+        try:
+            op = load_affine_text(cfg.problem["file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError("problem.file", str(exc)) from exc
+        # from_dict cannot check z0 before the file gives the dimension
+        _expect(cfg.z0 is None or len(cfg.z0) == op.dim, "z0",
+                f"must have {op.dim} entries, the dimension of problem.file")
+        return op
     try:
         return make_test_problem(cfg.problem["kind"], cfg.problem["dim"],
                                  cfg.problem.get("params"),
@@ -261,22 +269,17 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
         raise ConfigError("problem", str(exc)) from exc
 
 
-def _hetero_operators(op: OperatorSpec, cfg: ExperimentConfig,
-                      M: int) -> tuple[list[OperatorSpec], float]:
-    """Per-client affine operators b_m = b + offset (offsets sum to zero)."""
-    if not op.is_affine:
-        raise ConfigError("problem.hetero",
-                          "heterogeneous clients require an affine problem")
+def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
+                    M: int) -> tuple[np.ndarray, float]:
+    """Per-client offsets (summing to zero): client m queries V + offsets[m]."""
     scale = float(_get(cfg.problem, "hetero.offset_scale", 1.0))
     rng = np.random.default_rng((cfg.problem.get("seed", 0), 0x4E7E))
-    A, b = affine_parts(op)
     offsets = rng.standard_normal((M, op.dim)) * scale
     offsets -= offsets.mean(axis=0)
-    ops = [affine_operator(A, b + offsets[m]) for m in range(M)]
     declared_xi = _get(cfg.problem, "hetero.xi")
     xi = (float(declared_xi) if declared_xi is not None
           else float(np.linalg.norm(offsets, axis=1).max()))
-    return ops, xi
+    return offsets, xi
 
 
 def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
@@ -311,21 +314,18 @@ def _run_once(cfg: ExperimentConfig, spec: dict
               ) -> tuple[Trajectory, OperatorSpec, float]:
     """Build and run one (sweep point, seed) run of the configured algorithm.
 
-    Returns the trajectory, the operator its gaps are measured on (the
-    mean operator for heterogeneous clients), and the runner's wall time
-    in seconds.
+    Returns the trajectory, the operator its gaps are measured on (also
+    for heterogeneous clients, whose offsets sum to zero), and the
+    runner's wall time in seconds.
     """
     M, K, R = spec["M"], spec["K"], spec["R"]
     sigma, seed = spec["sigma"], spec["seed"]
     op = build_problem(cfg)
     algo_id = cfg.algorithm["id"]
 
-    xi = None
-    clients = [op]
-    gap_op = op
+    offsets = xi = None
     if algo_id == "lesgd-hetero":
-        clients, xi = _hetero_operators(op, cfg, M)
-        gap_op = mean_operator(clients)
+        offsets, xi = _hetero_offsets(op, cfg, M)
     eta, gamma, delta, H = _resolve_plan(cfg, op, M, K, R, sigma, xi)
 
     run_cfg = RunConfig(M=M, K=K, R=R, eta=eta, gamma=gamma, delta=delta,
@@ -333,19 +333,18 @@ def _run_once(cfg: ExperimentConfig, spec: dict
                         master_seed=_run_master_seed(seed, M, K, R, sigma),
                         z0=None if cfg.z0 is None else np.asarray(cfg.z0, float))
     noise_model = cfg.noise["model"] if sigma > 0 else "none"
-    oracles = [OracleSpec(base=o, noise_model=noise_model, sigma=sigma)
-               for o in clients]
+    oracle = OracleSpec(base=op, noise_model=noise_model, sigma=sigma)
 
     t0 = time.perf_counter()
     if algo_id == "lesgd-hetero":
-        traj = run_lesgd_hetero(oracles, run_cfg)
+        traj = run_lesgd_hetero(oracle, offsets, run_cfg)
     elif algo_id == "lda":
-        traj = run_lda(oracles[0], cfg.regularizer, run_cfg)
+        traj = run_lda(oracle, cfg.regularizer, run_cfg)
     else:
         runner = {"lesgd": run_lesgd, "lippax": run_lippax,
                   "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
-        traj = runner(oracles[0], run_cfg)
-    return traj, gap_op, time.perf_counter() - t0
+        traj = runner(oracle, run_cfg)
+    return traj, op, time.perf_counter() - t0
 
 
 def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:

@@ -36,8 +36,3 @@ class RngStream:
         seq = np.random.SeedSequence(
             (self.master_seed, client, round_index, inner, phase))
         return np.random.Generator(np.random.PCG64(seq))
-
-    def normal(self, dim: int, client: int, round_index: int,
-               inner: int = 0, phase: int = 0) -> np.ndarray:
-        """Standard-normal vector drawn at the given path."""
-        return self.at(client, round_index, inner, phase).standard_normal(dim)

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from fedvi.algorithms import (RunConfig, default_inner_steps, derived_gamma,
-                              estimate_heterogeneity, mean_operator, run_lda,
-                              run_lesgd, run_lesgd_hetero, run_lippax,
-                              run_lsgd, run_slippax, solve_inner_prox,
-                              step_size)
+                              run_lda, run_lesgd, run_lesgd_hetero,
+                              run_lippax, run_lsgd, run_slippax,
+                              solve_inner_prox, step_size)
 from fedvi.gaps import exact_prox_point
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
 from fedvi.oracles import OracleSpec, noiseless
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
+from fedvi.rng import RngStream
 
 SHAPE = {"M": 1, "K": 4, "R": 100, "sigma": 1.0, "D": 1.0}
 
@@ -230,6 +230,22 @@ class TestInnerProx:
         with pytest.raises(ValueError, match="RngStream"):
             solve_inner_prox(oracle, np.zeros(2), 0.5, 0.1, 3)
 
+    @pytest.mark.parametrize("sigma,delta", [(0.0, 0.0), (0.6, 0.0),
+                                             (0.6, 0.2)],
+                             ids=["deterministic", "noisy", "smoothed"])
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    def test_stack_equals_per_client_calls_bitwise(self, kind, sigma, delta):
+        oracle = OracleSpec(base=make_test_problem(kind, 9, seed=4),
+                            sigma=sigma)
+        stream = RngStream(8)
+        Z = np.random.default_rng(5).standard_normal((6, 9))
+        stacked = solve_inner_prox(oracle, Z, 0.4, 0.3, 4, stream, delta,
+                                   round_index=3)
+        single = np.stack([
+            solve_inner_prox(oracle, Z[m], 0.4, 0.3, 4, stream, delta,
+                             client=m, round_index=3) for m in range(6)])
+        assert np.array_equal(stacked, single)
+
     def test_default_inner_steps_grows_logarithmically(self):
         assert default_inner_steps(1, 1) >= 3
         assert default_inner_steps(16, 800) == math.ceil(
@@ -384,7 +400,7 @@ class TestRunLesgdHetero:
         op = make_test_problem("affine", 3, seed=12)
         oracle = OracleSpec(base=op, sigma=0.5)
         cfg = RunConfig(M=4, K=2, R=3, eta=0.1, master_seed=17, log_every=1)
-        a = run_lesgd_hetero([oracle] * 4, cfg)
+        a = run_lesgd_hetero(oracle, np.zeros((4, 3)), cfg)
         b = run_lesgd(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
@@ -392,13 +408,12 @@ class TestRunLesgdHetero:
 
     def test_scalar_hand_simulation(self):
         """Four scalar updates and one averaging, against a reference loop."""
-        A = np.array([[1.0]])
+        op = affine_operator(np.array([[1.0]]), np.zeros(1))
         offsets = [0.5, -0.5]
-        oracles = [noiseless(affine_operator(A, np.array([b]))) for b in offsets]
         eta, z0 = 0.25, 1.0
         cfg = RunConfig(M=2, K=2, R=1, eta=eta, z0=np.array([z0]),
                         log_steps=True)
-        traj = run_lesgd_hetero(oracles, cfg)
+        traj = run_lesgd_hetero(noiseless(op), np.array([offsets]).T, cfg)
 
         z = [z0, z0]
         xbars = []
@@ -417,29 +432,16 @@ class TestRunLesgdHetero:
 
     def test_dimension_mismatch_rejected(self):
         a = noiseless(make_test_problem("affine", 2, seed=0))
-        b = noiseless(make_test_problem("affine", 3, seed=0))
-        with pytest.raises(ValueError, match="dimension"):
-            run_lesgd_hetero([a, b], RunConfig(M=2, K=1, R=1, eta=0.1))
+        with pytest.raises(ValueError, match="offsets have shape"):
+            run_lesgd_hetero(a, np.zeros((2, 3)),
+                             RunConfig(M=2, K=1, R=1, eta=0.1))
 
     def test_wrong_client_count_rejected(self):
         a = noiseless(make_test_problem("affine", 2, seed=0))
-        with pytest.raises(ValueError, match="client oracles"):
-            run_lesgd_hetero([a], RunConfig(M=2, K=1, R=1, eta=0.1))
-
-    def test_offset_heterogeneity_constants(self):
-        """Affine clients with mean-zero offsets: xi and the mean operator
-        are exactly computable."""
-        base = make_test_problem("affine", 3, seed=13)
-        A, b = base.payload["A"], base.payload["b"]
-        rng = np.random.default_rng(0)
-        offsets = rng.standard_normal((4, 3))
-        offsets -= offsets.mean(axis=0)
-        ops = [affine_operator(A, b + off) for off in offsets]
-        mean_op = mean_operator(ops)
-        np.testing.assert_allclose(mean_op.payload["b"], b, atol=1e-12)
-        xi = estimate_heterogeneity(ops, radius=5.0, n_points=200, seed=1)
-        expect = np.linalg.norm(offsets, axis=1).max()
-        assert xi == pytest.approx(expect, rel=1e-9)
+        for shape in [(1, 2), (3, 2), (2,), (2, 2, 1)]:
+            with pytest.raises(ValueError, match="offsets have shape"):
+                run_lesgd_hetero(a, np.zeros(shape),
+                                 RunConfig(M=2, K=1, R=1, eta=0.1))
 
 
 class TestRunConfigValidation:

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fedvi.algorithms import default_inner_steps, derived_gamma, mean_operator
+from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
-from fedvi.harness import (ConfigError, ExperimentConfig, _hetero_operators,
-                           build_problem, compare_reduction, fit_rate,
-                           rows_to_csv, run_experiment, run_single,
-                           verify_problem)
+from fedvi.harness import (ConfigError, ExperimentConfig, build_problem,
+                           compare_reduction, fit_rate, rows_to_csv,
+                           run_experiment, run_single, verify_problem)
 
 
 def minimal_config(**overrides):
@@ -139,6 +138,19 @@ class TestRunExperiment:
         assert len(rows) == 4
         assert all(np.isfinite(r.gap_value) for r in rows)
 
+    def test_hetero_runs_on_a_nonlinear_problem(self):
+        """Client offsets need no affine structure in the operator."""
+        tree = minimal_config(log_every=2)
+        tree["problem"] = {"kind": "bounded-nonlinear", "dim": 3, "seed": 2,
+                           "hetero": {"offset_scale": 0.5}}
+        tree["algorithm"] = {"id": "lesgd-hetero", "schedule": "T8"}
+        tree["federation"] = {"M": 3, "K": 2, "R": 4}
+        tree["noise"] = {"sigma": 0.5, "model": "gaussian-isotropic"}
+        rows = run_experiment(tree)
+        assert len(rows) == 2
+        assert all(np.isfinite(r.gap_value) and r.algo == "lesgd-hetero"
+                   for r in rows)
+
     def test_csv_reports_resolved_inner_parameters(self):
         """H and gamma cells hold what LIPPAX used, also when derived."""
         tree = minimal_config(log_every=4)
@@ -183,9 +195,6 @@ class TestRunSingle:
         rows = run_experiment(cfg)
         traj = run_single(cfg)
         op = build_problem(cfg)
-        if cfg.algorithm["id"] == "lesgd-hetero":
-            M = cfg.federation["M"]
-            op = mean_operator(_hetero_operators(op, cfg, M)[0])
         assert len(traj.records) == len(rows) == 3
         for rec, row in zip(traj.records, rows):
             assert rec.t // row.K == row.round
@@ -327,15 +336,31 @@ class TestCli:
         tree["federation"]["M"] = 0
         assert cli_main(["run", self._write(tmp_path, tree)]) == 2
 
+    @staticmethod
+    def _matrix_file(tmp, text):
+        path = tmp / "matrix.txt"
+        path.write_text(text)
+        return {"kind": "affine", "file": str(path)}
+
     @pytest.mark.parametrize("mutate", [
-        lambda t: t["gap"].update(method="newton"),
-        lambda t: t["noise"].update(sigma="1"),
-        lambda t: t["algorithm"].update(eta=-1),
-        lambda t: t.update(z0=[0, 0, 0]),
-    ], ids=["gap-method", "sigma-string", "eta-negative", "z0-length"])
+        lambda t, tmp: t["gap"].update(method="newton"),
+        lambda t, tmp: t["noise"].update(sigma="1"),
+        lambda t, tmp: t["algorithm"].update(eta=-1),
+        lambda t, tmp: t.update(z0=[0, 0, 0]),
+        lambda t, tmp: t.update(
+            problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+            z0=[0, 0, 0]),
+        lambda t, tmp: t.update(
+            problem=TestCli._matrix_file(tmp, "2\n1 0\n0 x\n0 0\n")),
+        lambda t, tmp: t.update(
+            problem={"kind": "affine", "file": str(tmp / "missing.txt")}),
+        lambda t, tmp: t.update(problem={"kind": "affine", "file": None}),
+    ], ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
+            "file-z0-length", "file-malformed", "file-missing",
+            "file-not-a-path"])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, capsys):
         tree = minimal_config()
-        mutate(tree)
+        mutate(tree, tmp_path)
         assert cli_main(["run", self._write(tmp_path, tree)]) == 2
         assert "config rejected" in capsys.readouterr().err
 

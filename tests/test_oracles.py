@@ -10,9 +10,9 @@ from fedvi.oracles import OracleSpec, noiseless, sample_oracle
 from fedvi.rng import RngStream
 
 
-def _draws(oracle, z, n, seed=0):
+def _draws(oracle, z, n, seed=0, delta=0.0):
     stream = RngStream(seed)
-    return np.stack([sample_oracle(oracle, z, stream.at(0, i))
+    return np.stack([sample_oracle(oracle, z, stream.at(0, i), delta)
                      for i in range(n)])
 
 
@@ -71,23 +71,14 @@ class TestSampleOracle:
     def test_affine_smoothing_is_bias_free(self):
         """E[V(z + delta s)] = V(z) when V is affine."""
         op = make_test_problem("affine", 3, seed=2)
-        oracle = OracleSpec(base=op, noise_model="none", sigma=0.0,
-                            smoothing_delta=0.1)
+        oracle = OracleSpec(base=op, noise_model="none", sigma=0.0)
         z = np.array([1.0, -1.0, 0.5])
         n = 200_000
-        draws = _draws(oracle, z, n)
+        draws = _draws(oracle, z, n, delta=0.1)
         exact = sample_oracle(noiseless(op), z)
         # noise of the smoothed draw is delta * A s: std <= delta * L per coord
         tol = 5 * 0.1 * op.L / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - exact) < tol)
-
-    def test_delta_override(self):
-        op = make_test_problem("affine", 3, seed=2)
-        oracle = OracleSpec(base=op, sigma=0.0, smoothing_delta=0.5)
-        z = np.ones(3)
-        exact = sample_oracle(noiseless(op), z)
-        np.testing.assert_array_equal(sample_oracle(oracle, z, delta=0.0),
-                                      exact)
 
     def test_invalid_model_rejected(self):
         op = make_test_problem("affine", 2, seed=0)
@@ -95,6 +86,56 @@ class TestSampleOracle:
             OracleSpec(base=op, noise_model="cauchy")
         with pytest.raises(ValueError):
             OracleSpec(base=op, sigma=-1.0)
+
+
+class TestStackedQuery:
+    """An (M, d) client stack is M single-point queries, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    @pytest.mark.parametrize("model", ["gaussian-isotropic", "bounded-uniform"])
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("M", [1, 4, 16])
+    def test_stack_equals_single_points_bitwise(self, kind, model, delta, M):
+        op = make_test_problem(kind, 7, seed=3)
+        oracle = OracleSpec(base=op, noise_model=model, sigma=0.9)
+        stream = RngStream(11)
+        Z = np.random.default_rng(M).standard_normal((M, 7))
+        stacked = sample_oracle(oracle, Z, [stream.at(m, 2, 1, 0)
+                                            for m in range(M)], delta)
+        single = np.stack([sample_oracle(oracle, Z[m], stream.at(m, 2, 1, 0),
+                                         delta) for m in range(M)])
+        assert stacked.shape == (M, 7)
+        assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    def test_exact_stack_equals_single_points_bitwise(self, kind):
+        oracle = noiseless(make_test_problem(kind, 30, seed=1))
+        Z = np.random.default_rng(0).standard_normal((9, 30))
+        single = np.stack([sample_oracle(oracle, z) for z in Z])
+        assert np.array_equal(sample_oracle(oracle, Z), single)
+
+    def test_wrong_generator_count_rejected(self):
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0),
+                            sigma=1.0)
+        stream = RngStream(0)
+        Z = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="needs 4 generators, got 3"):
+            sample_oracle(oracle, Z, [stream.at(m, 1) for m in range(3)])
+        with pytest.raises(ValueError, match="needs 4 generators, got 5"):
+            sample_oracle(oracle, Z, (stream.at(m, 1) for m in range(5)))
+        with pytest.raises(ValueError, match="iterable of M generators"):
+            sample_oracle(oracle, Z, stream.at(0, 1))
+        with pytest.raises(ValueError, match="iterable of M generators"):
+            sample_oracle(oracle, Z[0], [stream.at(0, 1)])
+
+    def test_is_stochastic(self):
+        op = make_test_problem("affine", 3, seed=0)
+        assert not noiseless(op).is_stochastic()
+        assert noiseless(op).is_stochastic(0.1)
+        assert not OracleSpec(base=op, sigma=0.0).is_stochastic()
+        assert OracleSpec(base=op, sigma=0.5).is_stochastic()
+        assert not OracleSpec(base=op, noise_model="none",
+                              sigma=0.5).is_stochastic()
 
 
 class TestRngStream:
