@@ -29,6 +29,7 @@ from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
 
 THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 ALGO_IDS = ("lesgd", "lippax", "slippax", "lsgd", "lda", "lesgd-hetero")
+DELTA_RULES = ("sqrt-d", "fourth-root-d")
 
 
 def default_inner_steps(K: int, R: int) -> int:
@@ -99,13 +100,23 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Per-round log plus the running-average output of a run."""
+    """Per-round log plus the running-average output of a run.
+
+    ``diverged_at`` is the step of the first record whose client states
+    or output are not all finite; that record and every later one are
+    diverged.
+    """
 
     algo: str
     records: list[TrajectoryRecord]
     final_output: np.ndarray
     config: RunConfig
     warnings: list[str] = field(default_factory=list)
+    diverged_at: int | None = None
+
+    @property
+    def status(self) -> str:
+        return "ok" if self.diverged_at is None else "diverged"
 
 
 def _query_clients(oracle: OracleSpec, points: np.ndarray, stream: RngStream,
@@ -114,18 +125,15 @@ def _query_clients(oracle: OracleSpec, points: np.ndarray, stream: RngStream,
     """One oracle draw per client, at that client's point and path.
 
     Row m of the (M, d) stack is client ``client + m`` on path
-    (client + m, t, inner, phase).  All rows are one :func:`sample_oracle`
-    call, which evaluates each row on its own, so a client's bits never
-    depend on M.
+    (client + m, t, inner, phase), one :meth:`RngStream.at` key per row.
+    All rows are one :func:`sample_oracle` call, which evaluates and
+    draws each row on its own, so a client's bits never depend on M.
     """
-    rng = None
+    keys = None
     if oracle.is_stochastic(delta):
-        # made lazily, so each generator is drawn from right after it is
-        # made; making all M first ran about 30% slower with 8 worker
-        # threads on a 2-core x86 host
-        rng = (stream.at(client + m, t, inner, phase)
-               for m in range(len(points)))
-    return sample_oracle(oracle, points, rng, delta)
+        keys = [stream.at(client + m, t, inner, phase)
+                for m in range(len(points))]
+    return sample_oracle(oracle, points, keys, delta)
 
 
 def _round_loop(cfg: RunConfig, dim: int, step: Callable,
@@ -138,11 +146,14 @@ def _round_loop(cfg: RunConfig, dim: int, step: Callable,
     whose client mean is the round's output.  The loop runs T = K R
     steps from z0, averages z_next across clients when ``sync`` (that
     is, mod(t, K) = 0), keeps the running mean of the round outputs
-    (memory O(d)), and records every cadence steps and at t = T.
+    (memory O(d)), and records every cadence steps and at t = T.  At
+    each record it checks that z and the output are finite; the first
+    record that fails marks the run diverged from that step on.
     """
     z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
+    diverged_at = None
     cadence = cfg.record_cadence()
     for t in range(1, cfg.T + 1):
         sync = t % cfg.K == 0
@@ -152,11 +163,16 @@ def _round_loop(cfg: RunConfig, dim: int, step: Callable,
         round_mean = p.mean(axis=0)
         output += (round_mean - output) / t
         if t % cadence == 0 or t == cfg.T:
+            if diverged_at is None and not (np.isfinite(z).all()
+                                            and np.isfinite(output).all()):
+                diverged_at = t
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=dispersion(z), drift_x=dispersion(x)))
+    warnings = [] if diverged_at is None else [
+        f"{algo} run diverged: non-finite iterates at step {diverged_at}"]
     return Trajectory(algo=algo, records=records, final_output=output,
-                      config=cfg)
+                      config=cfg, warnings=warnings, diverged_at=diverged_at)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
@@ -323,7 +339,7 @@ def step_size(theorem_id: str, constants: dict, shape: dict,
     """
     if theorem_id not in THEOREM_IDS:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    if delta_rule not in ("sqrt-d", "fourth-root-d"):
+    if delta_rule not in DELTA_RULES:
         raise ValueError(f"unknown delta rule {delta_rule!r}")
     _require(constants, shape, ["L"], ["M", "K", "R", "sigma", "D"], theorem_id)
     L = float(constants["L"])

@@ -24,9 +24,10 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .algorithms import (ALGO_IDS, THEOREM_IDS, RunConfig, Trajectory,
-                         constants_of, run_lda, run_lesgd, run_lesgd_hetero,
-                         run_lippax, run_lsgd, run_slippax, step_size)
+from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
+                         Trajectory, constants_of, run_lda, run_lesgd,
+                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
+                         step_size)
 from .gaps import GAP_METHODS, composite_gap, restricted_gap
 from .operators import (OperatorSpec, load_affine_text, make_test_problem,
                         operator_bound_on_ball, verify_properties)
@@ -38,7 +39,8 @@ RUN_CAP_DEFAULT = 4096
 
 CSV_COLUMNS = ("algo", "theorem_id", "d", "M", "K", "R", "sigma", "eta",
                "gamma", "delta", "H", "seed", "round", "gap_value",
-               "gap_certified", "drift_z", "dist_to_solution", "wall_ms")
+               "gap_certified", "drift_z", "dist_to_solution", "wall_ms",
+               "status")
 
 
 class ConfigError(ValueError):
@@ -64,11 +66,12 @@ class ResultRow:
     H: int | None
     seed: int
     round: int
-    gap_value: float
-    gap_certified: bool
+    gap_value: float | None
+    gap_certified: bool | None
     drift_z: float
     dist_to_solution: float | None
     wall_ms: float | None
+    status: str
 
 
 @dataclass
@@ -104,6 +107,89 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Every field a config may hold: top-level keys, and the keys of each
+# block (None: a plain value).  Anything else is a typo and rejected.
+CONFIG_FIELDS = {
+    "problem": ("kind", "dim", "seed", "params", "file", "hetero"),
+    "algorithm": ("id", "schedule", "eta", "gamma", "delta", "H",
+                  "delta_rule"),
+    "federation": ("M", "K", "R"),
+    "noise": ("sigma", "model"),
+    "gap": ("D", "center", "method"),
+    "regularizer": ("kind", "lam", "lo", "hi"),
+    "sweep": ("M", "K", "R", "sigma"),
+    "seeds": None, "log_every": None, "z0": None, "output": None,
+    "timing": None, "max_runs": None,
+}
+
+
+def _positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
+def _nonnegative(v) -> bool:
+    return _is_number(v) and v >= 0
+
+
+def _count(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _or_null(check):
+    """The check, for a field where null means 'use the default'."""
+    return lambda v: v is None or check(v)
+
+
+# Optional plain fields: (path, check, message).  An absent field
+# passes; a present one, null included, must pass its check.
+OPTIONAL_FIELDS = (
+    ("algorithm.schedule", _or_null(THEOREM_IDS.__contains__),
+     f"must be one of {THEOREM_IDS}"),
+    ("algorithm.eta", _or_null(_positive), "must be a positive number"),
+    ("algorithm.gamma", _or_null(_positive), "must be a positive number"),
+    ("algorithm.delta", _or_null(_nonnegative),
+     "must be a nonnegative number"),
+    ("algorithm.H", _or_null(_count), "must be an integer >= 1"),
+    ("algorithm.delta_rule", DELTA_RULES.__contains__,
+     f"must be one of {DELTA_RULES}"),
+    ("problem.seed", lambda v: _is_int(v) and v >= 0,
+     "must be an integer >= 0"),
+    ("problem.params", lambda v: isinstance(v, dict), "must be an object"),
+    ("problem.hetero.offset_scale", _nonnegative,
+     "must be a nonnegative number"),
+    ("problem.hetero.xi", _nonnegative, "must be a nonnegative number"),
+    ("noise.model", NOISE_MODELS.__contains__,
+     f"must be one of {NOISE_MODELS}"),
+    ("gap.D", _positive, "must be a positive number"),
+    ("gap.method", GAP_METHODS.__contains__, f"must be one of {GAP_METHODS}"),
+    ("log_every", _or_null(_count), "must be an integer >= 1"),
+    ("max_runs", _count, "must be an integer >= 1"),
+    ("output", _or_null(lambda v: isinstance(v, str)), "must be a path"),
+    ("timing", _or_null(lambda v: isinstance(v, bool)),
+     "must be true or false"),
+)
+
+
+def _check_axis(name: str, v, path: str) -> None:
+    """A value of one sweepable axis, given in its block or in a sweep."""
+    if name == "sigma":
+        _expect(_nonnegative(v), path, "must be a nonnegative number")
+    else:
+        _expect(_count(v), path, "must be an integer >= 1")
+
+
+def _check_point(value, path: str, dim: int | None) -> None:
+    """A list of finite numbers, dim of them unless dim is None."""
+    _expect(isinstance(value, list) and value and all(map(_is_number, value)),
+            path, "must be a list of finite numbers")
+    _expect(dim is None or len(value) == dim, path,
+            f"must have problem.dim = {dim} entries")
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; build with from_dict / from_file."""
@@ -125,81 +211,86 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(tree: dict) -> "ExperimentConfig":
+        _expect(isinstance(tree, dict), "<config>", "must be an object")
+        for key, value in tree.items():
+            _expect(key in CONFIG_FIELDS, str(key), "unknown field; expected "
+                    f"one of {tuple(CONFIG_FIELDS)}")
+            block = CONFIG_FIELDS[key]
+            if block is None:
+                continue
+            _expect(isinstance(value, dict), key, "must be an object")
+            for sub in value:
+                _expect(sub in block, f"{key}.{sub}",
+                        f"unknown field; expected one of {block}")
+        absent = object()
+        for path, check, message in OPTIONAL_FIELDS:
+            v = _get(tree, path, absent)
+            _expect(v is absent or check(v), path, message)
         problem = _get(tree, "problem", required=True)
-        _expect(isinstance(problem, dict), "problem", "must be an object")
-        kind = _get(tree, "problem.kind", required=True)
+        _get(tree, "problem.kind", required=True)
         if "file" in problem:
             _expect(isinstance(problem["file"], str), "problem.file",
                     "must be a path")
+            dim = None  # known only once the matrix file is loaded
         else:
-            _expect(isinstance(_get(tree, "problem.dim"), int),
-                    "problem.dim", "must be an integer")
+            dim = _get(tree, "problem.dim")
+            _expect(_is_int(dim), "problem.dim", "must be an integer")
+        hetero = problem.get("hetero", {})
+        _expect(isinstance(hetero, dict) and set(hetero) <= {
+            "offset_scale", "xi"}, "problem.hetero",
+            "must be an object with offset_scale and xi")
         algorithm = _get(tree, "algorithm", required=True)
-        algo_id = _get(tree, "algorithm.id", required=True)
-        _expect(algo_id in ALGO_IDS, "algorithm.id",
-                f"must be one of {ALGO_IDS}")
-        schedule = _get(tree, "algorithm.schedule")
-        if schedule is not None:
-            _expect(schedule in THEOREM_IDS, "algorithm.schedule",
-                    f"must be one of {THEOREM_IDS}")
-        else:
-            _expect(_get(tree, "algorithm.eta") is not None, "algorithm.eta",
-                    "required when no theorem schedule is given")
-        for name in ("eta", "gamma"):
-            v = _get(tree, f"algorithm.{name}")
-            _expect(v is None or (_is_number(v) and v > 0),
-                    f"algorithm.{name}", "must be a positive number")
+        _expect(_get(tree, "algorithm.id", required=True) in ALGO_IDS,
+                "algorithm.id", f"must be one of {ALGO_IDS}")
+        _expect(algorithm.get("schedule") is not None or
+                algorithm.get("eta") is not None, "algorithm.eta",
+                "required when no theorem schedule is given")
         federation = _get(tree, "federation", required=True)
         for name in ("M", "K", "R"):
-            v = federation.get(name)
-            _expect(isinstance(v, int) and v >= 1, f"federation.{name}",
-                    "must be an integer >= 1")
+            _check_axis(name, federation.get(name), f"federation.{name}")
         noise = _get(tree, "noise", {"sigma": 0.0, "model": "none"})
-        sigma = noise.get("sigma", 0.0)
-        _expect(_is_number(sigma) and sigma >= 0, "noise.sigma",
-                "must be a nonnegative number")
-        _expect(noise.get("model", "gaussian-isotropic") in NOISE_MODELS,
-                "noise.model", f"must be one of {NOISE_MODELS}")
+        _check_axis("sigma", noise.get("sigma", 0.0), "noise.sigma")
         gap = _get(tree, "gap", {})
-        D = _get(tree, "gap.D", 1.0)
-        _expect(_is_number(D) and D > 0, "gap.D", "must be a positive number")
-        _expect(gap.get("method", "auto") in GAP_METHODS, "gap.method",
-                f"must be one of {GAP_METHODS}")
+        if gap.get("center", "z0") != "z0":
+            _check_point(gap["center"], "gap.center", dim)
         z0 = _get(tree, "z0")
         if z0 is not None:
-            _expect(isinstance(z0, list) and all(map(_is_number, z0)), "z0",
-                    "must be a list of numbers")
-            # a matrix-file problem's dimension is known only once loaded
-            _expect("file" in problem or len(z0) == problem["dim"], "z0",
-                    f"must have problem.dim = {problem.get('dim')} entries")
+            _check_point(z0, "z0", dim)
         reg_tree = _get(tree, "regularizer")
         if reg_tree is None:
             reg = ZERO_REG
         else:
             _expect(reg_tree.get("kind") in REG_KINDS, "regularizer.kind",
                     f"must be one of {REG_KINDS}")
+            if reg_tree["kind"] == "box-indicator":
+                for name in ("lo", "hi"):
+                    bound = reg_tree.get(name)
+                    if isinstance(bound, list):
+                        _check_point(bound, f"regularizer.{name}", dim)
+                    else:
+                        _expect(_is_number(bound), f"regularizer.{name}",
+                                "must be a finite number or a list of them")
             try:
                 reg = RegularizerSpec(kind=reg_tree["kind"],
                                       lam=reg_tree.get("lam", 0.0),
                                       lo=reg_tree.get("lo"),
                                       hi=reg_tree.get("hi"))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ConfigError("regularizer", str(exc)) from exc
         sweep = _get(tree, "sweep", {})
-        for key in sweep:
-            _expect(key in ("M", "K", "R", "sigma"), f"sweep.{key}",
-                    "sweepable axes are M, K, R, sigma")
-            _expect(isinstance(sweep[key], list) and sweep[key],
-                    f"sweep.{key}", "must be a nonempty list")
+        for key, values in sweep.items():
+            _expect(isinstance(values, list) and values, f"sweep.{key}",
+                    "must be a nonempty list")
+            for v in values:
+                _check_axis(key, v, f"sweep.{key}")
         seeds = _get(tree, "seeds", [0])
-        _expect(isinstance(seeds, list) and seeds and
-                all(isinstance(s, int) for s in seeds),
+        _expect(isinstance(seeds, list) and seeds and all(map(_is_int, seeds)),
                 "seeds", "must be a nonempty list of integers")
         cfg = ExperimentConfig(
             problem=problem, algorithm=algorithm, federation=federation,
             noise={"sigma": float(noise.get("sigma", 0.0)),
                    "model": noise.get("model", "gaussian-isotropic")},
-            gap={"D": float(D),
+            gap={"D": float(gap.get("D", 1.0)),
                  "center": gap.get("center", "z0"),
                  "method": gap.get("method", "auto")},
             regularizer=reg,
@@ -208,7 +299,7 @@ class ExperimentConfig:
             z0=z0,
             output=_get(tree, "output"),
             timing=bool(_get(tree, "timing", False)),
-            max_runs=int(_get(tree, "max_runs", RUN_CAP_DEFAULT)),
+            max_runs=_get(tree, "max_runs", RUN_CAP_DEFAULT),
             raw=tree)
         n_runs = len(cfg.expand_runs())
         _expect(n_runs <= cfg.max_runs, "sweep",
@@ -265,7 +356,7 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
         return make_test_problem(cfg.problem["kind"], cfg.problem["dim"],
                                  cfg.problem.get("params"),
                                  cfg.problem.get("seed", 0))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("problem", str(exc)) from exc
 
 
@@ -362,12 +453,15 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     use_composite = cfg.regularizer.kind != "zero" and algo_id == "lda"
     rows = []
     for rec in traj.records:
-        if use_composite:
-            est = composite_gap(gap_op, cfg.regularizer, rec.output_avg,
-                                center, cfg.gap["D"])
-        else:
-            est = restricted_gap(gap_op, rec.output_avg, center, cfg.gap["D"],
-                                 method=cfg.gap["method"])
+        # from the first non-finite record on, no gap is evaluated
+        diverged = traj.diverged_at is not None and rec.t >= traj.diverged_at
+        gap = certified = None
+        if not diverged:
+            est = (composite_gap(gap_op, cfg.regularizer, rec.output_avg,
+                                 center, cfg.gap["D"]) if use_composite else
+                   restricted_gap(gap_op, rec.output_avg, center, cfg.gap["D"],
+                                  method=cfg.gap["method"]))
+            gap, certified = est.value, est.certified
         dist = (float(np.linalg.norm(rec.output_avg - solution))
                 if solution is not None else None)
         rows.append(ResultRow(
@@ -375,9 +469,10 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
             d=gap_op.dim, M=run_cfg.M, K=run_cfg.K, R=run_cfg.R,
             sigma=spec["sigma"], eta=run_cfg.eta, gamma=run_cfg.gamma,
             delta=run_cfg.delta, H=run_cfg.H, seed=spec["seed"],
-            round=rec.t // run_cfg.K, gap_value=est.value,
-            gap_certified=est.certified, drift_z=rec.drift_z,
-            dist_to_solution=dist, wall_ms=wall_ms))
+            round=rec.t // run_cfg.K, gap_value=gap,
+            gap_certified=certified, drift_z=rec.drift_z,
+            dist_to_solution=dist, wall_ms=wall_ms,
+            status="diverged" if diverged else "ok"))
     return rows
 
 
@@ -431,7 +526,11 @@ def _row_get(row, name: str):
 
 def fit_rate(rows: Sequence, group_by: Sequence[str],
              x_name: str) -> dict[tuple, RateFit]:
-    """Least squares on (log x, log gap) over final-round rows, per group."""
+    """Least squares on (log x, log gap) over final-round rows, per group.
+
+    Rows whose gap is not positive, NaN or empty (a diverged run) are
+    excluded and counted.
+    """
     final: dict[tuple, list[tuple[float, float]]] = {}
     excluded: dict[tuple, int] = {}
     for row in rows:
@@ -439,8 +538,10 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
             continue
         key = tuple(_row_get(row, g) for g in group_by)
         x = float(_row_get(row, x_name))
-        gap = float(_row_get(row, "gap_value"))
-        if gap <= 0:
+        gap = _row_get(row, "gap_value")
+        # an empty gap is a diverged run's
+        gap = math.nan if gap in (None, "") else float(gap)
+        if not gap > 0:
             excluded[key] = excluded.get(key, 0) + 1
             continue
         final.setdefault(key, []).append((x, gap))
@@ -529,15 +630,14 @@ def verify_problem(cfg: ExperimentConfig, n_pairs: int = 10_000,
         stream = RngStream(seed)
         z = np.zeros(op.dim)
         n = 20_000
-        draws = np.stack([
-            sample_oracle(oracle, z, stream.at(0, i)) for i in range(n)])
-        err = np.abs(draws.mean(axis=0) - sample_oracle(
-            OracleSpec(base=op, noise_model="none"), z))
+        # n independent draws at z: one stacked query on n path keys
+        draws = sample_oracle(oracle, np.tile(z, (n, 1)),
+                              [stream.at(0, i) for i in range(n)])
+        exact = sample_oracle(OracleSpec(base=op, noise_model="none"), z)
+        err = np.abs(draws.mean(axis=0) - exact)
         if np.any(err > 5 * sigma / math.sqrt(n)):
             failures.append(f"oracle bias: max coordinate error {err.max():g}")
-        second = float((np.linalg.norm(
-            draws - sample_oracle(OracleSpec(base=op, noise_model="none"), z),
-            axis=1) ** 2).mean())
+        second = float((np.linalg.norm(draws - exact, axis=1) ** 2).mean())
         if second > sigma ** 2 * (1 + 5 / math.sqrt(n)):
             failures.append(f"oracle variance {second:g} exceeds sigma^2")
     return failures

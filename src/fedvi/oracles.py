@@ -4,6 +4,8 @@ The noise model is only constrained by its variance in the theory, so
 the default is isotropic Gaussian with per-coordinate std sigma/sqrt(d),
 which makes E||noise||^2 equal sigma^2 exactly.  ``bounded-uniform``
 offers a compactly supported alternative calibrated the same way.
+Randomness comes from path keys (:mod:`fedvi.rng`), not generators:
+one query of M client rows is one vectorized draw over M keys.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .operators import OperatorSpec, eval_operator
+from .rng import TAG_NOISE, TAG_SMOOTHING, normals, uniforms
 
 NOISE_MODELS = ("gaussian-isotropic", "bounded-uniform", "none")
 
@@ -46,15 +49,6 @@ def noiseless(op: OperatorSpec) -> OracleSpec:
     return OracleSpec(base=op, noise_model="none", sigma=0.0)
 
 
-def _noise(oracle: OracleSpec, rng: np.random.Generator) -> np.ndarray:
-    d = oracle.dim
-    if oracle.noise_model == "gaussian-isotropic":
-        return rng.standard_normal(d) * (oracle.sigma / math.sqrt(d))
-    # uniform on [-a, a]^d with a chosen so E||noise||^2 = sigma^2
-    a = oracle.sigma * math.sqrt(3.0 / d)
-    return rng.uniform(-a, a, size=d)
-
-
 def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     """V at each row of z as its own (1, d) product.
 
@@ -68,17 +62,17 @@ def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
 
 
 def sample_oracle(oracle: OracleSpec, z: np.ndarray,
-                  rng: np.random.Generator
-                  | Iterable[np.random.Generator] | None = None,
+                  keys: int | Iterable[int] | None = None,
                   delta: float = 0.0) -> np.ndarray:
     """Oracle draws V(z + delta * s) + noise, one per query point.
 
-    ``z`` is one point (d,) queried with the generator ``rng``, or an
-    (M, d) client stack whose row m is queried with the m-th of M
-    generators that ``rng`` yields, consumed once in row order.  Each
-    generator makes its smoothing draw s before its noise draw, so a
-    row's draw does not depend on the other rows.  With zero sigma and
-    delta the draw is exact and no generator is required.
+    ``z`` is one point (d,) queried with the path key ``keys``, or an
+    (M, d) client stack whose row m is queried with the m-th of M keys
+    that ``keys`` yields.  A key names one counter-based generator
+    (:meth:`RngStream.at`); all rows draw in one :func:`normals` or
+    :func:`uniforms` call, the smoothing direction s under tag 0 and the
+    noise under tag 1, so a row's draw depends on its key alone.  With
+    zero sigma and delta the draw is exact and no key is required.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != oracle.dim:
@@ -86,23 +80,27 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray,
                          f"oracle's dimension {oracle.dim}")
     if not oracle.is_stochastic(delta):
         return _eval_rows(oracle.base, z)
-    if rng is None:
-        raise ValueError("stochastic oracle query requires a generator")
+    if keys is None:
+        raise ValueError("stochastic oracle query requires a generator key")
     stacked = z.ndim == 2
-    if stacked == isinstance(rng, np.random.Generator):
-        raise ValueError("a point (d,) takes one generator and an (M, d) "
-                         "stack an iterable of M generators")
-    noisy = oracle.is_stochastic()
-    draws = [(g.standard_normal(oracle.dim) if delta > 0 else None,
-              _noise(oracle, g) if noisy else None)
-             for g in (rng if stacked else [rng])]
-    if stacked and len(draws) != len(z):
+    if stacked == isinstance(keys, (int, np.integer)):
+        raise ValueError("a point (d,) takes one key and an (M, d) stack "
+                         "an iterable of M generators' keys")
+    keys = list(keys) if stacked else [keys]
+    if stacked and len(keys) != len(z):
         raise ValueError(f"a stack of {len(z)} query points needs "
-                         f"{len(z)} generators, got {len(draws)}")
+                         f"{len(z)} generators, got {len(keys)}")
+    d = oracle.dim
     query = z
     if delta > 0:
-        query = z + delta * np.array([s for s, _ in draws]).reshape(z.shape)
+        query = z + delta * normals(keys, d, TAG_SMOOTHING).reshape(z.shape)
     value = _eval_rows(oracle.base, query)
-    if not noisy:
+    if not oracle.is_stochastic():
         return value
-    return value + np.array([n for _, n in draws]).reshape(z.shape)
+    if oracle.noise_model == "gaussian-isotropic":
+        noise = normals(keys, d, TAG_NOISE) * (oracle.sigma / math.sqrt(d))
+    else:
+        # uniform on [-a, a]^d with a chosen so E||noise||^2 = sigma^2
+        a = oracle.sigma * math.sqrt(3.0 / d)
+        noise = uniforms(keys, d, TAG_NOISE) * (2.0 * a) - a
+    return value + noise.reshape(z.shape)

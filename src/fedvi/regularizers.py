@@ -33,7 +33,8 @@ class RegularizerSpec:
             raise ValueError("l1 weight lam must be nonnegative")
         if self.kind == "box-indicator":
             lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
-            if np.any(lo > hi):
+            # NaN, which is also what a missing bound becomes, fails too
+            if not np.all(lo <= hi):
                 raise ValueError("box bounds need lo <= hi componentwise")
 
 

@@ -178,6 +178,29 @@ class TestRunLesgd:
         recomputed = np.mean([r.mean_iterate for r in traj.records], axis=0)
         np.testing.assert_allclose(traj.final_output, recomputed, atol=1e-12)
 
+    def test_finite_run_is_ok(self):
+        op = make_test_problem("affine", 3, seed=4)
+        traj = run_lesgd(OracleSpec(base=op, sigma=1.0),
+                         RunConfig(M=2, K=2, R=4, eta=0.1, log_every=1))
+        assert traj.status == "ok" and traj.diverged_at is None
+        assert traj.warnings == []
+
+    def test_overflow_marks_the_first_non_finite_record(self):
+        """V(z) = z with eta = 1e6 grows ~1e12 per step.
+
+        The client state overflows at step 26, one step before the
+        output average does; the state is what marks the run.
+        """
+        cfg = RunConfig(M=2, K=1, R=40, eta=1e6, z0=np.array([1.0]),
+                        log_every=1)
+        with np.errstate(all="ignore"):
+            traj = run_lesgd(scalar_op(), cfg)
+        finite = [bool(np.isfinite(r.output_avg).all()) for r in traj.records]
+        assert traj.status == "diverged" and traj.diverged_at == 26
+        assert finite == [True] * 26 + [False] * 14
+        assert traj.warnings == [
+            "lesgd run diverged: non-finite iterates at step 26"]
+
 
 class TestInnerProx:
     def test_zero_operator_fixed_point(self):

@@ -12,6 +12,8 @@ from fedvi.gaps import restricted_gap
 from fedvi.harness import (ConfigError, ExperimentConfig, build_problem,
                            compare_reduction, fit_rate, rows_to_csv,
                            run_experiment, run_single, verify_problem)
+from fedvi.oracles import OracleSpec, sample_oracle
+from fedvi.rng import RngStream
 
 
 def minimal_config(**overrides):
@@ -28,7 +30,65 @@ def minimal_config(**overrides):
     return tree
 
 
+# Malformed configs that once escaped as raw TypeError / AttributeError /
+# ValueError tracebacks or were accepted: (id, mutator, rejected field).
+PROBES = [
+    ("sweep-sigma-negative", lambda t: t.update(sweep={"sigma": [-1]}),
+     "sweep.sigma"),
+    ("sweep-K-string", lambda t: t.update(sweep={"K": ["2"]}), "sweep.K"),
+    ("sweep-M-zero", lambda t: t.update(sweep={"M": [0]}), "sweep.M"),
+    ("federation-list", lambda t: t.update(federation=[1]), "federation"),
+    ("problem-list", lambda t: t.update(problem=[1]), "problem"),
+    ("noise-list", lambda t: t.update(noise=[1]), "noise"),
+    ("gap-string", lambda t: t.update(gap="D"), "gap"),
+    ("log-every-zero", lambda t: t.update(log_every=0), "log_every"),
+    ("seeds-bool", lambda t: t.update(seeds=[True]), "seeds"),
+    ("top-level-typo", lambda t: t.update(federaton={"M": 2}), "federaton"),
+    ("block-typo", lambda t: t["algorithm"].update(etta=0.2),
+     "algorithm.etta"),
+    ("box-without-bounds", lambda t: t.update(
+        algorithm={"id": "lda", "eta": 0.1},
+        regularizer={"kind": "box-indicator"}), "regularizer.lo"),
+    ("hetero-scale-string", lambda t: t["problem"].update(
+        hetero={"offset_scale": "x"}), "problem.hetero.offset_scale"),
+    ("problem-seed-string", lambda t: t["problem"].update(seed="a"),
+     "problem.seed"),
+    ("params-not-object", lambda t: t["problem"].update(params=5),
+     "problem.params"),
+    ("delta-rule", lambda t: t["algorithm"].update(delta_rule="cube-root"),
+     "algorithm.delta_rule"),
+    ("center-length", lambda t: t["gap"].update(center=[1.0]), "gap.center"),
+    ("output-not-a-path", lambda t: t.update(output=5), "output"),
+    ("timing-string", lambda t: t.update(timing="no"), "timing"),
+    ("box-inverted", lambda t: t.update(
+        algorithm={"id": "lda", "eta": 0.1},
+        regularizer={"kind": "box-indicator", "lo": 1.0, "hi": -1.0}),
+     "regularizer"),
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("mutate,path", [p[1:] for p in PROBES],
+                             ids=[p[0] for p in PROBES])
+    def test_probed_configs_rejected(self, mutate, path):
+        tree = minimal_config()
+        mutate(tree)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(tree)
+        assert err.value.path == path
+
+    @pytest.mark.filterwarnings("ignore:operator does not declare")
+    def test_box_bounds_accepted_as_numbers_or_lists(self):
+        tree = minimal_config(algorithm={"id": "lda", "eta": 0.1})
+        tree["regularizer"] = {"kind": "box-indicator", "lo": -1.0,
+                               "hi": [1.0, 2.0]}
+        rows = run_experiment(tree)
+        assert all(math.isfinite(r.gap_value) for r in rows)
+        tree["regularizer"]["hi"] = [1.0, 2.0, 3.0]
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(tree)
+        assert err.value.path == "regularizer.hi"
+
     def test_minimal_accepted(self):
         cfg = ExperimentConfig.from_dict(minimal_config())
         assert cfg.federation["R"] == 10
@@ -106,7 +166,7 @@ class TestRunExperiment:
         header = out.read_text().splitlines()[0]
         assert header == ("algo,theorem_id,d,M,K,R,sigma,eta,gamma,delta,H,"
                           "seed,round,gap_value,gap_certified,drift_z,"
-                          "dist_to_solution,wall_ms")
+                          "dist_to_solution,wall_ms,status")
 
     def test_sweep_cross_product(self):
         rows = run_experiment(minimal_config(sweep={"M": [1, 2]},
@@ -165,6 +225,29 @@ class TestRunExperiment:
         rows = run_experiment(tree)
         L = build_problem(ExperimentConfig.from_dict(tree)).L
         assert all(r.gamma == derived_gamma(0.2, L) for r in rows)
+
+    def test_diverged_run_is_marked(self, tmp_path):
+        """eta = 1e6 overflows: later rows are diverged with empty gaps."""
+        tree = minimal_config(log_every=4, output=str(tmp_path / "d.csv"))
+        tree["algorithm"]["eta"] = 1e6
+        tree["federation"]["R"] = 40
+        with np.errstate(all="ignore"), \
+                pytest.warns(RuntimeWarning, match="diverged"):
+            rows = run_experiment(tree)
+        status = [r.status for r in rows]
+        first = status.index("diverged")
+        assert 0 < first and status[first:] == ["diverged"] * (10 - first)
+        assert all(math.isfinite(r.gap_value) for r in rows[:first])
+        assert all(r.gap_value is None and r.gap_certified is None
+                   for r in rows[first:])
+        lines = (tmp_path / "d.csv").read_text().splitlines()[1:]
+        assert [ln.rsplit(",", 1)[1] for ln in lines] == status
+        gap_cells = [ln.split(",")[13] for ln in lines]
+        assert gap_cells[first:] == [""] * (10 - first)
+        assert all(cell for cell in gap_cells[:first])
+
+    def test_finite_runs_are_ok(self):
+        assert {r.status for r in run_experiment(minimal_config())} == {"ok"}
 
     def test_runner_warnings_reach_the_caller(self):
         tree = minimal_config()
@@ -230,6 +313,16 @@ class TestFitRate:
     def test_too_few_distinct_x_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             fit_rate(self._rows(lambda R: 1 / R, Rs=(50, 100, 200)), [], "R")
+
+    def test_empty_gaps_excluded_and_counted(self):
+        """A diverged run's final row has an empty gap cell in the CSV."""
+        rows = self._rows(lambda R: 100.0 / R,
+                          Rs=(50, 100, 200, 400, 800, 1600))
+        rows[1]["gap_value"] = ""
+        rows[3]["gap_value"] = None
+        fits = fit_rate(rows, [], "R")
+        assert fits[()].n_excluded == 2
+        assert abs(fits[()].slope + 1.0) < 1e-9
 
     def test_non_final_rounds_ignored(self):
         rows = self._rows(lambda R: 100.0 / R)
@@ -299,6 +392,20 @@ class TestVerifyProblem:
             noise={"sigma": 0.5, "model": "gaussian-isotropic"}))
         assert verify_problem(cfg, n_pairs=2000) == []
 
+    @pytest.mark.parametrize("model", ["gaussian-isotropic",
+                                       "bounded-uniform"])
+    def test_stacked_draws_equal_looped_draws_bitwise(self, model):
+        """The oracle check's one 20,000-key query is 20,000 point queries."""
+        cfg = ExperimentConfig.from_dict(minimal_config(
+            noise={"sigma": 0.5, "model": model}))
+        oracle = OracleSpec(base=build_problem(cfg), noise_model=model,
+                            sigma=0.5)
+        stream, z, n = RngStream(0), np.zeros(oracle.dim), 20_000
+        keys = [stream.at(0, i) for i in range(n)]
+        stacked = sample_oracle(oracle, np.tile(z, (n, 1)), keys)
+        looped = np.stack([sample_oracle(oracle, z, k) for k in keys])
+        assert np.array_equal(stacked, looped)
+
 
 class TestCli:
     def _write(self, tmp_path, tree):
@@ -355,9 +462,10 @@ class TestCli:
         lambda t, tmp: t.update(
             problem={"kind": "affine", "file": str(tmp / "missing.txt")}),
         lambda t, tmp: t.update(problem={"kind": "affine", "file": None}),
-    ], ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
-            "file-z0-length", "file-malformed", "file-missing",
-            "file-not-a-path"])
+    ] + [lambda t, tmp, p=p: p[1](t) for p in PROBES],
+        ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
+             "file-z0-length", "file-malformed", "file-missing",
+             "file-not-a-path"] + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, capsys):
         tree = minimal_config()
         mutate(tree, tmp_path)

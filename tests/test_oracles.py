@@ -7,7 +7,7 @@ import pytest
 
 from fedvi.operators import make_test_problem
 from fedvi.oracles import OracleSpec, noiseless, sample_oracle
-from fedvi.rng import RngStream
+from fedvi.rng import RngStream, normals, uniforms
 
 
 def _draws(oracle, z, n, seed=0, delta=0.0):
@@ -141,8 +141,8 @@ class TestStackedQuery:
 class TestRngStream:
     def test_same_path_same_draws(self):
         stream = RngStream(1234)
-        a = stream.at(3, 17, 2, 1).standard_normal(8)
-        b = stream.at(3, 17, 2, 1).standard_normal(8)
+        a = normals([stream.at(3, 17, 2, 1)], 8, 1)
+        b = normals([stream.at(3, 17, 2, 1)], 8, 1)
         np.testing.assert_array_equal(a, b)
 
     def test_interleaving_independence(self):
@@ -150,21 +150,103 @@ class TestRngStream:
         stream = RngStream(99)
         paths = [(m, t, ell, ph) for m in range(3) for t in range(4)
                  for ell in range(2) for ph in range(2)]
-        forward = {p: stream.at(*p).standard_normal(5) for p in paths}
-        backward = {p: stream.at(*p).standard_normal(5)
+        forward = {p: normals([stream.at(*p)], 5, 1) for p in paths}
+        backward = {p: normals([stream.at(*p)], 5, 1)
                     for p in reversed(paths)}
         for p in paths:
             np.testing.assert_array_equal(forward[p], backward[p])
 
     def test_distinct_paths_differ(self):
         stream = RngStream(7)
-        a = stream.at(0, 1, 0, 0).standard_normal(4)
-        b = stream.at(0, 1, 0, 1).standard_normal(4)
-        c = stream.at(1, 1, 0, 0).standard_normal(4)
+        a = normals([stream.at(0, 1, 0, 0)], 4, 1)
+        b = normals([stream.at(0, 1, 0, 1)], 4, 1)
+        c = normals([stream.at(1, 1, 0, 0)], 4, 1)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_master_seed_changes_draws(self):
-        a = RngStream(1).at(0, 0).standard_normal(4)
-        b = RngStream(2).at(0, 0).standard_normal(4)
+        a = normals([RngStream(1).at(0, 0)], 4, 1)
+        b = normals([RngStream(2).at(0, 0)], 4, 1)
         assert not np.array_equal(a, b)
+
+    def test_known_answers(self):
+        """Pins the stream: a change to any draw must be deliberate."""
+        # the first SplitMix64 output for seed 0, the published reference
+        assert RngStream(0)._prefix == 0xE220A8397B1DCDAF
+        key = RngStream(1234).at(3, 17, 2, 1)
+        assert key == 7298014668120427397
+        np.testing.assert_array_equal(uniforms([key], 4, 1), [[
+            0.6093680933235056, 0.7162184196993638, 0.213376394944646,
+            0.9111198354153273]])
+        np.testing.assert_allclose(normals([key], 4, 0), [[
+            -0.5532042629724585, -0.5996166615877916, 0.32250115515272243,
+            -0.7142613004007768]], rtol=1e-14)
+
+    def test_uniforms_match_a_scalar_reference(self):
+        mask, golden = 2 ** 64 - 1, 0x9E3779B97F4A7C15
+
+        def splitmix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        keys = [0, 1, 2 ** 63, mask, RngStream(5).at(2, 9)]
+        for tag in (0, 1, 7):
+            want = [[((splitmix((k + ((tag << 32) + j + 1) * golden) & mask)
+                       >> 11) | 1) / 2.0 ** 53 for j in range(6)]
+                    for k in keys]
+            np.testing.assert_array_equal(uniforms(keys, 6, tag), want)
+
+    def test_normals_match_a_scalar_box_muller(self):
+        keys = [RngStream(6).at(m, 3) for m in range(7)]
+        u = uniforms(keys, 6, 0)
+        want = [[math.sqrt(-2 * math.log(row[2 * i])) * trig(
+                 2 * math.pi * row[2 * i + 1])
+                 for i in range(3) for trig in (math.cos, math.sin)]
+                for row in u]
+        np.testing.assert_allclose(normals(keys, 6, 0), want, rtol=1e-13,
+                                   atol=1e-15)
+
+    def test_uniforms_stay_inside_the_open_interval(self):
+        u = uniforms([RngStream(3).at(m, 1) for m in range(5000)], 8, 1)
+        assert u.min() > 0.0 and u.max() < 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 10, 33])
+    @pytest.mark.parametrize("M", [1, 4, 16, 257])
+    def test_rows_are_independent_bitwise(self, M, n):
+        """Row m of an M-key draw is the one-key draw of keys[m]."""
+        stream = RngStream(21)
+        keys = [stream.at(m, 4, 1, 2) for m in range(M)]
+        for draw in (normals, uniforms):
+            stacked = draw(keys, n, 1)
+            assert stacked.shape == (M, n)
+            single = np.concatenate([draw([k], n, 1) for k in keys])
+            assert np.array_equal(stacked, single)
+
+    def test_normals_prefix_is_the_shorter_draw(self):
+        keys = [RngStream(4).at(m, 1) for m in range(6)]
+        long = normals(keys, 9, 0)
+        for n in (1, 2, 5, 8):
+            assert np.array_equal(long[:, :n], normals(keys, n, 0))
+
+    def test_tags_give_uncorrelated_draws(self):
+        """Smoothing (tag 0) and noise (tag 1) draws of a key are unrelated."""
+        stream = RngStream(17)
+        keys = [stream.at(m, 3, 0, 1) for m in range(20_000)]
+        s, e = normals(keys, 3, 0), normals(keys, 3, 1)
+        assert not np.any(s == e)
+        bound = 5 / math.sqrt(len(keys))
+        for i in range(3):
+            for j in range(3):
+                assert abs(np.corrcoef(s[:, i], e[:, j])[0, 1]) < bound
+        u, v = uniforms(keys, 3, 0), uniforms(keys, 3, 1)
+        assert abs(np.corrcoef(u.ravel(), v.ravel())[0, 1]) < bound
+
+    @pytest.mark.parametrize("draw", [normals, uniforms])
+    def test_moments(self, draw):
+        keys = [RngStream(8).at(m, 2) for m in range(20_000)]
+        x = draw(keys, 4, 1)
+        mean, var = (0.0, 1.0) if draw is normals else (0.5, 1.0 / 12)
+        n = x.size
+        assert abs(x.mean() - mean) < 5 * math.sqrt(var / n)
+        assert abs(x.var() / var - 1) < 5 * math.sqrt(2.0 / n)
