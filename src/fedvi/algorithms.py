@@ -95,7 +95,6 @@ class TrajectoryRecord:
     output_avg: np.ndarray
     drift_z: float
     drift_x: float
-    gap: float | None = None
 
 
 @dataclass

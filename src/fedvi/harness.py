@@ -16,11 +16,10 @@ import itertools
 import json
 import math
 import struct
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -29,18 +28,12 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
                          run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
                          step_size)
 from .gaps import GAP_METHODS, composite_gap, restricted_gap
-from .operators import (OperatorSpec, load_affine_text, make_test_problem,
-                        operator_bound_on_ball, verify_properties)
+from .operators import (KINDS, OperatorSpec, load_affine_text,
+                        make_test_problem, operator_bound_on_ball,
+                        verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, sample_oracle
 from .regularizers import REG_KINDS, RegularizerSpec, ZERO_REG
 from .rng import RngStream
-
-RUN_CAP_DEFAULT = 4096
-
-CSV_COLUMNS = ("algo", "theorem_id", "d", "M", "K", "R", "sigma", "eta",
-               "gamma", "delta", "H", "seed", "round", "gap_value",
-               "gap_certified", "drift_z", "dist_to_solution", "wall_ms",
-               "status")
 
 
 class ConfigError(ValueError):
@@ -70,8 +63,10 @@ class ResultRow:
     gap_certified: bool | None
     drift_z: float
     dist_to_solution: float | None
-    wall_ms: float | None
     status: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -86,17 +81,6 @@ class RateFit:
     n_excluded: int = 0
 
 
-def _get(tree: dict, path: str, default=None, required=False):
-    node: Any = tree
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(path, "missing required field")
-            return default
-        node = node[part]
-    return node
-
-
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
@@ -109,22 +93,6 @@ def _is_number(v) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-# Every field a config may hold: top-level keys, and the keys of each
-# block (None: a plain value).  Anything else is a typo and rejected.
-CONFIG_FIELDS = {
-    "problem": ("kind", "dim", "seed", "params", "file", "hetero"),
-    "algorithm": ("id", "schedule", "eta", "gamma", "delta", "H",
-                  "delta_rule"),
-    "federation": ("M", "K", "R"),
-    "noise": ("sigma", "model"),
-    "gap": ("D", "center", "method"),
-    "regularizer": ("kind", "lam", "lo", "hi"),
-    "sweep": ("M", "K", "R", "sigma"),
-    "seeds": None, "log_every": None, "z0": None, "output": None,
-    "timing": None, "max_runs": None,
-}
 
 
 def _positive(v) -> bool:
@@ -144,55 +112,115 @@ def _or_null(check):
     return lambda v: v is None or check(v)
 
 
-# Optional plain fields: (path, check, message).  An absent field
-# passes; a present one, null included, must pass its check.
-OPTIONAL_FIELDS = (
-    ("algorithm.schedule", _or_null(THEOREM_IDS.__contains__),
-     f"must be one of {THEOREM_IDS}"),
-    ("algorithm.eta", _or_null(_positive), "must be a positive number"),
-    ("algorithm.gamma", _or_null(_positive), "must be a positive number"),
-    ("algorithm.delta", _or_null(_nonnegative),
-     "must be a nonnegative number"),
-    ("algorithm.H", _or_null(_count), "must be an integer >= 1"),
-    ("algorithm.delta_rule", DELTA_RULES.__contains__,
-     f"must be one of {DELTA_RULES}"),
-    ("problem.seed", lambda v: _is_int(v) and v >= 0,
-     "must be an integer >= 0"),
-    ("problem.params", lambda v: isinstance(v, dict), "must be an object"),
-    ("problem.hetero.offset_scale", _nonnegative,
-     "must be a nonnegative number"),
-    ("problem.hetero.xi", _nonnegative, "must be a nonnegative number"),
-    ("noise.model", NOISE_MODELS.__contains__,
-     f"must be one of {NOISE_MODELS}"),
-    ("gap.D", _positive, "must be a positive number"),
-    ("gap.method", GAP_METHODS.__contains__, f"must be one of {GAP_METHODS}"),
-    ("log_every", _or_null(_count), "must be an integer >= 1"),
-    ("max_runs", _count, "must be an integer >= 1"),
-    ("output", _or_null(lambda v: isinstance(v, str)), "must be a path"),
-    ("timing", _or_null(lambda v: isinstance(v, bool)),
-     "must be true or false"),
-)
+def _list_of(check):
+    """A nonempty list whose items all pass the check."""
+    return lambda v: isinstance(v, list) and bool(v) and all(map(check, v))
 
 
-def _check_axis(name: str, v, path: str) -> None:
-    """A value of one sweepable axis, given in its block or in a sweep."""
-    if name == "sigma":
-        _expect(_nonnegative(v), path, "must be a nonnegative number")
-    else:
-        _expect(_count(v), path, "must be an integer >= 1")
+_is_point = _list_of(_is_number)
+_COUNT = "must be an integer >= 1"
+_POSITIVE = "must be a positive number"
+_NONNEGATIVE = "must be a nonnegative number"
+_BOUND = (None, lambda v: _is_number(v) or _is_point(v),
+          "must be a finite number or a list of them")
+REQUIRED = object()  # the default of a field every config must give
+
+# Every field a config may hold, each declared once.  A block is a dict
+# of its fields; a plain field is (default, check, message).  A given
+# field, null included, must pass its check; an absent one takes its
+# default.  Any other key is a typo and rejected.
+SCHEMA = {
+    "problem": {
+        "kind": (REQUIRED, KINDS.__contains__, f"must be one of {KINDS}"),
+        "dim": (None, _count, _COUNT),
+        "file": (None, lambda v: isinstance(v, str), "must be a path"),
+        "seed": (0, lambda v: _is_int(v) and v >= 0,
+                 "must be an integer >= 0"),
+        "params": (None, lambda v: isinstance(v, dict), "must be an object"),
+        "hetero": {"offset_scale": (1.0, _nonnegative, _NONNEGATIVE),
+                   "xi": (None, _nonnegative, _NONNEGATIVE)},
+    },
+    "algorithm": {
+        "id": (REQUIRED, ALGO_IDS.__contains__, f"must be one of {ALGO_IDS}"),
+        "schedule": (None, _or_null(THEOREM_IDS.__contains__),
+                     f"must be one of {THEOREM_IDS}"),
+        "eta": (None, _or_null(_positive), _POSITIVE),
+        "gamma": (None, _or_null(_positive), _POSITIVE),
+        "delta": (None, _or_null(_nonnegative), _NONNEGATIVE),
+        "H": (None, _or_null(_count), _COUNT),
+        "delta_rule": ("sqrt-d", DELTA_RULES.__contains__,
+                       f"must be one of {DELTA_RULES}"),
+    },
+    "federation": {name: (REQUIRED, _count, _COUNT) for name in "MKR"},
+    "noise": {
+        "sigma": (0.0, _nonnegative, _NONNEGATIVE),
+        "model": ("gaussian-isotropic", NOISE_MODELS.__contains__,
+                  f"must be one of {NOISE_MODELS}"),
+    },
+    "gap": {
+        "D": (1.0, _positive, _POSITIVE),
+        "center": ("z0", lambda v: v == "z0" or _is_point(v),
+                   'must be "z0" or a list of finite numbers'),
+        "method": ("auto", GAP_METHODS.__contains__,
+                   f"must be one of {GAP_METHODS}"),
+    },
+    "regularizer": {
+        "kind": ("zero", REG_KINDS.__contains__,
+                 f"must be one of {REG_KINDS}"),
+        "lam": (0.0, _nonnegative, _NONNEGATIVE),
+        "lo": _BOUND,
+        "hi": _BOUND,
+    },
+    # each sweep axis replaces its base value in the runs it spans
+    "sweep": {
+        **{name: (None, _list_of(_count), "must be a nonempty list of "
+                  "integers >= 1") for name in "MKR"},
+        "sigma": (None, _list_of(_nonnegative),
+                  "must be a nonempty list of nonnegative numbers"),
+    },
+    "seeds": ([0], _list_of(lambda v: _is_int(v) and v >= 0),
+              "must be a nonempty list of integers >= 0"),
+    "log_every": (None, _or_null(_count), _COUNT),
+    "z0": (None, _or_null(_is_point), "must be a list of finite numbers"),
+    "output": (None, _or_null(lambda v: isinstance(v, str)), "must be a path"),
+    "max_runs": (4096, _count, _COUNT),
+}
 
 
-def _check_point(value, path: str, dim: int | None) -> None:
-    """A list of finite numbers, dim of them unless dim is None."""
-    _expect(isinstance(value, list) and value and all(map(_is_number, value)),
-            path, "must be a list of finite numbers")
-    _expect(dim is None or len(value) == dim, path,
-            f"must have problem.dim = {dim} entries")
+def _fill(schema: dict, node, path: str) -> dict:
+    """node checked against a SCHEMA block, every default filled in.
+
+    A missing required field of an empty or absent block is reported
+    at the block.
+    """
+    _expect(isinstance(node, dict), path or "<config>", "must be an object")
+    for key in node:
+        _expect(key in schema, f"{path}.{key}" if path else str(key),
+                f"unknown field; expected one of {tuple(schema)}")
+    out = {}
+    for key, spec in schema.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            out[key] = _fill(spec, node.get(key, {}), where)
+            continue
+        default, check, message = spec
+        if key in node:
+            _expect(check(node[key]), where, message)
+            out[key] = node[key]
+        else:
+            _expect(default is not REQUIRED, where if node else path,
+                    f"missing required field {where}")
+            out[key] = default
+    return out
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; build with from_dict / from_file."""
+    """Validated experiment description; build with from_dict / from_file.
+
+    Every block holds all of its SCHEMA fields, defaults filled in,
+    except ``sweep``, which holds the swept axes only.
+    """
 
     problem: dict
     algorithm: dict
@@ -205,102 +233,36 @@ class ExperimentConfig:
     log_every: int | None
     z0: list[float] | None
     output: str | None
-    timing: bool
     max_runs: int
-    raw: dict = field(repr=False, default_factory=dict)
 
     @staticmethod
     def from_dict(tree: dict) -> "ExperimentConfig":
-        _expect(isinstance(tree, dict), "<config>", "must be an object")
-        for key, value in tree.items():
-            _expect(key in CONFIG_FIELDS, str(key), "unknown field; expected "
-                    f"one of {tuple(CONFIG_FIELDS)}")
-            block = CONFIG_FIELDS[key]
-            if block is None:
-                continue
-            _expect(isinstance(value, dict), key, "must be an object")
-            for sub in value:
-                _expect(sub in block, f"{key}.{sub}",
-                        f"unknown field; expected one of {block}")
-        absent = object()
-        for path, check, message in OPTIONAL_FIELDS:
-            v = _get(tree, path, absent)
-            _expect(v is absent or check(v), path, message)
-        problem = _get(tree, "problem", required=True)
-        _get(tree, "problem.kind", required=True)
-        if "file" in problem:
-            _expect(isinstance(problem["file"], str), "problem.file",
-                    "must be a path")
-            dim = None  # known only once the matrix file is loaded
-        else:
-            dim = _get(tree, "problem.dim")
-            _expect(_is_int(dim), "problem.dim", "must be an integer")
-        hetero = problem.get("hetero", {})
-        _expect(isinstance(hetero, dict) and set(hetero) <= {
-            "offset_scale", "xi"}, "problem.hetero",
-            "must be an object with offset_scale and xi")
-        algorithm = _get(tree, "algorithm", required=True)
-        _expect(_get(tree, "algorithm.id", required=True) in ALGO_IDS,
-                "algorithm.id", f"must be one of {ALGO_IDS}")
-        _expect(algorithm.get("schedule") is not None or
-                algorithm.get("eta") is not None, "algorithm.eta",
+        c = _fill(SCHEMA, tree, "")
+        problem, algorithm = c["problem"], c["algorithm"]
+        reg = c["regularizer"]
+        _expect(problem["dim"] is not None or problem["file"] is not None,
+                "problem.dim", "required when no problem.file is given")
+        _expect(algorithm["eta"] is not None or
+                algorithm["schedule"] is not None, "algorithm.eta",
                 "required when no theorem schedule is given")
-        federation = _get(tree, "federation", required=True)
-        for name in ("M", "K", "R"):
-            _check_axis(name, federation.get(name), f"federation.{name}")
-        noise = _get(tree, "noise", {"sigma": 0.0, "model": "none"})
-        _check_axis("sigma", noise.get("sigma", 0.0), "noise.sigma")
-        gap = _get(tree, "gap", {})
-        if gap.get("center", "z0") != "z0":
-            _check_point(gap["center"], "gap.center", dim)
-        z0 = _get(tree, "z0")
-        if z0 is not None:
-            _check_point(z0, "z0", dim)
-        reg_tree = _get(tree, "regularizer")
-        if reg_tree is None:
-            reg = ZERO_REG
-        else:
-            _expect(reg_tree.get("kind") in REG_KINDS, "regularizer.kind",
-                    f"must be one of {REG_KINDS}")
-            if reg_tree["kind"] == "box-indicator":
-                for name in ("lo", "hi"):
-                    bound = reg_tree.get(name)
-                    if isinstance(bound, list):
-                        _check_point(bound, f"regularizer.{name}", dim)
-                    else:
-                        _expect(_is_number(bound), f"regularizer.{name}",
-                                "must be a finite number or a list of them")
-            try:
-                reg = RegularizerSpec(kind=reg_tree["kind"],
-                                      lam=reg_tree.get("lam", 0.0),
-                                      lo=reg_tree.get("lo"),
-                                      hi=reg_tree.get("hi"))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("regularizer", str(exc)) from exc
-        sweep = _get(tree, "sweep", {})
-        for key, values in sweep.items():
-            _expect(isinstance(values, list) and values, f"sweep.{key}",
-                    "must be a nonempty list")
-            for v in values:
-                _check_axis(key, v, f"sweep.{key}")
-        seeds = _get(tree, "seeds", [0])
-        _expect(isinstance(seeds, list) and seeds and all(map(_is_int, seeds)),
-                "seeds", "must be a nonempty list of integers")
-        cfg = ExperimentConfig(
-            problem=problem, algorithm=algorithm, federation=federation,
-            noise={"sigma": float(noise.get("sigma", 0.0)),
-                   "model": noise.get("model", "gaussian-isotropic")},
-            gap={"D": float(gap.get("D", 1.0)),
-                 "center": gap.get("center", "z0"),
-                 "method": gap.get("method", "auto")},
-            regularizer=reg,
-            sweep=sweep, seeds=list(seeds),
-            log_every=_get(tree, "log_every"),
-            z0=z0,
-            output=_get(tree, "output"),
-            timing=bool(_get(tree, "timing", False)),
-            max_runs=_get(tree, "max_runs", RUN_CAP_DEFAULT),
-            raw=tree)
+        _expect("regularizer" not in tree or "kind" in tree["regularizer"],
+                "regularizer.kind", "required when the block is given")
+        for name in ("lo", "hi"):
+            _expect(reg["kind"] != "box-indicator" or reg[name] is not None,
+                    f"regularizer.{name}", "required for a box-indicator")
+        try:
+            regularizer = RegularizerSpec(**reg)
+        except ValueError as exc:
+            raise ConfigError("regularizer", str(exc)) from exc
+        c["noise"]["sigma"] = float(c["noise"]["sigma"])
+        c["gap"]["D"] = float(c["gap"]["D"])
+        sweep = {k: v for k, v in c["sweep"].items() if v is not None}
+        if "sigma" in sweep:
+            sweep["sigma"] = [float(v) for v in sweep["sigma"]]
+        cfg = ExperimentConfig(**dict(c, regularizer=regularizer, sweep=sweep,
+                                      seeds=list(c["seeds"])))
+        if problem["file"] is None:
+            cfg.check_dimension(problem["dim"])
         n_runs = len(cfg.expand_runs())
         _expect(n_runs <= cfg.max_runs, "sweep",
                 f"sweep cross-product yields {n_runs} runs, over the cap "
@@ -316,23 +278,29 @@ class ExperimentConfig:
                 raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
         return ExperimentConfig.from_dict(tree)
 
+    def check_dimension(self, dim: int) -> None:
+        """Every point the config gives has dim entries."""
+        for path, point in (("z0", self.z0),
+                            ("gap.center", self.gap["center"]),
+                            ("regularizer.lo", self.regularizer.lo),
+                            ("regularizer.hi", self.regularizer.hi)):
+            _expect(not isinstance(point, list) or len(point) == dim, path,
+                    f"must have {dim} entries, the problem's dimension")
+
+    def gap_center(self, dim: int) -> np.ndarray:
+        """Center of the gap ball: gap.center, or the initial point."""
+        center = self.gap["center"]
+        if center == "z0":
+            center = [0.0] * dim if self.z0 is None else self.z0
+        return np.asarray(center, float)
+
     def expand_runs(self) -> list[dict]:
         """Cross product of sweep axes and seeds, in enumeration order."""
-        axes = []
-        for name in ("M", "K", "R", "sigma"):
-            if name in self.sweep:
-                axes.append([(name, v) for v in self.sweep[name]])
-        base = {"M": self.federation["M"], "K": self.federation["K"],
-                "R": self.federation["R"], "sigma": self.noise["sigma"]}
-        runs = []
-        for combo in itertools.product(*axes) if axes else [()]:
-            point = dict(base)
-            point.update(dict(combo))
-            for seed in self.seeds:
-                spec = dict(point)
-                spec["seed"] = seed
-                runs.append(spec)
-        return runs
+        base = dict(self.federation, sigma=self.noise["sigma"])
+        axes = [[(name, v) for v in self.sweep[name]]
+                for name in ("M", "K", "R", "sigma") if name in self.sweep]
+        return [dict(base, **dict(combo), seed=seed)
+                for combo in itertools.product(*axes) for seed in self.seeds]
 
 
 def _run_master_seed(seed: int, M: int, K: int, R: int, sigma: float) -> int:
@@ -343,32 +311,44 @@ def _run_master_seed(seed: int, M: int, K: int, R: int, sigma: float) -> int:
 
 
 def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
-    if "file" in cfg.problem:
+    """The configured operator, checked against the config's points and
+    gap method."""
+    problem = cfg.problem
+    if problem["file"] is not None:
         try:
-            op = load_affine_text(cfg.problem["file"])
+            op = load_affine_text(problem["file"])
         except (OSError, ValueError) as exc:
             raise ConfigError("problem.file", str(exc)) from exc
-        # from_dict cannot check z0 before the file gives the dimension
-        _expect(cfg.z0 is None or len(cfg.z0) == op.dim, "z0",
-                f"must have {op.dim} entries, the dimension of problem.file")
-        return op
-    try:
-        return make_test_problem(cfg.problem["kind"], cfg.problem["dim"],
-                                 cfg.problem.get("params"),
-                                 cfg.problem.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("problem", str(exc)) from exc
+        # from_dict cannot check points before the file gives the dimension
+        cfg.check_dimension(op.dim)
+    else:
+        try:
+            op = make_test_problem(problem["kind"], problem["dim"],
+                                   problem["params"], problem["seed"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("problem", str(exc)) from exc
+    method = cfg.gap["method"]
+    _expect(method != "grid" or op.dim <= 2, "gap.method",
+            f"grid needs a problem of dimension <= 2, not {op.dim}")
+    _expect(method != "exact-concave" or op.is_affine, "gap.method",
+            "exact-concave needs an affine operator")
+    reg = cfg.regularizer
+    if reg.kind == "box-indicator" and cfg.algorithm["id"] == "lda":
+        center = cfg.gap_center(op.dim)
+        _expect(np.linalg.norm(np.clip(center, reg.lo, reg.hi) - center)
+                <= cfg.gap["D"], "gap.D",
+                "the gap ball must meet the box of the regularizer")
+    return op
 
 
 def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
                     M: int) -> tuple[np.ndarray, float]:
     """Per-client offsets (summing to zero): client m queries V + offsets[m]."""
-    scale = float(_get(cfg.problem, "hetero.offset_scale", 1.0))
-    rng = np.random.default_rng((cfg.problem.get("seed", 0), 0x4E7E))
-    offsets = rng.standard_normal((M, op.dim)) * scale
+    hetero = cfg.problem["hetero"]
+    rng = np.random.default_rng((cfg.problem["seed"], 0x4E7E))
+    offsets = rng.standard_normal((M, op.dim)) * float(hetero["offset_scale"])
     offsets -= offsets.mean(axis=0)
-    declared_xi = _get(cfg.problem, "hetero.xi")
-    xi = (float(declared_xi) if declared_xi is not None
+    xi = (float(hetero["xi"]) if hetero["xi"] is not None
           else float(np.linalg.norm(offsets, axis=1).max()))
     return offsets, xi
 
@@ -377,11 +357,8 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
                   R: int, sigma: float, xi: float | None):
     """Step sizes from the theorem schedule, with explicit overrides."""
     algo = cfg.algorithm
-    schedule = algo.get("schedule")
-    eta = algo.get("eta")
-    gamma = algo.get("gamma")
-    delta = algo.get("delta")
-    H = algo.get("H")
+    schedule = algo["schedule"]
+    eta, gamma, delta = algo["eta"], algo["gamma"], algo["delta"]
     if schedule is not None:
         D = cfg.gap["D"]
         G_eff = op.G
@@ -392,22 +369,22 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
         try:
             plan = step_size(schedule, consts,
                              {"M": M, "K": K, "R": R, "sigma": sigma, "D": D},
-                             delta_rule=algo.get("delta_rule", "sqrt-d"))
-        except ValueError as exc:
-            raise ConfigError("algorithm.schedule", str(exc)) from exc
+                             delta_rule=algo["delta_rule"])
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError("algorithm.schedule",
+                              f"no step size for this run: {exc}") from exc
         eta = eta if eta is not None else plan.eta
         gamma = gamma if gamma is not None else plan.gamma
         delta = delta if delta is not None else plan.delta
-    return eta, gamma, (delta or 0.0), H
+    return eta, gamma, (delta or 0.0), algo["H"]
 
 
 def _run_once(cfg: ExperimentConfig, spec: dict
-              ) -> tuple[Trajectory, OperatorSpec, float]:
+              ) -> tuple[Trajectory, OperatorSpec]:
     """Build and run one (sweep point, seed) run of the configured algorithm.
 
-    Returns the trajectory, the operator its gaps are measured on (also
-    for heterogeneous clients, whose offsets sum to zero), and the
-    runner's wall time in seconds.
+    Returns the trajectory and the operator its gaps are measured on
+    (also for heterogeneous clients, whose offsets sum to zero).
     """
     M, K, R = spec["M"], spec["K"], spec["R"]
     sigma, seed = spec["sigma"], spec["seed"]
@@ -426,7 +403,6 @@ def _run_once(cfg: ExperimentConfig, spec: dict
     noise_model = cfg.noise["model"] if sigma > 0 else "none"
     oracle = OracleSpec(base=op, noise_model=noise_model, sigma=sigma)
 
-    t0 = time.perf_counter()
     if algo_id == "lesgd-hetero":
         traj = run_lesgd_hetero(oracle, offsets, run_cfg)
     elif algo_id == "lda":
@@ -435,19 +411,16 @@ def _run_once(cfg: ExperimentConfig, spec: dict
         runner = {"lesgd": run_lesgd, "lippax": run_lippax,
                   "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
         traj = runner(oracle, run_cfg)
-    return traj, op, time.perf_counter() - t0
+    return traj, op
 
 
 def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
-    traj, gap_op, wall_s = _run_once(cfg, spec)
+    traj, gap_op = _run_once(cfg, spec)
     for message in traj.warnings:
         warnings.warn(message, RuntimeWarning)
     run_cfg = traj.config
-    wall_ms = wall_s * 1e3 if cfg.timing else None
 
-    center = (np.asarray(cfg.gap["center"], float)
-              if not isinstance(cfg.gap["center"], str)
-              else run_cfg.initial_point(gap_op.dim))
+    center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution
     algo_id = cfg.algorithm["id"]
     use_composite = cfg.regularizer.kind != "zero" and algo_id == "lda"
@@ -465,13 +438,13 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
         dist = (float(np.linalg.norm(rec.output_avg - solution))
                 if solution is not None else None)
         rows.append(ResultRow(
-            algo=algo_id, theorem_id=cfg.algorithm.get("schedule"),
+            algo=algo_id, theorem_id=cfg.algorithm["schedule"],
             d=gap_op.dim, M=run_cfg.M, K=run_cfg.K, R=run_cfg.R,
             sigma=spec["sigma"], eta=run_cfg.eta, gamma=run_cfg.gamma,
             delta=run_cfg.delta, H=run_cfg.H, seed=spec["seed"],
             round=rec.t // run_cfg.K, gap_value=gap,
             gap_certified=certified, drift_z=rec.drift_z,
-            dist_to_solution=dist, wall_ms=wall_ms,
+            dist_to_solution=dist,
             status="diverged" if diverged else "ok"))
     return rows
 
@@ -564,27 +537,24 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
     return fits
 
 
-def _strip_reduction_axis(config: dict) -> dict:
-    """Everything a reduction pair is allowed to differ on, removed."""
-    out = {k: v for k, v in config.items() if k != "regularizer"}
-    algo = dict(out.get("algorithm", {}))
-    algo.pop("id", None)
-    algo.pop("delta", None)
-    out["algorithm"] = algo
-    prob = dict(out.get("problem", {}))
-    prob.pop("hetero", None)
-    out["problem"] = prob
-    return out
+def _strip_reduction_axis(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with everything a reduction pair may differ on reset."""
+    algorithm = {k: v for k, v in cfg.algorithm.items()
+                 if k not in ("id", "delta")}
+    problem = {k: v for k, v in cfg.problem.items() if k != "hetero"}
+    return replace(cfg, problem=problem, algorithm=algorithm,
+                   regularizer=ZERO_REG)
 
 
 def compare_reduction(config_a: dict, config_b: dict
                       ) -> tuple[bool, float]:
     """Run two configs that differ only along a reduction axis and compare
     every logged iterate; returns (exactly equal, max coordinate deviation)."""
-    if _strip_reduction_axis(config_a) != _strip_reduction_axis(config_b):
+    cfg_a = ExperimentConfig.from_dict(config_a)
+    cfg_b = ExperimentConfig.from_dict(config_b)
+    if _strip_reduction_axis(cfg_a) != _strip_reduction_axis(cfg_b):
         raise ValueError("configs differ outside the reduction axis")
-    traj_a = run_single(ExperimentConfig.from_dict(config_a))
-    traj_b = run_single(ExperimentConfig.from_dict(config_b))
+    traj_a, traj_b = run_single(cfg_a), run_single(cfg_b)
     dev = 0.0
     if len(traj_a.records) != len(traj_b.records):
         raise ValueError("trajectories logged different round sets")

@@ -2,16 +2,22 @@
 
 import json
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
-from fedvi.harness import (ConfigError, ExperimentConfig, build_problem,
-                           compare_reduction, fit_rate, rows_to_csv,
-                           run_experiment, run_single, verify_problem)
+from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
+                           build_problem, compare_reduction, fit_rate,
+                           rows_to_csv, run_experiment, run_single,
+                           verify_problem)
 from fedvi.oracles import OracleSpec, sample_oracle
 from fedvi.rng import RngStream
 
@@ -137,11 +143,95 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(tree)
         assert err.value.path == "algorithm.eta"
 
+    def test_readme_table_lists_every_field_and_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = dict(re.findall(r"^\| `([\w.]+)` \| (\S+) \|", readme, re.M))
+        assert table == {
+            ".".join(path): "required" if spec[0] is REQUIRED
+            else f"`{json.dumps(spec[0])}`"
+            for path, spec in _schema_fields(SCHEMA)
+            if not isinstance(spec, dict)}
+
     def test_sweep_cap_enforced(self):
         tree = minimal_config(max_runs=3, sweep={"M": [1, 2], "K": [1, 2]},
                               seeds=[0])
         with pytest.raises(ConfigError, match="cap"):
             ExperimentConfig.from_dict(tree)
+
+
+def _schema_fields(schema, prefix=()):
+    """(path, spec) of every block and field of a SCHEMA block."""
+    for key, spec in schema.items():
+        yield prefix + (key,), spec
+        if isinstance(spec, dict):
+            yield from _schema_fields(spec, prefix + (key,))
+
+
+# Small runs (dim <= 4, R <= 4) on each problem source and runner family.
+FUZZ_BASES = {
+    "affine": lambda tmp: minimal_config(
+        problem={"kind": "affine", "dim": 3, "seed": 1},
+        federation={"M": 2, "K": 2, "R": 3},
+        noise={"sigma": 0.5, "model": "gaussian-isotropic"}),
+    "nonlinear-slippax": lambda tmp: minimal_config(
+        problem={"kind": "bounded-nonlinear", "dim": 3, "seed": 1},
+        algorithm={"id": "slippax", "schedule": "T5"},
+        federation={"M": 2, "K": 2, "R": 2},
+        noise={"sigma": 0.5, "model": "gaussian-isotropic"}),
+    "hetero": lambda tmp: minimal_config(
+        problem={"kind": "skew", "dim": 2, "seed": 1,
+                 "hetero": {"offset_scale": 0.5}},
+        algorithm={"id": "lesgd-hetero", "schedule": "T8"},
+        federation={"M": 3, "K": 2, "R": 3}),
+    "file-lda": lambda tmp: minimal_config(
+        **TestCli._file_lda(tmp), federation={"M": 1, "K": 2, "R": 3}),
+}
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 4),
+    st.sampled_from([0.0, 0.5, 2.0, -1.0, 1e300]),
+    st.sampled_from(["", "x", "z0", "auto", "grid", "exact-concave", "T1",
+                     "T5", "T7", "l1", "box-indicator", "affine",
+                     "bounded-nonlinear", "lda", "lippax", "bounded-uniform"]),
+    st.lists(st.one_of(st.integers(-1, 2), st.sampled_from([0.5, -1.0])),
+             max_size=4),
+    st.dictionaries(st.sampled_from(["kind", "M", "x"]), st.integers(0, 2),
+                    max_size=2))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(sorted(FUZZ_BASES)),
+           path=st.sampled_from(sorted(p for p, _ in _schema_fields(SCHEMA))),
+           value=JSON_VALUES)
+    @example(base="file-lda", path=("gap", "center"), value=[0, 0, 0])
+    @example(base="file-lda", path=("regularizer", "lo"), value=[-1, -1, -1])
+    # lo = hi = 1: the box is the point (1, 1), outside the unit gap ball
+    @example(base="file-lda", path=("regularizer", "lo"), value=1)
+    @example(base="affine", path=("gap", "method"), value="grid")
+    @example(base="nonlinear-slippax", path=("gap", "method"),
+             value="exact-concave")
+    @example(base="nonlinear-slippax", path=("noise", "sigma"), value=1e300)
+    def test_one_field_set_gives_rows_or_config_error(self, tmp_path, base,
+                                                      path, value):
+        """Any value at any field: rows or a ConfigError, no other raise."""
+        tree = FUZZ_BASES[base](tmp_path)
+        node = tree
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            cfg = ExperimentConfig.from_dict(tree)
+            cfg.output = None  # checked, but no file is written
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                rows = run_experiment(cfg)
+        except ConfigError:
+            return
+        assert rows
 
 
 class TestRunExperiment:
@@ -166,7 +256,17 @@ class TestRunExperiment:
         header = out.read_text().splitlines()[0]
         assert header == ("algo,theorem_id,d,M,K,R,sigma,eta,gamma,delta,H,"
                           "seed,round,gap_value,gap_certified,drift_z,"
-                          "dist_to_solution,wall_ms,status")
+                          "dist_to_solution,status")
+
+    def test_sigma_cells_match_across_spellings(self):
+        """An integer sigma writes the same cells as a base or sweep value."""
+        noise = {"sigma": 1, "model": "gaussian-isotropic"}
+        base = run_experiment(minimal_config(noise=noise))
+        swept = run_experiment(minimal_config(
+            noise=dict(noise, sigma=0.0), sweep={"sigma": [1]}))
+        assert rows_to_csv(base) == rows_to_csv(swept)
+        assert {r.sigma for r in swept} == {1.0}
+        assert rows_to_csv(swept).splitlines()[1].split(",")[6] == "1.0"
 
     def test_sweep_cross_product(self):
         rows = run_experiment(minimal_config(sweep={"M": [1, 2]},
@@ -449,28 +549,57 @@ class TestCli:
         path.write_text(text)
         return {"kind": "affine", "file": str(path)}
 
-    @pytest.mark.parametrize("mutate", [
-        lambda t, tmp: t["gap"].update(method="newton"),
-        lambda t, tmp: t["noise"].update(sigma="1"),
-        lambda t, tmp: t["algorithm"].update(eta=-1),
-        lambda t, tmp: t.update(z0=[0, 0, 0]),
-        lambda t, tmp: t.update(
+    @staticmethod
+    def _file_lda(tmp, **regularizer):
+        return {"problem": TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+                "algorithm": {"id": "lda", "eta": 0.1},
+                "regularizer": dict({"kind": "box-indicator", "lo": -1.0,
+                                     "hi": 1.0}, **regularizer)}
+
+    @staticmethod
+    def _nonlinear(tree, **algorithm):
+        tree["problem"] = {"kind": "bounded-nonlinear", "dim": 3, "seed": 1}
+        tree["algorithm"].update(algorithm)
+
+    @pytest.mark.parametrize("mutate,path", [
+        (lambda t, tmp: t["gap"].update(method="newton"), "gap.method"),
+        (lambda t, tmp: t["noise"].update(sigma="1"), "noise.sigma"),
+        (lambda t, tmp: t["algorithm"].update(eta=-1), "algorithm.eta"),
+        (lambda t, tmp: t.update(z0=[0, 0, 0]), "z0"),
+        (lambda t, tmp: t.update(
             problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
-            z0=[0, 0, 0]),
-        lambda t, tmp: t.update(
+            z0=[0, 0, 0]), "z0"),
+        (lambda t, tmp: t.update(
             problem=TestCli._matrix_file(tmp, "2\n1 0\n0 x\n0 0\n")),
-        lambda t, tmp: t.update(
+         "problem.file"),
+        (lambda t, tmp: t.update(
             problem={"kind": "affine", "file": str(tmp / "missing.txt")}),
-        lambda t, tmp: t.update(problem={"kind": "affine", "file": None}),
-    ] + [lambda t, tmp, p=p: p[1](t) for p in PROBES],
+         "problem.file"),
+        (lambda t, tmp: t.update(problem={"kind": "affine", "file": None}),
+         "problem.file"),
+        (lambda t, tmp: t.update(
+            problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+            gap={"D": 1.0, "center": [0, 0, 0]}), "gap.center"),
+        (lambda t, tmp: t.update(TestCli._file_lda(tmp, lo=[-1, -1, -1])),
+         "regularizer.lo"),
+        (lambda t, tmp: t.update(gap={"D": 1.0, "method": "grid"}) or
+         t["problem"].update(dim=5), "gap.method"),
+        (lambda t, tmp: TestCli._nonlinear(t) or t["gap"].update(
+            method="exact-concave"), "gap.method"),
+        (lambda t, tmp: TestCli._nonlinear(t, id="slippax", schedule="T5")
+         or t.update(noise={"sigma": 1e300, "model": "gaussian-isotropic"}),
+         "algorithm.schedule"),
+    ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
-             "file-not-a-path"] + [p[0] for p in PROBES])
-    def test_malformed_fields_exit_2(self, tmp_path, mutate, capsys):
+             "file-not-a-path", "file-center-length", "file-box-lo-length",
+             "grid-dim-5", "exact-concave-nonlinear", "schedule-overflow"]
+        + [p[0] for p in PROBES])
+    def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()
         mutate(tree, tmp_path)
         assert cli_main(["run", self._write(tmp_path, tree)]) == 2
-        assert "config rejected" in capsys.readouterr().err
+        assert f"config rejected: {path}: " in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"
