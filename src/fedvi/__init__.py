@@ -4,9 +4,8 @@ variational-inequality algorithms over synthetic monotone operators."""
 from .algorithms import (RunConfig, StepSizePlan, Trajectory, constants_of,
                          run_lda, run_lesgd, run_lesgd_hetero, run_lippax,
                          run_lsgd, run_slippax, solve_inner_prox, step_size)
-from .gaps import (CocoercivityReport, DriftSnapshot, GapEstimate,
-                   check_eg_cocoercivity, client_drift, composite_gap,
-                   exact_prox_point, restricted_gap)
+from .gaps import (CocoercivityReport, GapEstimate, check_eg_cocoercivity,
+                   composite_gap, exact_prox_point, restricted_gap)
 from .harness import (ConfigError, ExperimentConfig, RateFit, ResultRow,
                       compare_reduction, fit_rate, run_experiment)
 from .operators import (OperatorSpec, PropertyReport, affine_operator,

@@ -273,10 +273,8 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
                       algo: str) -> Trajectory:
     stream = RngStream(cfg.master_seed)
     eta = cfg.eta
-    H = cfg.H if cfg.H is not None else default_inner_steps(cfg.K, cfg.R)
-    gamma = cfg.gamma
-    if gamma is None:
-        gamma = derived_gamma(eta, oracle.base.L)
+    H = cfg.H or default_inner_steps(cfg.K, cfg.R)
+    gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
 
     def step(t, z, sync):
         x = solve_inner_prox(oracle, z, eta, gamma, H, stream, delta,

@@ -9,13 +9,16 @@ import argparse
 import csv
 import sys
 
-from .harness import ConfigError, ExperimentConfig, fit_rate, run_experiment
+from .harness import (SCHEMA, ConfigError, ExperimentConfig, fit_rate,
+                      run_experiment)
 
 
 def _cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed_override is not None:
+            if not SCHEMA["seeds"][1]([args.seed_override]):
+                raise ConfigError("--seed-override", "must be an integer >= 0")
             cfg.seeds = [args.seed_override]
         rows = run_experiment(cfg, workers=args.workers, out_path=args.out)
     except ConfigError as exc:
@@ -27,12 +30,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    with open(args.csv) as fh:
-        rows = list(csv.DictReader(fh))
     group_by = [g for g in args.group.split(",") if g] if args.group else []
     try:
+        with open(args.csv) as fh:
+            rows = list(csv.DictReader(fh))
         fits = fit_rate(rows, group_by, args.x)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 2
     for key, fit in sorted(fits.items()):

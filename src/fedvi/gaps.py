@@ -1,4 +1,4 @@
-"""Error functionals: restricted gap, composite gap, drift statistics.
+"""Error functionals: restricted gap, composite gap, client dispersion.
 
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
@@ -30,17 +30,6 @@ class GapEstimate:
     method: str
     certified: bool
     maximizer: np.ndarray
-
-
-@dataclass(frozen=True)
-class DriftSnapshot:
-    """Across-client dispersion at one round."""
-
-    t: int
-    points: np.ndarray
-    drift_z: float | None
-    drift_x: float | None
-    pairwise_max: float
 
 
 @dataclass(frozen=True)
@@ -280,23 +269,6 @@ def dispersion(points: np.ndarray) -> float:
         return 0.0
     center = points.mean(axis=0)
     return float(((points - center) ** 2).sum(axis=1).mean())
-
-
-def client_drift(points: np.ndarray, which: str = "z",
-                 t: int = 0) -> DriftSnapshot:
-    """Mean squared deviation from the client mean, plus the pairwise max."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise ValueError("need a (M >= 2, d) array of client points")
-    if which not in ("z", "x"):
-        raise ValueError("which must be 'z' or 'x'")
-    drift = dispersion(points)
-    diffs = points[:, None, :] - points[None, :, :]
-    pairwise = float((diffs ** 2).sum(axis=2).max())
-    return DriftSnapshot(t=t, points=points.copy(),
-                         drift_z=drift if which == "z" else None,
-                         drift_x=drift if which == "x" else None,
-                         pairwise_max=pairwise)
 
 
 def check_eg_cocoercivity(op: OperatorSpec, eta: float, n_pairs: int = 10_000,

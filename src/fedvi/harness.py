@@ -186,6 +186,15 @@ SCHEMA = {
     "max_runs": (4096, _count, _COUNT),
 }
 
+# Fields only these ids read; on another id the CSV would show unused values
+READERS = {
+    "algorithm.H": ("lippax", "slippax"),
+    "algorithm.gamma": ("lippax", "slippax"),
+    "algorithm.delta": ("slippax",),
+    "regularizer": ("lda",),
+    "problem.hetero": ("lesgd-hetero",),
+}
+
 
 def _fill(schema: dict, node, path: str) -> dict:
     """node checked against a SCHEMA block, every default filled in.
@@ -242,9 +251,22 @@ class ExperimentConfig:
         reg = c["regularizer"]
         _expect(problem["dim"] is not None or problem["file"] is not None,
                 "problem.dim", "required when no problem.file is given")
-        _expect(algorithm["eta"] is not None or
-                algorithm["schedule"] is not None, "algorithm.eta",
+        _expect(problem["file"] is None or problem["kind"] == "affine",
+                "problem.kind", 'must be "affine" with a problem.file')
+        _expect(problem["file"] is None or problem["params"] is None,
+                "problem.params", "not read with a problem.file")
+        # step sizes come from the schedule or from the config, never both
+        scheduled = algorithm["schedule"] is not None
+        _expect(algorithm["eta"] is not None or scheduled, "algorithm.eta",
                 "required when no theorem schedule is given")
+        for name in ("eta", "gamma", "delta"):
+            _expect(not scheduled or algorithm[name] is None,
+                    f"algorithm.{name}", "already set by algorithm.schedule")
+        for path, ids in READERS.items():
+            block, _, key = path.rpartition(".")  # problem/algorithm: required
+            _expect((tree[block] if block else tree).get(key) is None or
+                    algorithm["id"] in ids, path,
+                    f"read only by algorithm.id {' or '.join(ids)}")
         _expect("regularizer" not in tree or "kind" in tree["regularizer"],
                 "regularizer.kind", "required when the block is given")
         for name in ("lo", "hi"):
@@ -259,6 +281,10 @@ class ExperimentConfig:
         sweep = {k: v for k, v in c["sweep"].items() if v is not None}
         if "sigma" in sweep:
             sweep["sigma"] = [float(v) for v in sweep["sigma"]]
+        # sigma alone decides whether a run draws noise
+        _expect(c["noise"]["model"] != "none" or not any(
+            [c["noise"]["sigma"], *sweep.get("sigma", [])]), "noise.model",
+            '"none" needs noise.sigma and every sweep.sigma to be 0')
         cfg = ExperimentConfig(**dict(c, regularizer=regularizer, sweep=sweep,
                                       seeds=list(c["seeds"])))
         if problem["file"] is None:
@@ -271,11 +297,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_file(path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 tree = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError("<file>", f"cannot load {path}: {exc}") from exc
         return ExperimentConfig.from_dict(tree)
 
     def check_dimension(self, dim: int) -> None:
@@ -320,6 +346,8 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
         except (OSError, ValueError) as exc:
             raise ConfigError("problem.file", str(exc)) from exc
         # from_dict cannot check points before the file gives the dimension
+        _expect(problem["dim"] in (None, op.dim), "problem.dim",
+                f"must be {op.dim}, the dimension of problem.file")
         cfg.check_dimension(op.dim)
     else:
         try:
@@ -332,8 +360,8 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
             f"grid needs a problem of dimension <= 2, not {op.dim}")
     _expect(method != "exact-concave" or op.is_affine, "gap.method",
             "exact-concave needs an affine operator")
-    reg = cfg.regularizer
-    if reg.kind == "box-indicator" and cfg.algorithm["id"] == "lda":
+    reg = cfg.regularizer  # zero unless the algorithm is lda
+    if reg.kind == "box-indicator":
         center = cfg.gap_center(op.dim)
         _expect(np.linalg.norm(np.clip(center, reg.lo, reg.hi) - center)
                 <= cfg.gap["D"], "gap.D",
@@ -353,30 +381,21 @@ def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
     return offsets, xi
 
 
-def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, M: int, K: int,
-                  R: int, sigma: float, xi: float | None):
-    """Step sizes from the theorem schedule, with explicit overrides."""
-    algo = cfg.algorithm
-    schedule = algo["schedule"]
-    eta, gamma, delta = algo["eta"], algo["gamma"], algo["delta"]
-    if schedule is not None:
-        D = cfg.gap["D"]
-        G_eff = op.G
-        if not np.isfinite(G_eff) and schedule in ("T3", "T4", "T5", "T7"):
-            center = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0)
-            G_eff = operator_bound_on_ball(op, center, 10.0 * D)
-        consts = constants_of(op, xi=xi, G_override=G_eff)
-        try:
-            plan = step_size(schedule, consts,
-                             {"M": M, "K": K, "R": R, "sigma": sigma, "D": D},
-                             delta_rule=algo["delta_rule"])
-        except (ArithmeticError, ValueError) as exc:
-            raise ConfigError("algorithm.schedule",
-                              f"no step size for this run: {exc}") from exc
-        eta = eta if eta is not None else plan.eta
-        gamma = gamma if gamma is not None else plan.gamma
-        delta = delta if delta is not None else plan.delta
-    return eta, gamma, (delta or 0.0), algo["H"]
+def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
+                  xi: float | None):
+    """(eta, gamma, delta) as configured, or as the schedule gives them."""
+    algo, D = cfg.algorithm, cfg.gap["D"]
+    if algo["schedule"] is None:
+        return algo["eta"], algo["gamma"], algo["delta"] or 0.0
+    center = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0)
+    G = operator_bound_on_ball(op, center, 10.0 * D)
+    try:
+        plan = step_size(algo["schedule"], constants_of(op, xi, G),
+                         dict(spec, D=D), delta_rule=algo["delta_rule"])
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError("algorithm.schedule",
+                          f"no step size for this run: {exc}") from exc
+    return plan.eta, None, plan.delta  # the runner derives gamma from eta
 
 
 def _run_once(cfg: ExperimentConfig, spec: dict
@@ -386,22 +405,21 @@ def _run_once(cfg: ExperimentConfig, spec: dict
     Returns the trajectory and the operator its gaps are measured on
     (also for heterogeneous clients, whose offsets sum to zero).
     """
-    M, K, R = spec["M"], spec["K"], spec["R"]
-    sigma, seed = spec["sigma"], spec["seed"]
+    M, sigma = spec["M"], spec["sigma"]
     op = build_problem(cfg)
     algo_id = cfg.algorithm["id"]
 
     offsets = xi = None
     if algo_id == "lesgd-hetero":
         offsets, xi = _hetero_offsets(op, cfg, M)
-    eta, gamma, delta, H = _resolve_plan(cfg, op, M, K, R, sigma, xi)
+    eta, gamma, delta = _resolve_plan(cfg, op, spec, xi)
 
-    run_cfg = RunConfig(M=M, K=K, R=R, eta=eta, gamma=gamma, delta=delta,
-                        H=H, log_every=cfg.log_every,
-                        master_seed=_run_master_seed(seed, M, K, R, sigma),
+    run_cfg = RunConfig(M=M, K=spec["K"], R=spec["R"], eta=eta, gamma=gamma,
+                        delta=delta, H=cfg.algorithm["H"],
+                        log_every=cfg.log_every,
+                        master_seed=_run_master_seed(**spec),
                         z0=None if cfg.z0 is None else np.asarray(cfg.z0, float))
-    noise_model = cfg.noise["model"] if sigma > 0 else "none"
-    oracle = OracleSpec(base=op, noise_model=noise_model, sigma=sigma)
+    oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
 
     if algo_id == "lesgd-hetero":
         traj = run_lesgd_hetero(oracle, offsets, run_cfg)
@@ -423,7 +441,7 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution
     algo_id = cfg.algorithm["id"]
-    use_composite = cfg.regularizer.kind != "zero" and algo_id == "lda"
+    use_composite = cfg.regularizer.kind != "zero"
     rows = []
     for rec in traj.records:
         # from the first non-finite record on, no gap is evaluated
@@ -594,9 +612,8 @@ def verify_problem(cfg: ExperimentConfig, n_pairs: int = 10_000,
         failures.append(f"co-coercivity: measured beta {report.measured_beta:g}"
                         f" exceeds declared {op.beta:g}")
     sigma = cfg.noise["sigma"]
-    if sigma > 0:
-        oracle = OracleSpec(base=op, noise_model=cfg.noise["model"],
-                            sigma=sigma)
+    oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
+    if oracle.is_stochastic():
         stream = RngStream(seed)
         z = np.zeros(op.dim)
         n = 20_000

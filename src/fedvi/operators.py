@@ -48,7 +48,6 @@ class OperatorSpec:
     G: float = INF
     beta: float = INF
     Lambda: float = INF
-    is_affine: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -63,6 +62,11 @@ class OperatorSpec:
             if s_min < -1e-10:
                 raise ValueError(
                     f"affine matrix is not monotone: min sym eigenvalue {s_min:g}")
+
+    @property
+    def is_affine(self) -> bool:
+        """Whether V(z) = Az + b; every kind but bounded-nonlinear is."""
+        return self.kind != "bounded-nonlinear"
 
     @property
     def solution(self) -> np.ndarray | None:
@@ -154,9 +158,9 @@ def beta_affine(A: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(B.T @ B).max())
 
 
-def _affine_spec(kind: str, A: np.ndarray, b: np.ndarray,
-                 solution: np.ndarray | None = None,
-                 extra: dict[str, Any] | None = None) -> OperatorSpec:
+def affine_operator(A: np.ndarray, b: np.ndarray, kind: str = "affine",
+                    solution: np.ndarray | None = None) -> OperatorSpec:
+    """Affine operator V(z) = Az + b with constants read off the spectra."""
     A, b = np.asarray(A, float), np.asarray(b, float)
     d = A.shape[0]
     if A.shape != (d, d) or b.shape != (d,):
@@ -166,17 +170,12 @@ def _affine_spec(kind: str, A: np.ndarray, b: np.ndarray,
         solution = np.linalg.solve(A, -b)
     if solution is not None:
         payload["solution"] = _frozen(solution)
-    if extra:
-        payload.update(extra)
-    L = float(np.linalg.norm(A, 2))
-    return OperatorSpec(dim=d, kind=kind, payload=payload, L=L,
-                        beta=beta_affine(A), Lambda=0.0, is_affine=True)
-
-
-def affine_operator(A: np.ndarray, b: np.ndarray, kind: str = "affine",
-                    solution: np.ndarray | None = None) -> OperatorSpec:
-    """Affine operator V(z) = Az + b with constants read off the spectra."""
-    return _affine_spec(kind, A, b, solution=solution)
+    op = OperatorSpec(dim=d, kind=kind, payload=payload,
+                      L=float(np.linalg.norm(A, 2)), beta=beta_affine(A),
+                      Lambda=0.0)
+    if not op.is_affine:
+        raise ValueError(f"kind {kind!r} is not affine")
+    return op
 
 
 def operator_bound_on_ball(op: OperatorSpec, center: np.ndarray,
@@ -237,7 +236,7 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         A = S + skew_w * _random_skew(rng, dim)
         A *= L / np.linalg.norm(A, 2)
         b = b_scale * rng.standard_normal(dim)
-        return _affine_spec("affine", A, b)
+        return affine_operator(A, b)
 
     if kind == "skew":
         L = float(params.pop("L", 1.0))
@@ -245,8 +244,8 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         J = np.zeros((dim, dim))
         for i in range(0, dim - 1, 2):
             J[i, i + 1], J[i + 1, i] = L, -L
-        return _affine_spec("skew", J, np.zeros(dim),
-                            solution=np.zeros(dim))
+        return affine_operator(J, np.zeros(dim), "skew",
+                               solution=np.zeros(dim))
 
     if kind == "bilinear-saddle":
         L = float(params.pop("L", 1.0))
@@ -269,8 +268,7 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         if dx == dy and np.linalg.matrix_rank(B) == dx:
             solution = np.concatenate(
                 [np.linalg.solve(B.T, e), np.linalg.solve(B, -c)])
-        return _affine_spec("bilinear-saddle", A, b, solution=solution,
-                            extra={"B": _frozen(B), "dx": dx})
+        return affine_operator(A, b, "bilinear-saddle", solution=solution)
 
     if kind == "quadratic-gradient":
         lo, hi = params.pop("eig_range", (0.1, 1.0))
@@ -288,7 +286,7 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         Q = (U * lam) @ U.T
         Q = 0.5 * (Q + Q.T)
         b = b_scale * rng.standard_normal(dim)
-        return _affine_spec("quadratic-gradient", Q, b)
+        return affine_operator(Q, b, "quadratic-gradient")
 
     if kind == "bounded-nonlinear":
         L = float(params.pop("L", 1.0))
@@ -368,6 +366,4 @@ def load_affine_text(path) -> OperatorSpec:
         raise ValueError(
             f"{path}: expected {need} numbers for d={d}, found {len(tokens)}")
     vals = np.array([float(t) for t in tokens[1:]])
-    A = vals[:d * d].reshape(d, d)
-    b = vals[d * d:]
-    return _affine_spec("affine", A, b)
+    return affine_operator(vals[:d * d].reshape(d, d), vals[d * d:])

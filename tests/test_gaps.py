@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedvi.gaps import (_multistart_ascent, check_eg_cocoercivity,
-                        client_drift, composite_gap, exact_prox_point,
+                        composite_gap, dispersion, exact_prox_point,
                         restricted_gap)
 from fedvi.operators import (affine_operator, eval_operator, make_test_problem,
                              op_jacobian)
@@ -293,27 +293,18 @@ class TestExactProxPoint:
             exact_prox_point(op, np.zeros(3), 0.5)
 
 
-class TestClientDrift:
+class TestDispersion:
     def test_identical_points(self):
         # 0.1 is not a float whose mean over 3 rows is bit-exact
         for value in (1.0, 0.1):
-            snap = client_drift(np.full((3, 2), value), which="z", t=5)
-            assert snap.drift_z == 0.0 and snap.pairwise_max == 0.0
-            assert snap.t == 5 and snap.drift_x is None
+            assert dispersion(np.full((3, 2), value)) == 0.0
 
     def test_two_clients_symmetric(self):
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        snap = client_drift(pts, which="x")
-        assert snap.drift_x == 1.0
-        assert snap.pairwise_max == 4.0
+        assert dispersion(np.array([[1.0, 0.0], [-1.0, 0.0]])) == 1.0
 
     def test_three_scalar_clients(self):
-        snap = client_drift(np.array([[0.0], [1.0], [2.0]]))
-        assert snap.drift_z == pytest.approx(2.0 / 3.0)
-
-    def test_requires_two_clients(self):
-        with pytest.raises(ValueError):
-            client_drift(np.ones((1, 3)))
+        assert dispersion(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(
+            2.0 / 3.0)
 
 
 class TestEgCocoercivity:

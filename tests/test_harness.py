@@ -319,6 +319,9 @@ class TestRunExperiment:
         tree["federation"] = {"M": 2, "K": 3, "R": 4}
         (row,) = run_experiment(tree)
         assert row.H == default_inner_steps(3, 4)
+        # the runner derives gamma from the schedule's eta
+        L = build_problem(ExperimentConfig.from_dict(tree)).L
+        assert row.gamma == derived_gamma(row.eta, L)
 
         tree = minimal_config()
         tree["algorithm"] = {"id": "lippax", "eta": 0.2}
@@ -560,6 +563,8 @@ class TestCli:
     def _nonlinear(tree, **algorithm):
         tree["problem"] = {"kind": "bounded-nonlinear", "dim": 3, "seed": 1}
         tree["algorithm"].update(algorithm)
+        if "schedule" in algorithm:
+            del tree["algorithm"]["eta"]  # the schedule sets eta
 
     @pytest.mark.parametrize("mutate,path", [
         (lambda t, tmp: t["gap"].update(method="newton"), "gap.method"),
@@ -589,17 +594,61 @@ class TestCli:
         (lambda t, tmp: TestCli._nonlinear(t, id="slippax", schedule="T5")
          or t.update(noise={"sigma": 1e300, "model": "gaussian-isotropic"}),
          "algorithm.schedule"),
+        (lambda t, tmp: t["algorithm"].update(schedule="T1"),
+         "algorithm.eta"),
+        (lambda t, tmp: t.update(algorithm={"id": "lippax", "schedule": "T3",
+                                            "gamma": 0.05}),
+         "algorithm.gamma"),
+        (lambda t, tmp: t.update(algorithm={"id": "slippax", "schedule": "T5",
+                                            "delta": 0.01}),
+         "algorithm.delta"),
+        (lambda t, tmp: t["noise"].update(sigma=0.5), "noise.model"),
+        (lambda t, tmp: t.update(sweep={"sigma": [0, 1]}), "noise.model"),
+        (lambda t, tmp: t.update(problem=dict(
+            TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+            kind="bounded-nonlinear")), "problem.kind"),
+        (lambda t, tmp: t.update(problem=dict(
+            TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"), dim=5)),
+         "problem.dim"),
+        (lambda t, tmp: t.update(problem=dict(
+            TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+            params={"L": 2.0})), "problem.params"),
+        (lambda t, tmp: t["algorithm"].update(H=3), "algorithm.H"),
+        (lambda t, tmp: t["algorithm"].update(gamma=0.5), "algorithm.gamma"),
+        (lambda t, tmp: t["algorithm"].update(delta=0.3), "algorithm.delta"),
+        (lambda t, tmp: t.update(regularizer={"kind": "l1", "lam": 5.0}),
+         "regularizer"),
+        (lambda t, tmp: t["problem"].update(hetero={"offset_scale": 9.0}),
+         "problem.hetero"),
+        # a mutator that returns CLI arguments replaces the config path
+        (lambda t, tmp: [str(tmp / "nope.json")], "<file>"),
+        (lambda t, tmp: [str(tmp / "config.json"), "--seed-override", "-1"],
+         "--seed-override"),
     ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
              "file-not-a-path", "file-center-length", "file-box-lo-length",
-             "grid-dim-5", "exact-concave-nonlinear", "schedule-overflow"]
+             "grid-dim-5", "exact-concave-nonlinear", "schedule-overflow",
+             "schedule-with-eta", "schedule-with-gamma", "schedule-with-delta",
+             "model-none-sigma", "model-none-sweep-sigma", "file-kind",
+             "file-dim", "file-params", "lesgd-H", "lesgd-gamma",
+             "lesgd-delta", "lesgd-regularizer", "lesgd-hetero-block",
+             "config-missing", "seed-override-negative"]
         + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()
-        mutate(tree, tmp_path)
-        assert cli_main(["run", self._write(tmp_path, tree)]) == 2
+        args = mutate(tree, tmp_path)
+        config = self._write(tmp_path, tree)
+        assert cli_main(["run", *(args or [config])]) == 2
         assert f"config rejected: {path}: " in capsys.readouterr().err
+
+    def test_verify_missing_config_exits_2(self, tmp_path, capsys):
+        assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2
+        assert "config rejected: <file>: " in capsys.readouterr().err
+
+    def test_fit_missing_csv_exits_2(self, tmp_path, capsys):
+        assert cli_main(["fit", str(tmp_path / "nope.csv"), "--x", "R"]) == 2
+        assert "fit failed: " in capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

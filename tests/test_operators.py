@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedvi.operators import (affine_operator, eval_operator,
+from fedvi.operators import (OperatorSpec, affine_operator, eval_operator,
                              load_affine_text, make_test_problem, op_jacobian,
                              op_vjp, operator_bound_on_ball, verify_properties)
 
@@ -165,6 +165,17 @@ class TestVerifyProperties:
     def test_non_monotone_affine_rejected_at_construction(self):
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(2), np.zeros(2))
+
+    def test_kind_decides_affinity(self):
+        """A spec built by hand is affine exactly when its kind is."""
+        A, b = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([0.5, 0.0])
+        op = OperatorSpec(dim=2, kind="affine", payload={"A": A, "b": b},
+                          L=float(np.linalg.norm(A, 2)))
+        assert op.is_affine
+        np.testing.assert_array_equal(eval_operator(op, np.ones(2)),
+                                      [2.5, 0.0])
+        with pytest.raises(ValueError, match="not affine"):
+            affine_operator(A, b, kind="bounded-nonlinear")
 
 
 class TestBoundOnBall:
