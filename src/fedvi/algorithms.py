@@ -4,17 +4,22 @@ Five methods plus a heterogeneous variant, all run by one round loop,
 :func:`_round_loop`: clients take local steps and replace their states
 with the across-client mean whenever mod(t, K) = 0.  The methods differ
 only in the local step each one hands to that loop (extra-gradient,
-inexact proximal point plus an extra step, plain SGD, dual averaging).
-Oracle draws are keyed by (client, round, inner step, phase) so that
+inexact proximal point plus an extra step, plain SGD, dual averaging)
+and in the oracle queries that step makes.
+Oracle draws are keyed by (client, step t, inner step, phase) so that
 trajectories are bit-stable under any execution order, and so that the
 exact reductions hold (dual averaging with zero regularizer == extra
 SGD; smoothed inexact prox with delta = 0 == unsmoothed; zero client
-offsets == homogeneous).  Every oracle query of a step is one
-:func:`sample_oracle` call on the (M, d) client stack.
+offsets == homogeneous).  A key fixes its draw whatever the query point,
+so the loop draws each round's randomness ahead, one
+:func:`draw_rows` pass per block of whole steps, and every oracle query
+of a step is one :func:`sample_oracle` call on the (M, d) client stack
+with its pre-drawn rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -23,7 +28,7 @@ import numpy as np
 
 from .gaps import dispersion
 from .operators import OperatorSpec
-from .oracles import OracleSpec, noiseless, sample_oracle
+from .oracles import Draws, OracleSpec, draw_rows, noiseless, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
 
@@ -118,45 +123,95 @@ class Trajectory:
         return "ok" if self.diverged_at is None else "diverged"
 
 
-def _query_clients(oracle: OracleSpec, points: np.ndarray, stream: RngStream,
-                   t: int, phase: int, inner: int = 0, delta: float = 0.0,
-                   client: int = 0) -> np.ndarray:
-    """One oracle draw per client, at that client's point and path.
+# Cells (query rows x d, both draw tags) one pre-drawn block may hold.  A
+# round's randomness is drawn ahead in blocks of whole steps under this
+# budget, one step at least, so a table's memory does not grow with K.
+DRAW_BLOCK_CELLS = 1 << 16
 
-    Row m of the (M, d) stack is client ``client + m`` on path
-    (client + m, t, inner, phase), one :meth:`RngStream.at` key per row.
-    All rows are one :func:`sample_oracle` call, which evaluates and
-    draws each row on its own, so a client's bits never depend on M.
+# The query slots of one local step: (inner step, phase, smoothing radius)
+Queries = Sequence[tuple[int, int, float]]
+
+
+def _draw_steps(oracle: OracleSpec, stream: RngStream, steps: Sequence[int],
+                queries: Queries, M: int, client: int = 0
+                ) -> list[list[Draws | None]]:
+    """Pre-drawn rows of every query of the given steps, in one pass.
+
+    Row m of query j in step t is on path (client + m, t, inner_j,
+    phase_j); each row that draws takes one :meth:`RngStream.at` key, and
+    all of them are one :func:`draw_rows` call.  Entry [i][j] is query
+    j's (M, d) rows in steps[i], or None when that query draws nothing.
     """
-    keys = None
-    if oracle.is_stochastic(delta):
-        keys = [stream.at(client + m, t, inner, phase)
-                for m in range(len(points))]
-    return sample_oracle(oracle, points, keys, delta)
+    live = [j for j, (_, _, delta) in enumerate(queries)
+            if oracle.is_stochastic(delta)]
+    table = [[None] * len(queries) for _ in steps]
+    if not live:
+        return table
+    at = stream.at
+    keys = [at(client + m, t, queries[j][0], queries[j][1])
+            for t in steps for j in live for m in range(M)]
+    radii = np.array([queries[j][2] for j in live])
+    shift, noise = draw_rows(oracle, keys,
+                             np.repeat(np.tile(radii, len(steps)), M))
+    # the smoothed rows come back alone, in the same (step, query, m) order
+    smoothed = {j: n for n, j in enumerate(
+        j for j in live if queries[j][2] > 0)}
+    if shift is not None:
+        shift = shift.reshape(len(steps), len(smoothed), M, oracle.dim)
+    if noise is not None:
+        noise = noise.reshape(len(steps), len(live), M, oracle.dim)
+    for i, row in enumerate(table):
+        for k, j in enumerate(live):
+            row[j] = Draws(shift[i, smoothed[j]] if j in smoothed else None,
+                           None if noise is None else noise[i, k])
+    return table
 
 
-def _round_loop(cfg: RunConfig, dim: int, step: Callable,
-                algo: str) -> Trajectory:
+def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
+    """Each step's pre-drawn query rows for t = 1..T, a round at a time.
+
+    A round's K steps are drawn ahead in blocks of whole steps of at most
+    DRAW_BLOCK_CELLS cells.  Queries that draw nothing build no table.
+    """
+    if not any(oracle.is_stochastic(delta) for _, _, delta in queries):
+        yield from itertools.repeat([None] * len(queries), cfg.T)
+        return
+    stream = RngStream(cfg.master_seed)
+    per_block = max(1, DRAW_BLOCK_CELLS
+                    // (2 * len(queries) * cfg.M * oracle.dim))
+    for start in range(1, cfg.T + 1, cfg.K):
+        for first in range(start, start + cfg.K, per_block):
+            steps = range(first, min(first + per_block, start + cfg.K))
+            yield from _draw_steps(oracle, stream, steps, queries, cfg.M)
+
+
+def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
+                algo: str, queries: Queries) -> Trajectory:
     """The round structure every runner shares.
 
-    ``step(t, z, sync)`` is the runner's local update of all M client
-    states z; it returns ``(z_next, x, p)``: the next states before
-    averaging, the points whose dispersion is drift_x, and the points
-    whose client mean is the round's output.  The loop runs T = K R
-    steps from z0, averages z_next across clients when ``sync`` (that
-    is, mod(t, K) = 0), keeps the running mean of the round outputs
-    (memory O(d)), and records every cadence steps and at t = T.  At
-    each record it checks that z and the output are finite; the first
-    record that fails marks the run diverged from that step on.
+    ``step(t, z, sync, draws)`` is the runner's local update of all M
+    client states z, given ``draws[j]``, the pre-drawn rows of its j-th
+    query ``queries[j]`` (None when that query draws nothing).  It
+    returns ``(z_next, x, p)``: the next states before averaging, the
+    points whose dispersion is drift_x, and the points whose client mean
+    is the round's output.  The loop runs T = K R steps from z0,
+    averages z_next across clients when ``sync`` (that is, mod(t, K) =
+    0), keeps the running mean of the round outputs (memory O(d)), and
+    records every cadence steps and at t = T.  At each record it checks
+    that z and the output are finite; the first record that fails marks
+    the run diverged from that step on.  The trajectory's ``delta`` is
+    the largest radius the queries were drawn with.
     """
+    dim = oracle.dim
     z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
     diverged_at = None
     cadence = cfg.record_cadence()
+    draws = _step_draws(oracle, cfg, queries)
     for t in range(1, cfg.T + 1):
         sync = t % cfg.K == 0
-        z, x, p = step(t, z, sync)
+        z, x, p = step(t, z, sync, next(draws))
         if sync:
             z[:] = z.mean(axis=0)
         round_mean = p.mean(axis=0)
@@ -170,6 +225,7 @@ def _round_loop(cfg: RunConfig, dim: int, step: Callable,
                 drift_z=dispersion(z), drift_x=dispersion(x)))
     warnings = [] if diverged_at is None else [
         f"{algo} run diverged: non-finite iterates at step {diverged_at}"]
+    cfg = replace(cfg, delta=max(delta for _, _, delta in queries))
     return Trajectory(algo=algo, records=records, final_output=output,
                       config=cfg, warnings=warnings, diverged_at=diverged_at)
 
@@ -181,21 +237,21 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
 
     With ``offsets``, client m queries V(z) + offsets[m].
     """
-    stream = RngStream(cfg.master_seed)
     eta = cfg.eta
 
-    def query(points, t, phase):
-        q = _query_clients(oracle, points, stream, t, phase)
+    def query(points, rows):
+        q = sample_oracle(oracle, points, draws=rows)
         return q if offsets is None else q + offsets
 
-    def step(t, z, sync):
+    def step(t, z, sync, draws):
         u = mirror_map(MirrorState(t - 1, eta), reg, z)
-        x = z - eta * query(u, t, PHASE_EXTRAPOLATE)
+        x = z - eta * query(u, draws[0])
         if sync:
             x[:] = x.mean(axis=0)
         v = mirror_map(MirrorState(t, eta), reg, x)
-        return z - eta * query(v, t, PHASE_UPDATE), x, v
-    return _round_loop(cfg, oracle.dim, step, algo)
+        return z - eta * query(v, draws[1]), x, v
+    return _round_loop(cfg, oracle, step, algo,
+                       ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))
 
 
 def run_lesgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
@@ -233,13 +289,12 @@ def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
 
 def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     """Plain local SGD on the operator; sound only for co-coercive classes."""
-    stream = RngStream(cfg.master_seed)
 
-    def step(t, x, sync):
-        x = x - cfg.eta * _query_clients(oracle, x, stream, t,
-                                         PHASE_EXTRAPOLATE)
+    def step(t, x, sync, draws):
+        x = x - cfg.eta * sample_oracle(oracle, x, draws=draws[0])
         return x, x, x
-    traj = _round_loop(cfg, oracle.dim, step, "lsgd")
+    traj = _round_loop(cfg, oracle, step, "lsgd",
+                       ((0, PHASE_EXTRAPOLATE, 0.0),))
     if not (oracle.base.beta < math.inf):
         traj.warnings.append(
             "operator does not declare a finite co-coercivity constant; "
@@ -247,43 +302,51 @@ def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     return traj
 
 
+def _inner_queries(H: int, delta: float) -> list[tuple[int, int, float]]:
+    return [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
+
+
 def solve_inner_prox(op: OperatorSpec | OracleSpec, z: np.ndarray, eta: float,
                      gamma: float, H: int, stream: RngStream | None = None,
                      delta: float = 0.0, client: int = 0,
-                     round_index: int = 1) -> np.ndarray:
+                     round_index: int = 1,
+                     draws: Sequence[Draws | None] | None = None
+                     ) -> np.ndarray:
     """H SGD steps on the regularized operator V(x) + (x - anchor) / eta.
 
     ``z`` is one anchor (d,) on client ``client``'s paths, or an (M, d)
     stack whose row m is client ``client + m``.  Smoothing (delta > 0)
-    perturbs only these inner queries.
+    perturbs only these inner queries.  ``draws`` holds the H inner
+    queries' pre-drawn rows; without it they are drawn here from
+    ``stream`` on paths (client + m, round_index, ell, PHASE_INNER).
     """
     oracle = op if isinstance(op, OracleSpec) else noiseless(op)
-    if oracle.is_stochastic(delta) and stream is None:
-        raise ValueError("stochastic inner loop requires an RngStream")
     anchor = np.atleast_2d(np.asarray(z, dtype=float))
+    if draws is None:
+        if oracle.is_stochastic(delta) and stream is None:
+            raise ValueError("stochastic inner loop requires an RngStream")
+        draws = _draw_steps(oracle, stream, [round_index],
+                            _inner_queries(H, delta), len(anchor), client)[0]
     x = anchor.copy()
-    for ell in range(1, H + 1):
-        q = _query_clients(oracle, x, stream, round_index, PHASE_INNER, ell,
-                           delta, client)
+    for ell in range(H):
+        q = sample_oracle(oracle, x, draws=draws[ell])
         x = x - gamma * (q + (x - anchor) / eta)
     return x.reshape(np.shape(z))
 
 
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
                       algo: str) -> Trajectory:
-    stream = RngStream(cfg.master_seed)
     eta = cfg.eta
     H = cfg.H or default_inner_steps(cfg.K, cfg.R)
     gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
 
-    def step(t, z, sync):
-        x = solve_inner_prox(oracle, z, eta, gamma, H, stream, delta,
-                             round_index=t)
+    def step(t, z, sync, draws):
+        x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])
         # outer extra step: fresh, unsmoothed draw at x_t^m
-        return z - eta * _query_clients(oracle, x, stream, t,
-                                        PHASE_UPDATE), x, x
+        return z - eta * sample_oracle(oracle, x, draws=draws[H]), x, x
     # the trajectory reports the inner-loop parameters the run used
-    return _round_loop(replace(cfg, H=H, gamma=gamma), oracle.dim, step, algo)
+    return _round_loop(replace(cfg, H=H, gamma=gamma), oracle, step, algo,
+                       _inner_queries(H, delta) + [(0, PHASE_UPDATE, 0.0)])
 
 
 def run_lippax(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:

@@ -510,9 +510,10 @@ def write_csv(rows: Sequence[ResultRow], path) -> None:
 
 
 def _row_get(row, name: str):
-    if isinstance(row, dict):
-        return row[name]
-    return getattr(row, name)
+    try:
+        return row[name] if isinstance(row, dict) else getattr(row, name)
+    except (KeyError, AttributeError):
+        raise ValueError(f"rows have no {name!r} column") from None
 
 
 def fit_rate(rows: Sequence, group_by: Sequence[str],

@@ -4,15 +4,18 @@ The noise model is only constrained by its variance in the theory, so
 the default is isotropic Gaussian with per-coordinate std sigma/sqrt(d),
 which makes E||noise||^2 equal sigma^2 exactly.  ``bounded-uniform``
 offers a compactly supported alternative calibrated the same way.
-Randomness comes from path keys (:mod:`fedvi.rng`), not generators:
-one query of M client rows is one vectorized draw over M keys.
+Randomness comes from path keys (:mod:`fedvi.rng`): :func:`draw_rows`
+turns any number of keys into smoothing and noise rows in one
+vectorized pass per draw tag, and :func:`sample_oracle` applies one
+query's rows.  Since a draw depends on its key and never on the query
+point, the runners draw a whole communication round's rows ahead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,46 +64,95 @@ def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     return eval_operator(op, z[:, None, :]).reshape(z.shape)
 
 
+class Draws(NamedTuple):
+    """Pre-drawn randomness of n query rows, each (n, d) or None.
+
+    ``shift`` is delta * s for the smoothing direction s, added to the
+    query point; ``noise`` is added to V at the shifted point.
+    """
+
+    shift: np.ndarray | None
+    noise: np.ndarray | None
+
+
+def draw_rows(oracle: OracleSpec, keys: Sequence[int],
+              delta: float | np.ndarray = 0.0) -> Draws:
+    """The smoothing and noise rows of the query rows named by ``keys``.
+
+    ``delta`` is one smoothing radius for every row or one per row.  All
+    rows with a positive radius draw their directions in one
+    :func:`normals` call under tag 0, in key order; ``shift`` holds
+    those rows only, or is None when no row is smoothed.  Every row
+    draws noise in one call under tag 1, or ``noise`` is None when the
+    oracle has none.  Each draw is elementwise per row, so a row's bits
+    depend on its key and radius alone, whatever else is drawn with it.
+    """
+    d = oracle.dim
+    shift = noise = None
+    if isinstance(delta, np.ndarray):
+        smoothed = delta > 0
+        if smoothed.any():
+            picked = np.asarray(keys, dtype=np.uint64)[smoothed]
+            shift = delta[smoothed, None] * normals(picked, d, TAG_SMOOTHING)
+    elif delta > 0:
+        shift = delta * normals(keys, d, TAG_SMOOTHING)
+    if oracle.is_stochastic():
+        if oracle.noise_model == "gaussian-isotropic":
+            noise = normals(keys, d, TAG_NOISE) * (oracle.sigma / math.sqrt(d))
+        else:
+            # uniform on [-a, a]^d with a chosen so E||noise||^2 = sigma^2
+            a = oracle.sigma * math.sqrt(3.0 / d)
+            noise = uniforms(keys, d, TAG_NOISE) * (2.0 * a) - a
+    return Draws(shift, noise)
+
+
 def sample_oracle(oracle: OracleSpec, z: np.ndarray,
                   keys: int | Iterable[int] | None = None,
-                  delta: float = 0.0) -> np.ndarray:
+                  delta: float = 0.0, draws: Draws | None = None
+                  ) -> np.ndarray:
     """Oracle draws V(z + delta * s) + noise, one per query point.
 
     ``z`` is one point (d,) queried with the path key ``keys``, or an
     (M, d) client stack whose row m is queried with the m-th of M keys
     that ``keys`` yields.  A key names one counter-based generator
-    (:meth:`RngStream.at`); all rows draw in one :func:`normals` or
-    :func:`uniforms` call, the smoothing direction s under tag 0 and the
-    noise under tag 1, so a row's draw depends on its key alone.  With
-    zero sigma and delta the draw is exact and no key is required.
+    (:meth:`RngStream.at`), and :func:`draw_rows` turns the keys into
+    the smoothing direction s and the noise, so a row's draw depends on
+    its key alone.  ``draws`` instead hands over rows that
+    :func:`draw_rows` made ahead (``keys`` and ``delta`` are then
+    unused).  With zero sigma and delta the draw is exact and no key is
+    required.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != oracle.dim:
         raise ValueError(f"query of shape {z.shape} does not match the "
                          f"oracle's dimension {oracle.dim}")
-    if not oracle.is_stochastic(delta):
-        return _eval_rows(oracle.base, z)
+    if draws is None:
+        if not oracle.is_stochastic(delta):
+            return _eval_rows(oracle.base, z)
+        shift, noise = draw_rows(oracle, _query_keys(z, keys), delta)
+    else:
+        if keys is not None or delta:
+            raise ValueError("pre-drawn rows replace keys and delta")
+        shift, noise = draws
+        for rows in draws:
+            if rows is not None and rows.size != z.size:
+                raise ValueError(f"{len(rows)} pre-drawn rows for a query "
+                                 f"of shape {z.shape}")
+    value = _eval_rows(oracle.base,
+                       z if shift is None else z + shift.reshape(z.shape))
+    return value if noise is None else value + noise.reshape(z.shape)
+
+
+def _query_keys(z: np.ndarray, keys) -> list[int]:
+    """One path key per query row, checked against the query's shape."""
     if keys is None:
-        raise ValueError("stochastic oracle query requires a generator key")
+        raise ValueError("stochastic oracle query requires a path key")
     stacked = z.ndim == 2
     if stacked == isinstance(keys, (int, np.integer)):
         raise ValueError("a point (d,) takes one key and an (M, d) stack "
-                         "an iterable of M generators' keys")
+                         "an iterable of M keys")
     keys = list(keys) if stacked else [keys]
     if stacked and len(keys) != len(z):
         raise ValueError(f"a stack of {len(z)} query points needs "
-                         f"{len(z)} generators, got {len(keys)}")
-    d = oracle.dim
-    query = z
-    if delta > 0:
-        query = z + delta * normals(keys, d, TAG_SMOOTHING).reshape(z.shape)
-    value = _eval_rows(oracle.base, query)
-    if not oracle.is_stochastic():
-        return value
-    if oracle.noise_model == "gaussian-isotropic":
-        noise = normals(keys, d, TAG_NOISE) * (oracle.sigma / math.sqrt(d))
-    else:
-        # uniform on [-a, a]^d with a chosen so E||noise||^2 = sigma^2
-        a = oracle.sigma * math.sqrt(3.0 / d)
-        noise = uniforms(keys, d, TAG_NOISE) * (2.0 * a) - a
-    return value + noise.reshape(z.shape)
+                         f"{len(z)} keys, got {len(keys)}")
+    return keys

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from fedvi.algorithms import (RunConfig, default_inner_steps, derived_gamma,
-                              run_lda, run_lesgd, run_lesgd_hetero,
-                              run_lippax, run_lsgd, run_slippax,
-                              solve_inner_prox, step_size)
-from fedvi.gaps import exact_prox_point
+from fedvi import algorithms
+from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
+                              derived_gamma, run_lda, run_lesgd,
+                              run_lesgd_hetero, run_lippax, run_lsgd,
+                              run_slippax, solve_inner_prox, step_size)
+from fedvi.gaps import dispersion, exact_prox_point
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
-from fedvi.oracles import OracleSpec, noiseless
-from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
-from fedvi.rng import RngStream
+from fedvi.oracles import OracleSpec, noiseless, sample_oracle
+from fedvi.regularizers import (RegularizerSpec, ZERO_REG, MirrorState,
+                                mirror_map, prox)
+from fedvi.rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
 
 SHAPE = {"M": 1, "K": 4, "R": 100, "sigma": 1.0, "D": 1.0}
 
@@ -501,3 +503,166 @@ class TestClientDriftBound:
             per_t.append([4.0 * r.drift_z for r in traj.records])  # M=2
         mean_drift = np.mean(per_t, axis=0)
         assert np.all(mean_drift <= bound)
+
+
+def reference_run(algo, oracle, cfg, reg=ZERO_REG, offsets=None):
+    """Every step's (mean, output, drift_z, drift_x), drawn query by query.
+
+    Each query keys its own rows and draws them in its own
+    sample_oracle call, the way the runners drew before a round's
+    randomness was drawn ahead; the runners must match it bit for bit.
+    """
+    stream = RngStream(cfg.master_seed)
+    eta = cfg.eta
+    H = cfg.H or default_inner_steps(cfg.K, cfg.R)
+    gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
+    delta = cfg.delta if algo == "slippax" else 0.0
+
+    def query(points, t, phase, inner=0, radius=0.0):
+        keys = None
+        if oracle.is_stochastic(radius):
+            keys = [stream.at(m, t, inner, phase) for m in range(len(points))]
+        q = sample_oracle(oracle, points, keys, radius)
+        return q if offsets is None else q + offsets
+
+    z = np.tile(cfg.initial_point(oracle.dim), (cfg.M, 1))
+    output = np.zeros(oracle.dim)
+    out = []
+    for t in range(1, cfg.T + 1):
+        sync = t % cfg.K == 0
+        if algo == "lsgd":
+            z = z - eta * query(z, t, PHASE_EXTRAPOLATE)
+            x = p = z
+        elif algo in ("lippax", "slippax"):
+            x = z.copy()
+            for ell in range(1, H + 1):
+                q = query(x, t, PHASE_INNER, ell, delta)
+                x = x - gamma * (q + (x - z) / eta)
+            z = z - eta * query(x, t, PHASE_UPDATE)
+            p = x
+        else:
+            u = mirror_map(MirrorState(t - 1, eta), reg, z)
+            x = z - eta * query(u, t, PHASE_EXTRAPOLATE)
+            if sync:
+                x[:] = x.mean(axis=0)
+            p = mirror_map(MirrorState(t, eta), reg, x)
+            z = z - eta * query(p, t, PHASE_UPDATE)
+        if sync:
+            z[:] = z.mean(axis=0)
+        output += (p.mean(axis=0) - output) / t
+        out.append((p.mean(axis=0), output.copy(), dispersion(z),
+                    dispersion(x)))
+    return out
+
+
+def _run(algo, oracle, cfg):
+    """The runner for ``algo`` plus the regularizer/offsets it was given."""
+    M, d = cfg.M, oracle.dim
+    if algo == "lda":
+        reg = RegularizerSpec(kind="l1", lam=0.3)
+        return run_lda(oracle, reg, cfg), dict(reg=reg)
+    if algo == "lesgd-hetero":
+        offsets = np.random.default_rng(M).standard_normal((M, d))
+        offsets -= offsets.mean(axis=0)
+        return run_lesgd_hetero(oracle, offsets, cfg), dict(offsets=offsets)
+    runner = {"lesgd": run_lesgd, "lippax": run_lippax,
+              "slippax": run_slippax, "lsgd": run_lsgd}[algo]
+    return runner(oracle, cfg), {}
+
+
+def _assert_same_bits(traj, ref):
+    assert len(traj.records) == len(ref)
+    for rec, (mean, output, drift_z, drift_x) in zip(traj.records, ref):
+        assert np.array_equal(rec.mean_iterate, mean)
+        assert np.array_equal(rec.output_avg, output)
+        assert (rec.drift_z, rec.drift_x) == (drift_z, drift_x)
+    assert np.array_equal(traj.final_output, ref[-1][1])
+
+
+def _trajectory_bits(traj):
+    return [(r.mean_iterate.tobytes(), r.output_avg.tobytes(), r.drift_z,
+             r.drift_x) for r in traj.records]
+
+
+class TestRoundDraws:
+    """A round's randomness drawn ahead gives the per-query draws' bits."""
+
+    @staticmethod
+    def _case(kind, model, sigma, M, K, delta=0.3):
+        oracle = OracleSpec(base=make_test_problem(kind, 5, seed=9),
+                            noise_model=model, sigma=sigma)
+        cfg = RunConfig(M=M, K=K, R=3, eta=0.15, H=3, delta=delta,
+                        master_seed=31, log_steps=True,
+                        z0=np.linspace(-1.0, 1.0, 5))
+        return oracle, cfg
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("M", [1, 3, 16])
+    @pytest.mark.parametrize("model", ["gaussian-isotropic", "bounded-uniform"])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_runs_equal_per_query_reference_bitwise(self, algo, model, M, K):
+        oracle, cfg = self._case("bounded-nonlinear", model, 0.8, M, K)
+        traj, extra = _run(algo, oracle, cfg)
+        _assert_same_bits(traj, reference_run(algo, oracle, cfg, **extra))
+
+    @pytest.mark.parametrize("M", [1, 3, 16])
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    def test_smoothing_without_noise_equals_reference_bitwise(self, kind, M):
+        oracle, cfg = self._case(kind, "gaussian-isotropic", 0.0, M, 4)
+        traj = run_slippax(oracle, cfg)
+        _assert_same_bits(traj, reference_run("slippax", oracle, cfg))
+
+    @pytest.mark.parametrize("budget", [1, 150])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_block_split_keeps_the_bits(self, algo, budget, monkeypatch):
+        """One-step blocks, and blocks of 2, 2, 1 steps for K = 5."""
+        oracle, cfg = self._case("affine", "gaussian-isotropic", 0.8, 3, 5)
+        whole = _trajectory_bits(_run(algo, oracle, cfg)[0])
+        monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", budget)
+        assert _trajectory_bits(_run(algo, oracle, cfg)[0]) == whole
+
+    def test_blocks_stay_inside_one_round(self, monkeypatch):
+        oracle, cfg = self._case("affine", "gaussian-isotropic", 0.8, 3, 5)
+        blocks = []
+        draw_steps = algorithms._draw_steps
+
+        def recording(oracle, stream, steps, *args):
+            blocks.append(list(steps))
+            return draw_steps(oracle, stream, steps, *args)
+        monkeypatch.setattr(algorithms, "_draw_steps", recording)
+        monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", 150)
+        run_lesgd(oracle, cfg)  # 60 cells a step: blocks of 2 steps
+        assert blocks == [[1, 2], [3, 4], [5], [6, 7], [8, 9], [10],
+                          [11, 12], [13, 14], [15]]
+
+    @pytest.mark.parametrize("algo,sigma,delta,queries_per_step", [
+        ("lesgd", 0.8, 0.0, 2), ("lda", 0.8, 0.0, 2),
+        ("lesgd-hetero", 0.8, 0.0, 2), ("lsgd", 0.8, 0.0, 1),
+        ("lippax", 0.8, 0.0, 4), ("slippax", 0.8, 0.3, 4),
+        ("slippax", 0.0, 0.3, 4), ("lesgd", 0.0, 0.0, 2),
+        ("lippax", 0.0, 0.0, 4)])
+    def test_one_key_per_stochastic_query_row(self, monkeypatch, algo, sigma,
+                                              delta, queries_per_step):
+        """RngStream.at runs once per row that draws, sample_oracle once per
+        query on the (M, d) stack."""
+        oracle, cfg = self._case("affine", "gaussian-isotropic", sigma, 3, 4,
+                                 delta)
+        counts = {"at": 0, "queries": 0, "rows": 0}
+        at, sample = RngStream.at, algorithms.sample_oracle
+
+        def counting_at(self, *path):
+            counts["at"] += 1
+            return at(self, *path)
+
+        def counting_sample(oracle, z, *args, **kwargs):
+            counts["queries"] += 1
+            counts["rows"] += len(z)
+            return sample(oracle, z, *args, **kwargs)
+        monkeypatch.setattr(RngStream, "at", counting_at)
+        monkeypatch.setattr(algorithms, "sample_oracle", counting_sample)
+        _run(algo, oracle, cfg)
+        steps = cfg.T
+        drawing = queries_per_step if sigma > 0 else 3 if delta > 0 else 0
+        assert counts["queries"] == queries_per_step * steps
+        assert counts["rows"] == queries_per_step * steps * cfg.M
+        assert counts["at"] == drawing * steps * cfg.M

@@ -329,6 +329,20 @@ class TestRunExperiment:
         L = build_problem(ExperimentConfig.from_dict(tree)).L
         assert all(r.gamma == derived_gamma(0.2, L) for r in rows)
 
+    def test_csv_delta_is_the_radius_the_run_used(self):
+        """A T5 schedule's radius reaches the CSV only for SLIPPAX, the
+        one id that smooths; every other id writes 0.0."""
+        tree = minimal_config(log_every=5)
+        tree["problem"] = {"kind": "bounded-nonlinear", "dim": 6, "seed": 1}
+        tree["federation"] = {"M": 2, "K": 4, "R": 10}
+        tree["noise"] = {"sigma": 0.5, "model": "gaussian-isotropic"}
+        for algo_id in ("lippax", "lesgd", "slippax"):
+            tree["algorithm"] = {"id": algo_id, "schedule": "T5"}
+            rows = run_experiment(tree)
+            want = (rows[0].eta * 0.5 / math.sqrt(6) if algo_id == "slippax"
+                    else 0.0)
+            assert [r.delta for r in rows] == [want] * 2, algo_id
+
     def test_diverged_run_is_marked(self, tmp_path):
         """eta = 1e6 overflows: later rows are diverged with empty gaps."""
         tree = minimal_config(log_every=4, output=str(tmp_path / "d.csv"))
@@ -649,6 +663,24 @@ class TestCli:
     def test_fit_missing_csv_exits_2(self, tmp_path, capsys):
         assert cli_main(["fit", str(tmp_path / "nope.csv"), "--x", "R"]) == 2
         assert "fit failed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column,args", [
+        ("gap_value", ["--x", "R"]), ("round", ["--x", "R"]),
+        ("R", ["--x", "R"]), ("sigma", ["--x", "sigma"]),
+        ("algo", ["--x", "R", "--group", "algo"])])
+    def test_fit_missing_column_exits_2(self, tmp_path, capsys, column,
+                                        args):
+        header = ["algo", "sigma", "R", "round", "gap_value"]
+        lines = [",".join(c for c in header if c != column)]
+        for R in (50, 100, 200, 400):
+            cells = {"algo": "lesgd", "sigma": str(R / 100), "R": str(R),
+                     "round": str(R), "gap_value": str(1 / R)}
+            lines.append(",".join(cells[c] for c in header if c != column))
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli_main(["fit", str(path), *args]) == 2
+        assert f"fit failed: rows have no {column!r} column" in \
+            capsys.readouterr().err
 
     def test_invalid_json_exits_2(self, tmp_path):
         path = tmp_path / "broken.json"

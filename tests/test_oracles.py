@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from fedvi.operators import make_test_problem
-from fedvi.oracles import OracleSpec, noiseless, sample_oracle
+from fedvi.oracles import OracleSpec, draw_rows, noiseless, sample_oracle
 from fedvi.rng import RngStream, normals, uniforms
 
 
 def _draws(oracle, z, n, seed=0, delta=0.0):
+    """n independent draws at z: one stacked query on n path keys."""
     stream = RngStream(seed)
-    return np.stack([sample_oracle(oracle, z, stream.at(0, i), delta)
-                     for i in range(n)])
+    return sample_oracle(oracle, np.tile(z, (n, 1)),
+                         [stream.at(0, i) for i in range(n)], delta)
 
 
 class TestSampleOracle:
@@ -35,7 +36,7 @@ class TestSampleOracle:
     def test_missing_generator_rejected(self):
         op = make_test_problem("affine", 3, seed=0)
         oracle = OracleSpec(base=op, sigma=1.0)
-        with pytest.raises(ValueError, match="generator"):
+        with pytest.raises(ValueError, match="requires a path key"):
             sample_oracle(oracle, np.zeros(3))
 
     def test_dimension_mismatch_rejected(self):
@@ -80,6 +81,19 @@ class TestSampleOracle:
         tol = 5 * 0.1 * op.L / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - exact) < tol)
 
+    @pytest.mark.parametrize("model,delta", [
+        ("gaussian-isotropic", 0.0), ("bounded-uniform", 0.0), ("none", 0.1)])
+    def test_stacked_draws_equal_looped_draws_bitwise(self, model, delta):
+        """The statistics tests' stacked draws are the single-point draws."""
+        op = make_test_problem("affine", 4, seed=1)
+        oracle = OracleSpec(base=op, noise_model=model,
+                            sigma=0.0 if model == "none" else 2.0)
+        z = np.array([0.5, -0.5, 1.0, 0.0])
+        stream = RngStream(0)
+        looped = np.stack([sample_oracle(oracle, z, stream.at(0, i), delta)
+                           for i in range(50)])
+        assert np.array_equal(_draws(oracle, z, 50, delta=delta), looped)
+
     def test_invalid_model_rejected(self):
         op = make_test_problem("affine", 2, seed=0)
         with pytest.raises(ValueError):
@@ -119,14 +133,35 @@ class TestStackedQuery:
                             sigma=1.0)
         stream = RngStream(0)
         Z = np.zeros((4, 3))
-        with pytest.raises(ValueError, match="needs 4 generators, got 3"):
+        with pytest.raises(ValueError, match="needs 4 keys, got 3"):
             sample_oracle(oracle, Z, [stream.at(m, 1) for m in range(3)])
-        with pytest.raises(ValueError, match="needs 4 generators, got 5"):
+        with pytest.raises(ValueError, match="needs 4 keys, got 5"):
             sample_oracle(oracle, Z, (stream.at(m, 1) for m in range(5)))
-        with pytest.raises(ValueError, match="iterable of M generators"):
+        with pytest.raises(ValueError, match="iterable of M keys"):
             sample_oracle(oracle, Z, stream.at(0, 1))
-        with pytest.raises(ValueError, match="iterable of M generators"):
+        with pytest.raises(ValueError, match="iterable of M keys"):
             sample_oracle(oracle, Z[0], [stream.at(0, 1)])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_predrawn_rows_equal_keyed_query_bitwise(self, delta):
+        oracle = OracleSpec(base=make_test_problem("bounded-nonlinear", 5,
+                                                   seed=2), sigma=0.7)
+        keys = [RngStream(4).at(m, 3) for m in range(6)]
+        Z = np.random.default_rng(1).standard_normal((6, 5))
+        rows = draw_rows(oracle, keys, delta)
+        assert np.array_equal(sample_oracle(oracle, Z, draws=rows),
+                              sample_oracle(oracle, Z, keys, delta))
+
+    def test_predrawn_rows_checked(self):
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0),
+                            sigma=1.0)
+        keys = [RngStream(0).at(m, 1) for m in range(4)]
+        rows = draw_rows(oracle, keys)
+        with pytest.raises(ValueError, match="replace keys and delta"):
+            sample_oracle(oracle, np.zeros((4, 3)), keys, draws=rows)
+        with pytest.raises(ValueError, match="4 pre-drawn rows for a query "
+                                             "of shape \\(2, 3\\)"):
+            sample_oracle(oracle, np.zeros((2, 3)), draws=rows)
 
     def test_is_stochastic(self):
         op = make_test_problem("affine", 3, seed=0)
