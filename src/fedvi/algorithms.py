@@ -28,7 +28,7 @@ import numpy as np
 
 from .gaps import dispersion
 from .operators import OperatorSpec
-from .oracles import Draws, OracleSpec, draw_rows, noiseless, sample_oracle
+from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
 
@@ -106,9 +106,9 @@ class TrajectoryRecord:
 class Trajectory:
     """Per-round log plus the running-average output of a run.
 
-    ``diverged_at`` is the step of the first record whose client states
-    or output are not all finite; that record and every later one are
-    diverged.
+    ``diverged_at`` is the step of the first record where the Euclidean
+    norm of the client states or of the output is not finite; that
+    record and every later one are diverged.
     """
 
     algo: str
@@ -133,22 +133,19 @@ Queries = Sequence[tuple[int, int, float]]
 
 
 def _draw_steps(oracle: OracleSpec, stream: RngStream, steps: Sequence[int],
-                queries: Queries, M: int, client: int = 0
-                ) -> list[list[Draws | None]]:
+                queries: Queries, M: int) -> list[list[Draws | None]]:
     """Pre-drawn rows of every query of the given steps, in one pass.
 
-    Row m of query j in step t is on path (client + m, t, inner_j,
-    phase_j); each row that draws takes one :meth:`RngStream.at` key, and
-    all of them are one :func:`draw_rows` call.  Entry [i][j] is query
-    j's (M, d) rows in steps[i], or None when that query draws nothing.
+    Row m of query j in step t is on path (m, t, inner_j, phase_j); each
+    row that draws takes one :meth:`RngStream.at` key, and all of them
+    are one :func:`draw_rows` call.  Entry [i][j] is query j's (M, d)
+    rows in steps[i], or None when that query draws nothing.
     """
     live = [j for j, (_, _, delta) in enumerate(queries)
             if oracle.is_stochastic(delta)]
     table = [[None] * len(queries) for _ in steps]
-    if not live:
-        return table
     at = stream.at
-    keys = [at(client + m, t, queries[j][0], queries[j][1])
+    keys = [at(m, t, queries[j][0], queries[j][1])
             for t in steps for j in live for m in range(M)]
     radii = np.array([queries[j][2] for j in live])
     shift, noise = draw_rows(oracle, keys,
@@ -198,8 +195,9 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     averages z_next across clients when ``sync`` (that is, mod(t, K) =
     0), keeps the running mean of the round outputs (memory O(d)), and
     records every cadence steps and at t = T.  At each record it checks
-    that z and the output are finite; the first record that fails marks
-    the run diverged from that step on.  The trajectory's ``delta`` is
+    that the Euclidean norms of z and the output are finite, so a finite
+    state whose norm overflows fails too; the first record that fails
+    marks the run diverged from that step on.  The trajectory's ``delta`` is
     the largest radius the queries were drawn with.
     """
     dim = oracle.dim
@@ -217,14 +215,15 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
         round_mean = p.mean(axis=0)
         output += (round_mean - output) / t
         if t % cadence == 0 or t == cfg.T:
-            if diverged_at is None and not (np.isfinite(z).all()
-                                            and np.isfinite(output).all()):
+            if diverged_at is None and not all(
+                    np.isfinite(np.linalg.norm(a)) for a in (z, output)):
                 diverged_at = t
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=dispersion(z), drift_x=dispersion(x)))
     warnings = [] if diverged_at is None else [
-        f"{algo} run diverged: non-finite iterates at step {diverged_at}"]
+        f"{algo} run diverged: iterate norm not finite at step "
+        f"{diverged_at}"]
     cfg = replace(cfg, delta=max(delta for _, _, delta in queries))
     return Trajectory(algo=algo, records=records, final_output=output,
                       config=cfg, warnings=warnings, diverged_at=diverged_at)
@@ -302,36 +301,23 @@ def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     return traj
 
 
-def _inner_queries(H: int, delta: float) -> list[tuple[int, int, float]]:
-    return [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
-
-
-def solve_inner_prox(op: OperatorSpec | OracleSpec, z: np.ndarray, eta: float,
-                     gamma: float, H: int, stream: RngStream | None = None,
-                     delta: float = 0.0, client: int = 0,
-                     round_index: int = 1,
+def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
+                     gamma: float, H: int,
                      draws: Sequence[Draws | None] | None = None
                      ) -> np.ndarray:
-    """H SGD steps on the regularized operator V(x) + (x - anchor) / eta.
+    """H SGD steps on the regularized operator V(x) + (x - z) / eta.
 
-    ``z`` is one anchor (d,) on client ``client``'s paths, or an (M, d)
-    stack whose row m is client ``client + m``.  Smoothing (delta > 0)
-    perturbs only these inner queries.  ``draws`` holds the H inner
-    queries' pre-drawn rows; without it they are drawn here from
-    ``stream`` on paths (client + m, round_index, ell, PHASE_INNER).
+    ``z`` is one anchor (d,) or an (M, d) client stack.  ``draws[ell]``
+    holds inner query ell + 1's pre-drawn rows (None when it draws
+    nothing); smoothing reaches these inner queries only through their
+    shift rows.  Without ``draws`` the oracle must be exact.
     """
-    oracle = op if isinstance(op, OracleSpec) else noiseless(op)
-    anchor = np.atleast_2d(np.asarray(z, dtype=float))
-    if draws is None:
-        if oracle.is_stochastic(delta) and stream is None:
-            raise ValueError("stochastic inner loop requires an RngStream")
-        draws = _draw_steps(oracle, stream, [round_index],
-                            _inner_queries(H, delta), len(anchor), client)[0]
-    x = anchor.copy()
+    draws = draws or [None] * H
+    x = z
     for ell in range(H):
         q = sample_oracle(oracle, x, draws=draws[ell])
-        x = x - gamma * (q + (x - anchor) / eta)
-    return x.reshape(np.shape(z))
+        x = x - gamma * (q + (x - z) / eta)
+    return x
 
 
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
@@ -345,8 +331,9 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
         # outer extra step: fresh, unsmoothed draw at x_t^m
         return z - eta * sample_oracle(oracle, x, draws=draws[H]), x, x
     # the trajectory reports the inner-loop parameters the run used
+    inner = [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
     return _round_loop(replace(cfg, H=H, gamma=gamma), oracle, step, algo,
-                       _inner_queries(H, delta) + [(0, PHASE_UPDATE, 0.0)])
+                       inner + [(0, PHASE_UPDATE, 0.0)])
 
 
 def run_lippax(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:

@@ -27,7 +27,7 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
                          Trajectory, constants_of, run_lda, run_lesgd,
                          run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
                          step_size)
-from .gaps import GAP_METHODS, composite_gap, restricted_gap
+from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, load_affine_text,
                         make_test_problem, operator_bound_on_ball,
                         verify_properties)
@@ -161,8 +161,6 @@ SCHEMA = {
         "D": (1.0, _positive, _POSITIVE),
         "center": ("z0", lambda v: v == "z0" or _is_point(v),
                    'must be "z0" or a list of finite numbers'),
-        "method": ("auto", GAP_METHODS.__contains__,
-                   f"must be one of {GAP_METHODS}"),
     },
     "regularizer": {
         "kind": ("zero", REG_KINDS.__contains__,
@@ -337,8 +335,7 @@ def _run_master_seed(seed: int, M: int, K: int, R: int, sigma: float) -> int:
 
 
 def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
-    """The configured operator, checked against the config's points and
-    gap method."""
+    """The configured operator, checked against the config's points."""
     problem = cfg.problem
     if problem["file"] is not None:
         try:
@@ -355,11 +352,6 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
                                    problem["params"], problem["seed"])
         except (TypeError, ValueError) as exc:
             raise ConfigError("problem", str(exc)) from exc
-    method = cfg.gap["method"]
-    _expect(method != "grid" or op.dim <= 2, "gap.method",
-            f"grid needs a problem of dimension <= 2, not {op.dim}")
-    _expect(method != "exact-concave" or op.is_affine, "gap.method",
-            "exact-concave needs an affine operator")
     reg = cfg.regularizer  # zero unless the algorithm is lda
     if reg.kind == "box-indicator":
         center = cfg.gap_center(op.dim)
@@ -441,17 +433,15 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution
     algo_id = cfg.algorithm["id"]
-    use_composite = cfg.regularizer.kind != "zero"
     rows = []
     for rec in traj.records:
-        # from the first non-finite record on, no gap is evaluated
+        # from the first diverged record on, no gap is evaluated
         diverged = traj.diverged_at is not None and rec.t >= traj.diverged_at
         gap = certified = None
         if not diverged:
-            est = (composite_gap(gap_op, cfg.regularizer, rec.output_avg,
-                                 center, cfg.gap["D"]) if use_composite else
-                   restricted_gap(gap_op, rec.output_avg, center, cfg.gap["D"],
-                                  method=cfg.gap["method"]))
+            # with the zero regularizer this is the restricted gap
+            est = composite_gap(gap_op, cfg.regularizer, rec.output_avg,
+                                center, cfg.gap["D"])
             gap, certified = est.value, est.certified
         dist = (float(np.linalg.norm(rec.output_avg - solution))
                 if solution is not None else None)

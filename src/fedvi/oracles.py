@@ -76,26 +76,25 @@ class Draws(NamedTuple):
 
 
 def draw_rows(oracle: OracleSpec, keys: Sequence[int],
-              delta: float | np.ndarray = 0.0) -> Draws:
+              radii: np.ndarray | None = None) -> Draws:
     """The smoothing and noise rows of the query rows named by ``keys``.
 
-    ``delta`` is one smoothing radius for every row or one per row.  All
-    rows with a positive radius draw their directions in one
-    :func:`normals` call under tag 0, in key order; ``shift`` holds
-    those rows only, or is None when no row is smoothed.  Every row
-    draws noise in one call under tag 1, or ``noise`` is None when the
-    oracle has none.  Each draw is elementwise per row, so a row's bits
-    depend on its key and radius alone, whatever else is drawn with it.
+    ``radii`` holds one smoothing radius per row, or is None when no row
+    is smoothed.  All rows with a positive radius draw their directions
+    in one :func:`normals` call under tag 0, in key order; ``shift``
+    holds those rows only, or is None when no row is smoothed.  Every
+    row draws noise in one call under tag 1, or ``noise`` is None when
+    the oracle has none.  Each draw is elementwise per row, so a row's
+    bits depend on its key and radius alone, whatever else is drawn
+    with it.
     """
     d = oracle.dim
     shift = noise = None
-    if isinstance(delta, np.ndarray):
-        smoothed = delta > 0
+    if radii is not None:
+        smoothed = radii > 0
         if smoothed.any():
             picked = np.asarray(keys, dtype=np.uint64)[smoothed]
-            shift = delta[smoothed, None] * normals(picked, d, TAG_SMOOTHING)
-    elif delta > 0:
-        shift = delta * normals(keys, d, TAG_SMOOTHING)
+            shift = radii[smoothed, None] * normals(picked, d, TAG_SMOOTHING)
     if oracle.is_stochastic():
         if oracle.noise_model == "gaussian-isotropic":
             noise = normals(keys, d, TAG_NOISE) * (oracle.sigma / math.sqrt(d))
@@ -108,36 +107,32 @@ def draw_rows(oracle: OracleSpec, keys: Sequence[int],
 
 def sample_oracle(oracle: OracleSpec, z: np.ndarray,
                   keys: int | Iterable[int] | None = None,
-                  delta: float = 0.0, draws: Draws | None = None
-                  ) -> np.ndarray:
-    """Oracle draws V(z + delta * s) + noise, one per query point.
+                  draws: Draws | None = None) -> np.ndarray:
+    """Oracle draws V(z + shift) + noise, one per query point.
 
-    ``z`` is one point (d,) queried with the path key ``keys``, or an
-    (M, d) client stack whose row m is queried with the m-th of M keys
-    that ``keys`` yields.  A key names one counter-based generator
-    (:meth:`RngStream.at`), and :func:`draw_rows` turns the keys into
-    the smoothing direction s and the noise, so a row's draw depends on
-    its key alone.  ``draws`` instead hands over rows that
-    :func:`draw_rows` made ahead (``keys`` and ``delta`` are then
-    unused).  With zero sigma and delta the draw is exact and no key is
-    required.
+    ``z`` is one point (d,) or an (M, d) client stack.  ``draws`` holds
+    the query's rows that :func:`draw_rows` made ahead, the only way a
+    smoothing shift reaches a query.  Without it, a stochastic oracle
+    draws its noise here from ``keys``: one path key
+    (:meth:`RngStream.at`) for a point, or the M keys that ``keys``
+    yields for a stack, row m from the m-th.  An exact oracle needs
+    neither.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != oracle.dim:
         raise ValueError(f"query of shape {z.shape} does not match the "
                          f"oracle's dimension {oracle.dim}")
     if draws is None:
-        if not oracle.is_stochastic(delta):
+        if not oracle.is_stochastic():
             return _eval_rows(oracle.base, z)
-        shift, noise = draw_rows(oracle, _query_keys(z, keys), delta)
-    else:
-        if keys is not None or delta:
-            raise ValueError("pre-drawn rows replace keys and delta")
-        shift, noise = draws
-        for rows in draws:
-            if rows is not None and rows.size != z.size:
-                raise ValueError(f"{len(rows)} pre-drawn rows for a query "
-                                 f"of shape {z.shape}")
+        draws = draw_rows(oracle, _query_keys(z, keys))
+    elif keys is not None:
+        raise ValueError("pre-drawn rows replace keys")
+    shift, noise = draws
+    for rows in draws:
+        if rows is not None and rows.size != z.size:
+            raise ValueError(f"{len(rows)} pre-drawn rows for a query "
+                             f"of shape {z.shape}")
     value = _eval_rows(oracle.base,
                        z if shift is None else z + shift.reshape(z.shape))
     return value if noise is None else value + noise.reshape(z.shape)

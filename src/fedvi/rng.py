@@ -1,16 +1,17 @@
 """Path-keyed counter-based random draws for reproducible federated simulation.
 
-Every random draw in a run is addressed by a path ``(client, round,
-inner_step, phase)`` under a single master seed.  :meth:`RngStream.at`
-hashes the path into a 64-bit key; a key names one counter-based
-generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11), whose j-th value is a hash of (key, tag, j) and nothing else.
-So the values on a path never depend on how many other paths were
-consumed before it, or in which order, and :func:`normals` /
-:func:`uniforms` draw for many keys in one vectorized pass whose row m
-equals the one-key draw bit for bit.  The hash is the SplitMix64
-finalizer (Steele, Lea & Flood, "Fast splittable pseudorandom number
-generators", OOPSLA'14).
+Every random draw in a run is addressed by a path ``(client, step,
+inner_step, phase)`` under a single master seed, where ``step`` is the
+local step t = 1..K R (one communication round spans K of them).
+:meth:`RngStream.at` hashes the path into a 64-bit key; a key names one
+counter-based generator (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), whose j-th value is a hash of (key, tag, j)
+and nothing else.  So the values on a path never depend on how many
+other paths were consumed before it, or in which order, and
+:func:`normals` / :func:`uniforms` draw for many keys in one vectorized
+pass whose row m equals the one-key draw bit for bit.  The hash is the
+SplitMix64 finalizer (Steele, Lea & Flood, "Fast splittable
+pseudorandom number generators", OOPSLA'14).
 """
 
 from __future__ import annotations
@@ -64,10 +65,10 @@ class RngStream:
     def __post_init__(self):
         object.__setattr__(self, "_prefix", _absorb(0, self.master_seed))
 
-    def at(self, client: int, round_index: int, inner: int = 0,
+    def at(self, client: int, step: int, inner: int = 0,
            phase: int = 0) -> int:
         """Key of one path; the same path always yields the same key."""
-        return _absorb(self._prefix, client, round_index, inner, phase)
+        return _absorb(self._prefix, client, step, inner, phase)
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,8 @@ from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
 from fedvi.gaps import dispersion, exact_prox_point
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
-from fedvi.oracles import OracleSpec, noiseless, sample_oracle
+from fedvi.oracles import (Draws, OracleSpec, draw_rows, noiseless,
+                           sample_oracle)
 from fedvi.regularizers import (RegularizerSpec, ZERO_REG, MirrorState,
                                 mirror_map, prox)
 from fedvi.rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
@@ -190,25 +191,26 @@ class TestRunLesgd:
     def test_overflow_marks_the_first_non_finite_record(self):
         """V(z) = z with eta = 1e6 grows ~1e12 per step.
 
-        The client state overflows at step 26, one step before the
-        output average does; the state is what marks the run.
+        From step 13 on the entries pass 1e154, so the Euclidean norm of
+        the state overflows although every entry stays finite until step
+        26; the first record with a non-finite norm marks the run.
         """
         cfg = RunConfig(M=2, K=1, R=40, eta=1e6, z0=np.array([1.0]),
                         log_every=1)
         with np.errstate(all="ignore"):
             traj = run_lesgd(scalar_op(), cfg)
         finite = [bool(np.isfinite(r.output_avg).all()) for r in traj.records]
-        assert traj.status == "diverged" and traj.diverged_at == 26
+        assert traj.status == "diverged" and traj.diverged_at == 13
         assert finite == [True] * 26 + [False] * 14
         assert traj.warnings == [
-            "lesgd run diverged: non-finite iterates at step 26"]
+            "lesgd run diverged: iterate norm not finite at step 13"]
 
 
 class TestInnerProx:
     def test_zero_operator_fixed_point(self):
         zero = affine_operator(np.zeros((2, 2)), np.zeros(2))
         z = np.array([1.0, -2.0])
-        out = solve_inner_prox(zero, z, eta=0.5, gamma=0.1, H=1)
+        out = solve_inner_prox(noiseless(zero), z, eta=0.5, gamma=0.1, H=1)
         np.testing.assert_array_equal(out, z)
 
     def test_converges_to_exact_proximal_point(self):
@@ -217,7 +219,7 @@ class TestInnerProx:
         gamma = derived_gamma(eta, op.L)
         z = np.random.default_rng(1).standard_normal(5)
         x_star = exact_prox_point(op, z, eta)
-        out = solve_inner_prox(op, z, eta, gamma, H=60)
+        out = solve_inner_prox(noiseless(op), z, eta, gamma, H=60)
         assert np.linalg.norm(out - x_star) <= 1e-8
 
     def test_per_step_contraction_factor(self):
@@ -249,12 +251,6 @@ class TestInnerProx:
             assert np.linalg.norm(x + eta * eval_operator(op, x) - z) < 1e-10
             assert np.linalg.norm(x - z) <= eta * op.G + 1e-12
 
-    def test_stochastic_inner_needs_stream(self):
-        op = make_test_problem("affine", 2, seed=0)
-        oracle = OracleSpec(base=op, sigma=1.0)
-        with pytest.raises(ValueError, match="RngStream"):
-            solve_inner_prox(oracle, np.zeros(2), 0.5, 0.1, 3)
-
     @pytest.mark.parametrize("sigma,delta", [(0.0, 0.0), (0.6, 0.0),
                                              (0.6, 0.2)],
                              ids=["deterministic", "noisy", "smoothed"])
@@ -263,12 +259,15 @@ class TestInnerProx:
         oracle = OracleSpec(base=make_test_problem(kind, 9, seed=4),
                             sigma=sigma)
         stream = RngStream(8)
+        rows = [draw_rows(oracle, [stream.at(m, 3, ell, PHASE_INNER)
+                                   for m in range(6)], np.full(6, delta))
+                for ell in range(1, 5)]
         Z = np.random.default_rng(5).standard_normal((6, 9))
-        stacked = solve_inner_prox(oracle, Z, 0.4, 0.3, 4, stream, delta,
-                                   round_index=3)
+        stacked = solve_inner_prox(oracle, Z, 0.4, 0.3, 4, draws=rows)
         single = np.stack([
-            solve_inner_prox(oracle, Z[m], 0.4, 0.3, 4, stream, delta,
-                             client=m, round_index=3) for m in range(6)])
+            solve_inner_prox(oracle, Z[m], 0.4, 0.3, 4, draws=[
+                Draws(*(None if r is None else r[m:m + 1] for r in q))
+                for q in rows]) for m in range(6)])
         assert np.array_equal(stacked, single)
 
     def test_default_inner_steps_grows_logarithmically(self):
@@ -508,9 +507,9 @@ class TestClientDriftBound:
 def reference_run(algo, oracle, cfg, reg=ZERO_REG, offsets=None):
     """Every step's (mean, output, drift_z, drift_x), drawn query by query.
 
-    Each query keys its own rows and draws them in its own
-    sample_oracle call, the way the runners drew before a round's
-    randomness was drawn ahead; the runners must match it bit for bit.
+    Each query keys and draws its own rows in its own draw_rows call,
+    the way the runners drew before a round's randomness was drawn
+    ahead; the runners must match it bit for bit.
     """
     stream = RngStream(cfg.master_seed)
     eta = cfg.eta
@@ -519,10 +518,11 @@ def reference_run(algo, oracle, cfg, reg=ZERO_REG, offsets=None):
     delta = cfg.delta if algo == "slippax" else 0.0
 
     def query(points, t, phase, inner=0, radius=0.0):
-        keys = None
+        rows = None
         if oracle.is_stochastic(radius):
             keys = [stream.at(m, t, inner, phase) for m in range(len(points))]
-        q = sample_oracle(oracle, points, keys, radius)
+            rows = draw_rows(oracle, keys, np.full(len(points), radius))
+        q = sample_oracle(oracle, points, draws=rows)
         return q if offsets is None else q + offsets
 
     z = np.tile(cfg.initial_point(oracle.dim), (cfg.M, 1))

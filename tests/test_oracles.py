@@ -13,8 +13,9 @@ from fedvi.rng import RngStream, normals, uniforms
 def _draws(oracle, z, n, seed=0, delta=0.0):
     """n independent draws at z: one stacked query on n path keys."""
     stream = RngStream(seed)
-    return sample_oracle(oracle, np.tile(z, (n, 1)),
-                         [stream.at(0, i) for i in range(n)], delta)
+    rows = draw_rows(oracle, [stream.at(0, i) for i in range(n)],
+                     np.full(n, delta))
+    return sample_oracle(oracle, np.tile(z, (n, 1)), draws=rows)
 
 
 class TestSampleOracle:
@@ -90,8 +91,8 @@ class TestSampleOracle:
                             sigma=0.0 if model == "none" else 2.0)
         z = np.array([0.5, -0.5, 1.0, 0.0])
         stream = RngStream(0)
-        looped = np.stack([sample_oracle(oracle, z, stream.at(0, i), delta)
-                           for i in range(50)])
+        looped = np.stack([sample_oracle(oracle, z, draws=draw_rows(
+            oracle, [stream.at(0, i)], np.array([delta]))) for i in range(50)])
         assert np.array_equal(_draws(oracle, z, 50, delta=delta), looped)
 
     def test_invalid_model_rejected(self):
@@ -112,12 +113,12 @@ class TestStackedQuery:
     def test_stack_equals_single_points_bitwise(self, kind, model, delta, M):
         op = make_test_problem(kind, 7, seed=3)
         oracle = OracleSpec(base=op, noise_model=model, sigma=0.9)
-        stream = RngStream(11)
+        keys = [RngStream(11).at(m, 2, 1, 0) for m in range(M)]
         Z = np.random.default_rng(M).standard_normal((M, 7))
-        stacked = sample_oracle(oracle, Z, [stream.at(m, 2, 1, 0)
-                                            for m in range(M)], delta)
-        single = np.stack([sample_oracle(oracle, Z[m], stream.at(m, 2, 1, 0),
-                                         delta) for m in range(M)])
+        stacked = sample_oracle(oracle, Z, draws=draw_rows(
+            oracle, keys, np.full(M, delta)))
+        single = np.stack([sample_oracle(oracle, Z[m], draws=draw_rows(
+            oracle, [keys[m]], np.array([delta]))) for m in range(M)])
         assert stacked.shape == (M, 7)
         assert np.array_equal(stacked, single)
 
@@ -144,20 +145,36 @@ class TestStackedQuery:
 
     @pytest.mark.parametrize("delta", [0.0, 0.3])
     def test_predrawn_rows_equal_keyed_query_bitwise(self, delta):
+        """Smoothed rows are the keyed query at the shifted points."""
         oracle = OracleSpec(base=make_test_problem("bounded-nonlinear", 5,
                                                    seed=2), sigma=0.7)
         keys = [RngStream(4).at(m, 3) for m in range(6)]
         Z = np.random.default_rng(1).standard_normal((6, 5))
-        rows = draw_rows(oracle, keys, delta)
+        rows = draw_rows(oracle, keys, np.full(6, delta))
+        assert (rows.shift is None) == (delta == 0)
+        shifted = Z if rows.shift is None else Z + rows.shift
         assert np.array_equal(sample_oracle(oracle, Z, draws=rows),
-                              sample_oracle(oracle, Z, keys, delta))
+                              sample_oracle(oracle, shifted, keys))
+
+    def test_radii_pick_the_smoothed_rows(self):
+        """Only rows with a positive radius draw a direction, in key
+        order, each the direction its key draws alone."""
+        oracle = noiseless(make_test_problem("affine", 4, seed=0))
+        keys = [RngStream(2).at(m, 1) for m in range(5)]
+        radii = np.array([0.0, 0.5, 0.0, 0.2, 0.0])
+        shift, noise = draw_rows(oracle, keys, radii)
+        assert noise is None
+        assert np.array_equal(shift, radii[[1, 3], None] * normals(
+            [keys[1], keys[3]], 4, 0))
+        assert draw_rows(oracle, keys) == (None, None)
+        assert draw_rows(oracle, keys, np.zeros(5)) == (None, None)
 
     def test_predrawn_rows_checked(self):
         oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0),
                             sigma=1.0)
         keys = [RngStream(0).at(m, 1) for m in range(4)]
         rows = draw_rows(oracle, keys)
-        with pytest.raises(ValueError, match="replace keys and delta"):
+        with pytest.raises(ValueError, match="replace keys"):
             sample_oracle(oracle, np.zeros((4, 3)), keys, draws=rows)
         with pytest.raises(ValueError, match="4 pre-drawn rows for a query "
                                              "of shape \\(2, 3\\)"):
