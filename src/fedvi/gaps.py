@@ -3,9 +3,10 @@
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
 equation on the KKT multiplier) and tagged ``exact-concave``.  All other
-cases run multistart projected ascent and report the best objective
-value recomputed at a feasible point: a true lower bound of the sup,
-tagged as not certified.
+cases run a multistart projected ascent of fixed size (``ASCENT_STARTS``
+starts of ``ASCENT_STEPS`` steps, drawn from ``ASCENT_SEED``) and report
+the best objective value recomputed at a feasible point: a true lower
+bound of the sup, tagged as not certified.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .operators import (OperatorSpec, affine_parts, eval_operator,
                         op_jacobian, op_vjp)
 from .regularizers import RegularizerSpec, prox, reg_value
 
-GAP_METHODS = ("auto", "exact-concave", "multistart-ascent", "grid")
+ASCENT_STARTS = 16
+ASCENT_STEPS = 500
+ASCENT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ def _project_ball(Z: np.ndarray, center: np.ndarray, D: float) -> np.ndarray:
 
 
 def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
-                       D: float) -> tuple[np.ndarray, float]:
-    """Maximize <V(z), x_o - z> over ||z - center|| <= D for affine V.
+                       D: float) -> np.ndarray:
+    """Maximizer of <V(z), x_o - z> over ||z - center|| <= D for affine V.
 
     In w = z - center the objective is -w'Sw + g'w + const with S the
     PSD symmetric part, so the KKT system (2S + nu I) w = g has a unique
@@ -80,8 +83,7 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         wt = np.zeros_like(gt)
         wt[free] = gt[free] / (2.0 * lam[free])
         if np.linalg.norm(wt) <= D:
-            w = U @ wt
-            return center + w, 0.0
+            return center + U @ wt
 
     # boundary: solve ||w(nu)|| = D for nu > 0 (monotone decreasing)
     hi = 2.0 * np.linalg.norm(gt) / D
@@ -96,9 +98,7 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
             lo = mid
         else:
             hi = mid
-    nu = hi
-    w = U @ w_of(nu)
-    return center + w, nu
+    return center + U @ w_of(hi)
 
 
 def _duality_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
@@ -109,13 +109,9 @@ def _duality_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     return float(grad @ (center - z_star)) + D * float(np.linalg.norm(grad))
 
 
-def _check_ball_and_ascent(D: float, n_starts: int, n_iters: int) -> None:
+def _check_radius(D: float) -> None:
     if D <= 0:
         raise ValueError("ball radius D must be positive")
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if n_iters < 0:
-        raise ValueError("n_iters must be >= 0")
 
 
 def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
@@ -164,65 +160,38 @@ def _best_start(Z: np.ndarray, values: np.ndarray) -> GapEstimate:
 
 
 def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
-                   D: float, method: str = "auto", n_starts: int = 16,
-                   n_iters: int = 500, grid_points: int = 1000,
-                   seed: int = 0) -> GapEstimate:
-    """sup of <V(z), x_o - z> over the ball ||z - center|| <= D."""
-    _check_ball_and_ascent(D, n_starts, n_iters)
-    if method not in GAP_METHODS:
+                   D: float, method: str = "auto") -> GapEstimate:
+    """sup of <V(z), x_o - z> over the ball ||z - center|| <= D.
+
+    ``auto`` solves affine operators exactly and runs the multistart
+    ascent otherwise; ``exact-concave`` insists on the exact solve.
+    """
+    _check_radius(D)
+    if method not in ("auto", "exact-concave"):
         raise ValueError(f"unknown gap method {method!r}")
     x_o = np.asarray(x_o, dtype=float)
     center = np.asarray(center, dtype=float)
-
-    if method == "auto":
-        method = "exact-concave" if op.is_affine else "multistart-ascent"
-    if method == "exact-concave":
-        if not op.is_affine:
+    if not op.is_affine:
+        if method == "exact-concave":
             raise ValueError("exact-concave requires an affine operator")
-        z_star, _ = _exact_concave_max(op, x_o, center, D)
-        value = float(eval_operator(op, z_star) @ (x_o - z_star))
-        dual = _duality_gap(op, x_o, center, D, z_star)
-        certified = dual <= 1e-7 * (1.0 + abs(value))
-        return GapEstimate(value=value, method="exact-concave",
-                           certified=certified, maximizer=z_star)
-    if method == "grid":
-        if op.dim > 2:
-            raise ValueError("grid method supports dim <= 2 only")
-        z_star, value = _grid_max(op, x_o, center, D, grid_points)
-        return GapEstimate(value=value, method="grid", certified=True,
-                           maximizer=z_star)
-
-    return _best_start(*_multistart_ascent(op, x_o, center, D, n_starts,
-                                           n_iters, seed))
-
-
-def _grid_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
-              D: float, grid_points: int) -> tuple[np.ndarray, float]:
-    if op.dim == 1:
-        zs = (center[0] + np.linspace(-D, D, grid_points))[:, None]
-    else:
-        # polar grid: the outer ring lies exactly on the boundary, where
-        # linear objectives peak; a square lattice would undershoot there
-        r = np.linspace(0.0, D, grid_points)
-        theta = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-        rr, tt = np.meshgrid(r, theta, indexing="ij")
-        zs = center + np.stack([(rr * np.cos(tt)).ravel(),
-                                (rr * np.sin(tt)).ravel()], axis=1)
-    vals = np.einsum("ij,ij->i", eval_operator(op, zs), x_o - zs)
-    k = int(np.argmax(vals))
-    return zs[k], float(vals[k])
+        return _best_start(*_multistart_ascent(
+            op, x_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED))
+    z_star = _exact_concave_max(op, x_o, center, D)
+    value = float(eval_operator(op, z_star) @ (x_o - z_star))
+    dual = _duality_gap(op, x_o, center, D, z_star)
+    certified = dual <= 1e-7 * (1.0 + abs(value))
+    return GapEstimate(value=value, method="exact-concave",
+                       certified=certified, maximizer=z_star)
 
 
 def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
-                  center: np.ndarray, D: float, n_starts: int = 16,
-                  n_iters: int = 500, seed: int = 0) -> GapEstimate:
+                  center: np.ndarray, D: float) -> GapEstimate:
     """sup of <V(z), v_o - z> + phi(v_o) - phi(z) over the ball and dom phi."""
-    _check_ball_and_ascent(D, n_starts, n_iters)
+    _check_radius(D)
     v_o = np.asarray(v_o, dtype=float)
     center = np.asarray(center, dtype=float)
     if reg.kind == "zero":
-        return restricted_gap(op, v_o, center, D, n_starts=n_starts,
-                              n_iters=n_iters, seed=seed)
+        return restricted_gap(op, v_o, center, D)
     if reg.kind == "box-indicator":
         inside = np.clip(center, reg.lo, reg.hi)
         if np.linalg.norm(inside - center) > D:
@@ -238,8 +207,8 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
         return np.clip(Z, reg.lo, reg.hi)
 
     Z, values = _multistart_ascent(
-        op, v_o, center, D, n_starts, n_iters, seed, feasible=feasible,
-        prox_step=lambda U, step: prox(reg, U, step))
+        op, v_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED,
+        feasible=feasible, prox_step=lambda U, step: prox(reg, U, step))
     phi_vo = reg_value(reg, v_o)
     return _best_start(Z, values + phi_vo - np.array(
         [reg_value(reg, z) for z in Z]))

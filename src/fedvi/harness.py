@@ -24,9 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
-                         Trajectory, constants_of, run_lda, run_lesgd,
-                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
-                         step_size)
+                         Trajectory, constants_of, derived_gamma, run_lda,
+                         run_lesgd, run_lesgd_hetero, run_lippax, run_lsgd,
+                         run_slippax, step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, load_affine_text,
                         make_test_problem, operator_bound_on_ball,
@@ -61,7 +61,7 @@ class ResultRow:
     round: int
     gap_value: float | None
     gap_certified: bool | None
-    drift_z: float
+    drift_z: float | None
     dist_to_solution: float | None
     status: str
 
@@ -378,7 +378,16 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
     """(eta, gamma, delta) as configured, or as the schedule gives them."""
     algo, D = cfg.algorithm, cfg.gap["D"]
     if algo["schedule"] is None:
-        return algo["eta"], algo["gamma"], algo["delta"] or 0.0
+        gamma = algo["gamma"]
+        if gamma is None and algo["id"] in READERS["algorithm.gamma"]:
+            try:
+                gamma = derived_gamma(algo["eta"], op.L)
+            except OverflowError as exc:
+                raise ConfigError("algorithm.eta", "too small: the derived "
+                                  "inner step gamma overflows") from exc
+            _expect(gamma > 0, "algorithm.eta",
+                    "too large: the derived inner step gamma is 0")
+        return algo["eta"], gamma, algo["delta"] or 0.0
     center = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0)
     G = operator_bound_on_ball(op, center, 10.0 * D)
     try:
@@ -435,23 +444,24 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     algo_id = cfg.algorithm["id"]
     rows = []
     for rec in traj.records:
-        # from the first diverged record on, no gap is evaluated
+        # from the first diverged record on, no gap, drift or distance
+        # is written
         diverged = traj.diverged_at is not None and rec.t >= traj.diverged_at
-        gap = certified = None
+        gap = certified = drift = dist = None
         if not diverged:
             # with the zero regularizer this is the restricted gap
             est = composite_gap(gap_op, cfg.regularizer, rec.output_avg,
                                 center, cfg.gap["D"])
-            gap, certified = est.value, est.certified
-        dist = (float(np.linalg.norm(rec.output_avg - solution))
-                if solution is not None else None)
+            gap, certified, drift = est.value, est.certified, rec.drift_z
+            if solution is not None:
+                dist = float(np.linalg.norm(rec.output_avg - solution))
         rows.append(ResultRow(
             algo=algo_id, theorem_id=cfg.algorithm["schedule"],
             d=gap_op.dim, M=run_cfg.M, K=run_cfg.K, R=run_cfg.R,
             sigma=spec["sigma"], eta=run_cfg.eta, gamma=run_cfg.gamma,
             delta=run_cfg.delta, H=run_cfg.H, seed=spec["seed"],
             round=rec.t // run_cfg.K, gap_value=gap,
-            gap_certified=certified, drift_z=rec.drift_z,
+            gap_certified=certified, drift_z=drift,
             dist_to_solution=dist,
             status="diverged" if diverged else "ok"))
     return rows
@@ -582,14 +592,13 @@ def run_single(cfg: ExperimentConfig) -> Trajectory:
     return _run_once(cfg, cfg.expand_runs()[0])[0]
 
 
-def verify_problem(cfg: ExperimentConfig, n_pairs: int = 10_000,
-                   seed: int = 0) -> list[str]:
+def verify_problem(cfg: ExperimentConfig) -> list[str]:
     """Property/invariant suite for the configured problem; returns failures."""
     op = build_problem(cfg)
     failures = []
     radius = 10.0 * cfg.gap["D"]
-    report = verify_properties(op, n_pairs=n_pairs, domain_radius=radius,
-                               seed=seed)
+    report = verify_properties(op, n_pairs=10_000, domain_radius=radius,
+                               seed=0)
     if report.monotone_violations > 0:
         failures.append(f"monotonicity: {report.monotone_violations} "
                         f"violating pairs out of {report.pairs_tested}")
@@ -605,7 +614,7 @@ def verify_problem(cfg: ExperimentConfig, n_pairs: int = 10_000,
     sigma = cfg.noise["sigma"]
     oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
     if oracle.is_stochastic():
-        stream = RngStream(seed)
+        stream = RngStream(0)
         z = np.zeros(op.dim)
         n = 20_000
         # n independent draws at z: one stacked query on n path keys

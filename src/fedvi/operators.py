@@ -98,10 +98,8 @@ def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     z = _check_point(op, z)
     if op.is_affine:
         return z @ op.payload["A"].T + op.payload["b"]
-    if op.kind == "bounded-nonlinear":
-        C, b0 = op.payload["C"], op.payload["b0"]
-        return np.tanh(z @ C.T + b0) @ C
-    raise AssertionError(f"unhandled kind {op.kind}")
+    C, b0 = op.payload["C"], op.payload["b0"]
+    return np.tanh(z @ C.T + b0) @ C
 
 
 def op_jacobian(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
@@ -109,11 +107,9 @@ def op_jacobian(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     z = _check_point(op, z)
     if op.is_affine:
         return op.payload["A"].copy()
-    if op.kind == "bounded-nonlinear":
-        C, b0 = op.payload["C"], op.payload["b0"]
-        w = 1.0 / np.cosh(C @ z + b0) ** 2
-        return C.T @ (w[:, None] * C)
-    raise AssertionError(f"unhandled kind {op.kind}")
+    C, b0 = op.payload["C"], op.payload["b0"]
+    w = 1.0 / np.cosh(C @ z + b0) ** 2
+    return C.T @ (w[:, None] * C)
 
 
 def op_vjp(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -126,10 +122,8 @@ def op_vjp(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if op.is_affine:
         return w @ op.payload["A"]
-    if op.kind == "bounded-nonlinear":
-        C, b0 = op.payload["C"], op.payload["b0"]
-        return ((w @ C.T) / np.cosh(z @ C.T + b0) ** 2) @ C
-    raise AssertionError(f"unhandled kind {op.kind}")
+    C, b0 = op.payload["C"], op.payload["b0"]
+    return ((w @ C.T) / np.cosh(z @ C.T + b0) ** 2) @ C
 
 
 def affine_parts(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -347,7 +347,8 @@ class TestRunExperiment:
             assert [r.delta for r in rows] == [want] * 2, algo_id
 
     def test_diverged_run_is_marked(self, tmp_path):
-        """eta = 1e6 overflows: later rows are diverged with empty gaps."""
+        """eta = 1e6 overflows: later rows are diverged, with empty gap,
+        drift and distance cells."""
         tree = minimal_config(log_every=4, output=str(tmp_path / "d.csv"))
         tree["algorithm"]["eta"] = 1e6
         tree["federation"]["R"] = 40
@@ -358,13 +359,14 @@ class TestRunExperiment:
         first = status.index("diverged")
         assert 0 < first and status[first:] == ["diverged"] * (10 - first)
         assert all(math.isfinite(r.gap_value) for r in rows[:first])
-        assert all(r.gap_value is None and r.gap_certified is None
-                   for r in rows[first:])
+        assert all(v is None for r in rows[first:] for v in (
+            r.gap_value, r.gap_certified, r.drift_z, r.dist_to_solution))
         lines = (tmp_path / "d.csv").read_text().splitlines()[1:]
         assert [ln.rsplit(",", 1)[1] for ln in lines] == status
-        gap_cells = [ln.split(",")[13] for ln in lines]
-        assert gap_cells[first:] == [""] * (10 - first)
-        assert all(cell for cell in gap_cells[:first])
+        # gap_value, gap_certified, drift_z, dist_to_solution
+        cells = [ln.split(",")[13:17] for ln in lines]
+        assert cells[first:] == [[""] * 4] * (10 - first)
+        assert all(all(row) for row in cells[:first])
 
     def test_ok_rows_hold_finite_cells_only(self):
         """Outputs whose norm overflows are diverged, not ok rows with
@@ -524,7 +526,7 @@ class TestVerifyProblem:
     def test_zoo_problem_passes(self):
         cfg = ExperimentConfig.from_dict(minimal_config(
             noise={"sigma": 0.5, "model": "gaussian-isotropic"}))
-        assert verify_problem(cfg, n_pairs=2000) == []
+        assert verify_problem(cfg) == []
 
     @pytest.mark.parametrize("model", ["gaussian-isotropic",
                                        "bounded-uniform"])
@@ -621,6 +623,10 @@ class TestCli:
         (lambda t, tmp: TestCli._nonlinear(t, id="slippax", schedule="T5")
          or t.update(noise={"sigma": 1e300, "model": "gaussian-isotropic"}),
          "algorithm.schedule"),
+        (lambda t, tmp: t.update(algorithm={"id": "lippax", "eta": 1e-300}),
+         "algorithm.eta"),
+        (lambda t, tmp: t.update(algorithm={"id": "lippax", "eta": 1e308})
+         or t["problem"]["params"].update(L=10.0), "algorithm.eta"),
         (lambda t, tmp: t["algorithm"].update(schedule="T1"),
          "algorithm.eta"),
         (lambda t, tmp: t.update(algorithm={"id": "lippax", "schedule": "T3",
@@ -655,7 +661,8 @@ class TestCli:
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
              "file-not-a-path", "file-center-length", "file-box-lo-length",
-             "schedule-overflow", "schedule-with-eta", "schedule-with-gamma",
+             "schedule-overflow", "eta-gamma-overflow", "eta-gamma-underflow",
+             "schedule-with-eta", "schedule-with-gamma",
              "schedule-with-delta", "model-none-sigma",
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
