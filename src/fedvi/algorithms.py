@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,7 +100,6 @@ class TrajectoryRecord:
     mean_iterate: np.ndarray
     output_avg: np.ndarray
     drift_z: float
-    drift_x: float
 
 
 @dataclass
@@ -115,7 +115,6 @@ class Trajectory:
     records: list[TrajectoryRecord]
     final_output: np.ndarray
     config: RunConfig
-    warnings: list[str] = field(default_factory=list)
     diverged_at: int | None = None
 
     @property
@@ -186,19 +185,16 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
                 algo: str, queries: Queries) -> Trajectory:
     """The round structure every runner shares.
 
-    ``step(t, z, sync, draws)`` is the runner's local update of all M
-    client states z, given ``draws[j]``, the pre-drawn rows of its j-th
-    query ``queries[j]`` (None when that query draws nothing).  It
-    returns ``(z_next, x, p)``: the next states before averaging, the
-    points whose dispersion is drift_x, and the points whose client mean
-    is the round's output.  The loop runs T = K R steps from z0,
-    averages z_next across clients when ``sync`` (that is, mod(t, K) =
-    0), keeps the running mean of the round outputs (memory O(d)), and
-    records every cadence steps and at t = T.  At each record it checks
-    that the Euclidean norms of z and the output are finite, so a finite
-    state whose norm overflows fails too; the first record that fails
-    marks the run diverged from that step on.  The trajectory's ``delta`` is
-    the largest radius the queries were drawn with.
+    ``step(t, z, sync, draws)`` updates all M client states z, given
+    ``draws[j]``, the pre-drawn rows of query ``queries[j]`` (None when
+    it draws nothing), and returns ``(z_next, p)``: the next states and
+    the points whose client mean is the step's output.  The loop runs
+    T = K R steps, averages z_next across clients when ``sync`` (mod(t,
+    K) = 0), and keeps the running mean of the outputs.  Every cadence
+    steps and at t = T it records drift_z, the dispersion of z_next
+    before the sync; the first record whose state or output norm is not
+    finite marks the run diverged and warns.  The trajectory's ``delta``
+    is the largest radius the queries were drawn with.
     """
     dim = oracle.dim
     z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
@@ -209,24 +205,25 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     draws = _step_draws(oracle, cfg, queries)
     for t in range(1, cfg.T + 1):
         sync = t % cfg.K == 0
-        z, x, p = step(t, z, sync, next(draws))
+        z, p = step(t, z, sync, next(draws))
+        record = t % cadence == 0 or t == cfg.T
+        drift = dispersion(z) if record else None
         if sync:
             z[:] = z.mean(axis=0)
         round_mean = p.mean(axis=0)
         output += (round_mean - output) / t
-        if t % cadence == 0 or t == cfg.T:
+        if record:
             if diverged_at is None and not all(
                     np.isfinite(np.linalg.norm(a)) for a in (z, output)):
                 diverged_at = t
+                warnings.warn(f"{algo} run diverged: iterate norm not "
+                              f"finite at step {t}", RuntimeWarning)
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
-                drift_z=dispersion(z), drift_x=dispersion(x)))
-    warnings = [] if diverged_at is None else [
-        f"{algo} run diverged: iterate norm not finite at step "
-        f"{diverged_at}"]
+                drift_z=drift))
     cfg = replace(cfg, delta=max(delta for _, _, delta in queries))
     return Trajectory(algo=algo, records=records, final_output=output,
-                      config=cfg, warnings=warnings, diverged_at=diverged_at)
+                      config=cfg, diverged_at=diverged_at)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
@@ -248,7 +245,7 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
         if sync:
             x[:] = x.mean(axis=0)
         v = mirror_map(MirrorState(t, eta), reg, x)
-        return z - eta * query(v, draws[1]), x, v
+        return z - eta * query(v, draws[1]), v
     return _round_loop(cfg, oracle, step, algo,
                        ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))
 
@@ -265,12 +262,7 @@ def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
     The round-t mirror map is the prox of phi with weight t * eta; with a
     zero regularizer the trajectory coincides with run_lesgd draw-for-draw.
     """
-    traj = _run_extragradient(oracle, cfg, reg, "lda")
-    if not (oracle.base.G < math.inf):
-        traj.warnings.append(
-            "operator does not declare a finite bound G; the composite "
-            "guarantee does not cover this problem")
-    return traj
+    return _run_extragradient(oracle, cfg, reg, "lda")
 
 
 def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
@@ -288,17 +280,16 @@ def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
 
 def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
     """Plain local SGD on the operator; sound only for co-coercive classes."""
+    if not (oracle.base.beta < math.inf):
+        warnings.warn("operator does not declare a finite co-coercivity "
+                      "constant; plain local SGD has no guarantee on this "
+                      "problem", RuntimeWarning)
 
     def step(t, x, sync, draws):
         x = x - cfg.eta * sample_oracle(oracle, x, draws=draws[0])
-        return x, x, x
-    traj = _round_loop(cfg, oracle, step, "lsgd",
+        return x, x
+    return _round_loop(cfg, oracle, step, "lsgd",
                        ((0, PHASE_EXTRAPOLATE, 0.0),))
-    if not (oracle.base.beta < math.inf):
-        traj.warnings.append(
-            "operator does not declare a finite co-coercivity constant; "
-            "plain local SGD has no guarantee on this problem")
-    return traj
 
 
 def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
@@ -329,7 +320,7 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
     def step(t, z, sync, draws):
         x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])
         # outer extra step: fresh, unsmoothed draw at x_t^m
-        return z - eta * sample_oracle(oracle, x, draws=draws[H]), x, x
+        return z - eta * sample_oracle(oracle, x, draws=draws[H]), x
     # the trajectory reports the inner-loop parameters the run used
     inner = [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
     return _round_loop(replace(cfg, H=H, gamma=gamma), oracle, step, algo,

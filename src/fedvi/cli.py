@@ -20,6 +20,8 @@ def _cmd_run(args) -> int:
             if not SCHEMA["seeds"][1]([args.seed_override]):
                 raise ConfigError("--seed-override", "must be an integer >= 0")
             cfg.seeds = [args.seed_override]
+        if args.workers < 1:
+            raise ConfigError("--workers", "must be an integer >= 1")
         rows = run_experiment(cfg, workers=args.workers, out_path=args.out)
     except ConfigError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import struct
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
@@ -435,8 +434,6 @@ def _run_once(cfg: ExperimentConfig, spec: dict
 
 def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     traj, gap_op = _run_once(cfg, spec)
-    for message in traj.warnings:
-        warnings.warn(message, RuntimeWarning)
     run_cfg = traj.config
 
     center = cfg.gap_center(gap_op.dim)

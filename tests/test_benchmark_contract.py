@@ -10,8 +10,6 @@ import math
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from fedvi.harness import ExperimentConfig, rows_to_csv, run_experiment
@@ -20,7 +18,6 @@ from tracing import Tracer, analyse
 from workloads import WORKLOADS
 
 
-@pytest.mark.filterwarnings("ignore:operator does not declare")
 def test_traced_passes_and_micro_timings():
     for name, workload in sorted(WORKLOADS.items()):
         cfg = ExperimentConfig.from_dict(workload.config(1))

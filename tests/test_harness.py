@@ -1,5 +1,7 @@
 """Config validation, sweeps, CSV determinism, rate fits, and the CLI."""
 
+import csv
+import io
 import json
 import math
 import re
@@ -83,7 +85,6 @@ class TestConfigValidation:
             ExperimentConfig.from_dict(tree)
         assert err.value.path == path
 
-    @pytest.mark.filterwarnings("ignore:operator does not declare")
     def test_box_bounds_accepted_as_numbers_or_lists(self):
         tree = minimal_config(algorithm={"id": "lda", "eta": 0.1})
         tree["regularizer"] = {"kind": "box-indicator", "lo": -1.0,
@@ -385,6 +386,22 @@ class TestRunExperiment:
     def test_finite_runs_are_ok(self):
         assert {r.status for r in run_experiment(minimal_config())} == {"ok"}
 
+    def test_drift_is_taken_before_the_sync(self):
+        """Rows fall on sync steps; stochastic clients have spread apart
+        by then, identical deterministic clients have not."""
+        tree = minimal_config(log_every=2)
+        tree["federation"] = {"M": 4, "K": 3, "R": 6}
+        noisy = dict(tree, noise={"sigma": 0.5, "model": "gaussian-isotropic"})
+        for config, positive in ((noisy, True), (tree, False)):
+            rows = list(csv.DictReader(io.StringIO(
+                rows_to_csv(run_experiment(config)))))
+            assert [r["status"] for r in rows] == ["ok"] * 3
+            drift = [r["drift_z"] for r in rows]
+            if positive:
+                assert all(float(v) > 0.0 for v in drift)
+            else:
+                assert drift == ["0.0"] * 3
+
     def test_runner_warnings_reach_the_caller(self):
         tree = minimal_config()
         tree["problem"] = {"kind": "skew", "dim": 2, "seed": 0}
@@ -657,6 +674,8 @@ class TestCli:
         (lambda t, tmp: [str(tmp / "nope.json")], "<file>"),
         (lambda t, tmp: [str(tmp / "config.json"), "--seed-override", "-1"],
          "--seed-override"),
+        (lambda t, tmp: [str(tmp / "config.json"), "--workers", "0"],
+         "--workers"),
     ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
@@ -666,7 +685,8 @@ class TestCli:
              "schedule-with-delta", "model-none-sigma",
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
-             "lesgd-hetero-block", "config-missing", "seed-override-negative"]
+             "lesgd-hetero-block", "config-missing", "seed-override-negative",
+             "workers-below-one"]
         + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()
