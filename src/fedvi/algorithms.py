@@ -193,8 +193,10 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     K) = 0), and keeps the running mean of the outputs.  Every cadence
     steps and at t = T it records drift_z, the dispersion of z_next
     before the sync; the first record whose state or output norm is not
-    finite marks the run diverged and warns.  The trajectory's ``delta``
-    is the largest radius the queries were drawn with.
+    finite marks the run diverged and warns, naming the run; numpy's
+    overflow and invalid-value warnings are off inside the loop.  The
+    trajectory's ``delta`` is the largest radius the queries were drawn
+    with.
     """
     dim = oracle.dim
     z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
@@ -203,21 +205,26 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     diverged_at = None
     cadence = cfg.record_cadence()
     draws = _step_draws(oracle, cfg, queries)
-    for t in range(1, cfg.T + 1):
-        sync = t % cfg.K == 0
-        z, p = step(t, z, sync, next(draws))
-        record = t % cadence == 0 or t == cfg.T
-        drift = dispersion(z) if record else None
-        if sync:
-            z[:] = z.mean(axis=0)
-        round_mean = p.mean(axis=0)
-        output += (round_mean - output) / t
-        if record:
+    # a diverging run reports itself below, not through numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, cfg.T + 1):
+            sync = t % cfg.K == 0
+            z, p = step(t, z, sync, next(draws))
+            record = t % cadence == 0 or t == cfg.T
+            drift = dispersion(z) if record else None
+            if sync:
+                z[:] = z.mean(axis=0)
+            round_mean = p.mean(axis=0)
+            output += (round_mean - output) / t
+            if not record:
+                continue
             if diverged_at is None and not all(
                     np.isfinite(np.linalg.norm(a)) for a in (z, output)):
                 diverged_at = t
-                warnings.warn(f"{algo} run diverged: iterate norm not "
-                              f"finite at step {t}", RuntimeWarning)
+                warnings.warn(
+                    f"{algo} run (master_seed {cfg.master_seed}, M={cfg.M}, "
+                    f"K={cfg.K}, R={cfg.R}) diverged: iterate norm not "
+                    f"finite at step {t}", RuntimeWarning)
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=drift))

@@ -446,9 +446,11 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
         diverged = traj.diverged_at is not None and rec.t >= traj.diverged_at
         gap = certified = drift = dist = None
         if not diverged:
-            # with the zero regularizer this is the restricted gap
-            est = composite_gap(gap_op, cfg.regularizer, rec.output_avg,
-                                center, cfg.gap["D"])
+            # with the zero regularizer this is the restricted gap; an
+            # overflow here is the run's own, which _round_loop reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = composite_gap(gap_op, cfg.regularizer,
+                                    rec.output_avg, center, cfg.gap["D"])
             gap, certified, drift = est.value, est.certified, rec.drift_z
             if solution is not None:
                 dist = float(np.linalg.norm(rec.output_avg - solution))

@@ -1,27 +1,73 @@
-"""Reference gap evaluators for the tests: a dense polar grid and the
-one-start-at-a-time multistart ascent."""
+"""Reference gap evaluators for the tests: dense polar grids of the
+restricted and composite objectives, and the one-start-at-a-time
+multistart ascent."""
 
 import math
 
 import numpy as np
 
+from fedvi.gaps import _project_box_ball
 from fedvi.operators import eval_operator, op_jacobian
 from fedvi.regularizers import prox, reg_value
 
 
-def grid_oracle(op, x_o, center, D, n_r=600, n_theta=600):
-    """Dense polar-grid evaluation of the gap objective on the disk.
-
-    The outermost ring sits exactly on the boundary, where linear parts
-    of the objective attain their maximum.
-    """
+def _disk_points(center, D, n_r, n_theta):
+    """Polar grid on the disk; the outermost ring sits exactly on the
+    boundary, where linear parts of an objective attain their maximum."""
     r = np.linspace(0.0, D, n_r)
     theta = np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False)
     rr, tt = np.meshgrid(r, theta, indexing="ij")
-    pts = center + np.stack([(rr * np.cos(tt)).ravel(),
-                             (rr * np.sin(tt)).ravel()], axis=1)
+    return center + np.stack([(rr * np.cos(tt)).ravel(),
+                              (rr * np.sin(tt)).ravel()], axis=1)
+
+
+def grid_oracle(op, x_o, center, D, n_r=600, n_theta=600):
+    """Dense polar-grid evaluation of the gap objective on the disk."""
+    pts = _disk_points(center, D, n_r, n_theta)
     vals = np.einsum("ij,ij->i", eval_operator(op, pts), x_o - pts)
     return float(vals.max())
+
+
+def _chord_points(center, D, lines, n=2001):
+    """Points on the chords the lines x_i = s cut from the disk, ends
+    included, and the crossings of two such lines inside the disk."""
+    pts = [np.empty((0, 2))]
+    for i, s in lines:
+        half = D * D - (s - center[i]) ** 2
+        if half >= 0:
+            chord = np.full((n, 2), s)
+            chord[:, 1 - i] = center[1 - i] + np.linspace(-1, 1, n) * math.sqrt(
+                half)
+            pts.append(chord)
+    pts += [np.array([[s, t]]) for i, s in lines if i == 0
+            for j, t in lines if j == 1
+            if math.hypot(s - center[0], t - center[1]) <= D]
+    return np.concatenate(pts)
+
+
+def composite_grid_oracle(op, reg, v_o, center, D, n_r=600, n_theta=600):
+    """Largest composite objective <V(z), v_o - z> + phi(v_o) - phi(z)
+    over a grid of the disk's points in dom phi (l1 or box, d = 2).
+
+    The polar grid is joined by chords along the lines where phi has a
+    kink or a box face, so a maximizer at a kink, a face or a corner has
+    a grid point on it or at second-order distance in value.
+    """
+    if reg.kind == "l1":
+        lines = [(0, 0.0), (1, 0.0)]
+    else:
+        lo, hi = np.asarray(reg.lo, float), np.asarray(reg.hi, float)
+        lines = [(i, b[i]) for i in (0, 1) for b in (lo, hi)]
+    pts = np.concatenate([_disk_points(center, D, n_r, n_theta),
+                          _chord_points(center, D, lines)])
+    if reg.kind == "l1":
+        phi = reg.lam * np.abs(pts).sum(axis=1)
+        phi_vo = reg.lam * np.abs(v_o).sum()
+    else:
+        phi = np.where(((pts >= lo) & (pts <= hi)).all(axis=1), 0.0, np.inf)
+        phi_vo = 0.0 if np.all((v_o >= lo) & (v_o <= hi)) else np.inf
+    vals = np.einsum("ij,ij->i", eval_operator(op, pts), v_o - pts)
+    return float((vals + phi_vo - phi).max())
 
 
 def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
@@ -61,9 +107,7 @@ def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
             return z
         if reg.kind != "box-indicator":
             return project(z)
-        for _ in range(50):
-            z = project(np.clip(z, reg.lo, reg.hi))
-        return np.clip(z, reg.lo, reg.hi)
+        return _project_box_ball(z, reg.lo, reg.hi, center, D)
 
     best_val, best_z = -math.inf, None
     for z in starts[:n_starts]:

@@ -215,7 +215,8 @@ class TestRunLesgd:
         assert traj.status == "diverged" and traj.diverged_at == 13
         assert finite == [True] * 26 + [False] * 14
         assert [str(w.message) for w in caught] == [
-            "lesgd run diverged: iterate norm not finite at step 13"]
+            "lesgd run (master_seed 0, M=2, K=1, R=40) diverged: iterate "
+            "norm not finite at step 13"]
 
 
 class TestInnerProx:

@@ -3,14 +3,17 @@ extra-gradient co-coercivity check."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedvi import gaps
-from fedvi.gaps import (_multistart_ascent, check_eg_cocoercivity,
-                        composite_gap, dispersion, exact_prox_point,
-                        restricted_gap)
+from fedvi.gaps import (_certificate, _multistart_ascent, _project_box_ball,
+                        check_eg_cocoercivity, composite_gap, dispersion,
+                        exact_prox_point, restricted_gap)
 from fedvi.operators import affine_operator, eval_operator, make_test_problem
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
-from gap_reference import grid_oracle, reference_multistart
+from gap_reference import (composite_grid_oracle, grid_oracle,
+                           reference_multistart)
 
 
 class TestBatchedAscent:
@@ -30,8 +33,10 @@ class TestBatchedAscent:
         RegularizerSpec(kind="box-indicator", lo=[-0.6] * 8, hi=[0.6] * 8),
     ], ids=["l1", "box"])
     def test_composite_matches_per_start_loop(self, reg, monkeypatch):
+        # affine operators stop at the certificate; nonlinear ones keep
+        # the multistart ascent
         monkeypatch.setattr(gaps, "ASCENT_SEED", 1)
-        op = make_test_problem("bilinear-saddle", 8, {"b_scale": 0.1}, seed=21)
+        op = make_test_problem("bounded-nonlinear", 8, seed=21)
         v_o = 0.2 * np.random.default_rng(5).standard_normal(8)
         # D = 1 cuts the box's corners, so both projections are active
         est = composite_gap(op, reg, v_o, np.zeros(8), 1.0)
@@ -39,6 +44,7 @@ class TestBatchedAscent:
                                         seed=1)
         assert est.value == pytest.approx(value, rel=1e-9)
         np.testing.assert_allclose(est.maximizer, z, rtol=1e-9, atol=1e-12)
+        assert not est.certified and est.method == "multistart-ascent"
 
     @pytest.mark.parametrize("d", [3, 20])
     def test_starts_do_not_depend_on_batch_size(self, d):
@@ -174,6 +180,145 @@ class TestCompositeGap:
                               hi=[11.0, 11.0])
         with pytest.raises(ValueError, match="infinite"):
             composite_gap(op, reg, np.zeros(2), np.zeros(2), 1.0)
+
+
+def _random_box(rng, d):
+    return RegularizerSpec(kind="box-indicator",
+                           lo=list(-rng.uniform(0.2, 1.0, d)),
+                           hi=list(rng.uniform(0.2, 1.0, d)))
+
+
+class TestBoxBallProjection:
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_lies_in_both_sets(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            box = _random_box(rng, d)
+            center = np.clip(0.5 * rng.standard_normal(d), box.lo, box.hi)
+            D = rng.uniform(0.1, 1.5)
+            y = _project_box_ball(3.0 * rng.standard_normal(d), box.lo,
+                                  box.hi, center, D)
+            assert np.all(y >= box.lo) and np.all(y <= box.hi)
+            assert np.linalg.norm(y - center) <= D
+
+    def test_matches_brute_force_nearest_point_in_2d(self):
+        rng = np.random.default_rng(7)
+        axis = np.linspace(-1.0, 1.0, 1001)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        for _ in range(30):
+            box = _random_box(rng, 2)
+            center = np.clip(0.5 * rng.standard_normal(2), box.lo, box.hi)
+            D = rng.uniform(0.1, 1.0)
+            p = 2.0 * rng.standard_normal(2)
+            y = _project_box_ball(p, box.lo, box.hi, center, D)
+            inside = grid[np.all((grid >= box.lo) & (grid <= box.hi), axis=1)
+                          & (np.linalg.norm(grid - center, axis=1) <= D)]
+            nearest = inside[np.argmin(np.linalg.norm(inside - p, axis=1))]
+            assert np.linalg.norm(y - p) <= np.linalg.norm(nearest - p) + 1e-12
+            # the nearest point of a convex set: <p - y, x - y> <= 0 for
+            # every feasible x
+            assert ((inside - y) @ (p - y)).max() <= 1e-12
+
+    def test_ball_point_inside_the_box_is_kept(self):
+        box = RegularizerSpec(kind="box-indicator", lo=[-1.0] * 3,
+                              hi=[1.0] * 3)
+        p = np.array([0.2, -0.4, 0.1])
+        np.testing.assert_array_equal(
+            _project_box_ball(p, box.lo, box.hi, np.zeros(3), 1.0), p)
+
+
+AFFINE_KINDS = [("affine", {"mu": 0.0}), ("affine", {"mu": 0.05}),
+                ("affine", {"mu": 0.3}), ("skew", {}),
+                ("bilinear-saddle", {"b_scale": 0.3}),
+                ("quadratic-gradient", {})]
+
+
+def _composite_instance(seed):
+    """An affine monotone operator, an l1 or box phi, and a ball in d=2."""
+    rng = np.random.default_rng(seed)
+    kind, params = AFFINE_KINDS[seed % len(AFFINE_KINDS)]
+    op = make_test_problem(kind, 2, params, seed=seed)
+    center, v_o = 0.3 * rng.standard_normal(2), rng.standard_normal(2)
+    D = rng.uniform(0.5, 2.0)
+    if seed % 2:
+        reg = RegularizerSpec(kind="l1", lam=rng.uniform(0.0, 0.5))
+    else:
+        reg = _random_box(rng, 2)
+        center = np.clip(center, reg.lo, reg.hi)
+        v_o = np.clip(v_o, reg.lo, reg.hi)
+    return op, reg, v_o, center, D
+
+
+class TestCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_certified_value_matches_the_grid(self, seed):
+        op, reg, v_o, center, D = _composite_instance(seed)
+        est = composite_gap(op, reg, v_o, center, D)
+        grid = composite_grid_oracle(op, reg, v_o, center, D)
+        if est.certified:
+            assert grid - 1e-7 * (1 + abs(grid)) <= est.value <= grid + 1e-3
+        else:
+            assert est.value <= grid + 1e-3
+        # bilinear and skew objectives are linear: the first check closes
+        if op.kind in ("skew", "bilinear-saddle"):
+            assert est.certified
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_bound_covers_the_grid_maximum(self, seed):
+        op, reg, v_o, center, D = _composite_instance(seed)
+        grid = composite_grid_oracle(op, reg, v_o, center, D)
+        rng = np.random.default_rng(seed)
+        # any feasible linearization point gives a valid bound
+        z = center + D * rng.uniform(0.0, 1.0) * np.array([0.6, -0.8])
+        if reg.kind == "box-indicator":
+            z = _project_box_ball(z, reg.lo, reg.hi, center, D)
+        bound, y = _certificate(op, reg, v_o, center, D, z)
+        assert bound >= grid - 1e-12 * (1 + abs(grid))
+        assert np.linalg.norm(y - center) <= D * (1 + 1e-12)
+
+    def test_zero_regularizer_bound_is_the_duality_gap(self):
+        """sup - g(z) <= <grad, center - z> + D ||grad|| for phi = 0."""
+        op = make_test_problem("affine", 5, seed=4)
+        rng = np.random.default_rng(4)
+        x_o, z = rng.standard_normal((2, 5))
+        A = op.payload["A"]
+        grad = A.T @ (x_o - z) - eval_operator(op, z)
+        bound, _ = _certificate(op, ZERO_REG, x_o, np.zeros(5), 3.0, z)
+        want = (eval_operator(op, z) @ (x_o - z) + grad @ -z
+                + 3.0 * np.linalg.norm(grad))
+        assert bound == pytest.approx(want, rel=1e-14)
+
+    def test_composite_lda_gaps_close_at_the_first_check(self, monkeypatch):
+        op = make_test_problem("bilinear-saddle", 8, {"b_scale": 0.1},
+                               seed=21)
+        reg = RegularizerSpec(kind="l1", lam=0.05)
+        v_o = 0.2 * np.random.default_rng(5).standard_normal(8)
+        checks = []
+
+        def counted(*args):
+            checks.append(args)
+            return _certificate(*args)
+        monkeypatch.setattr(gaps, "_certificate", counted)
+        est = composite_gap(op, reg, v_o, np.zeros(8), 2.0)
+        assert est.certified and len(checks) == 1
+        value, _ = reference_multistart(op, v_o, np.zeros(8), 2.0, reg=reg)
+        assert est.value == pytest.approx(value, rel=1e-12)
+
+    def test_unclosed_bound_stops_uncertified(self, monkeypatch):
+        """With a single ascent step the bound of a curved objective
+        stays open: the gap is a feasible lower bound, not certified."""
+        monkeypatch.setattr(gaps, "ASCENT_STEPS", 1)
+        op = make_test_problem("affine", 6, {"mu": 0.3}, seed=2)
+        reg = RegularizerSpec(kind="l1", lam=0.1)
+        v_o = np.random.default_rng(2).standard_normal(6)
+        est = composite_gap(op, reg, v_o, np.zeros(6), 1.5)
+        assert not est.certified and est.method == "certified-ascent"
+        assert np.linalg.norm(est.maximizer) <= 1.5
+        monkeypatch.setattr(gaps, "ASCENT_STEPS", 500)
+        closed = composite_gap(op, reg, v_o, np.zeros(6), 1.5)
+        assert closed.certified and est.value <= closed.value
 
 
 class TestExactProxPoint:

@@ -383,6 +383,15 @@ class TestRunExperiment:
             assert math.isfinite(row.gap_value) and row.gap_certified
             assert math.isfinite(row.dist_to_solution)
 
+    def test_affine_lda_gaps_are_certified(self):
+        """The composite gap of an affine operator carries its certificate."""
+        path = Path(__file__).parents[1] / "configs" / "lda_l1_bilinear.json"
+        tree = json.loads(path.read_text())
+        tree.pop("output", None)
+        rows = run_experiment(tree)
+        assert len(rows) == 20
+        assert all(r.status == "ok" and r.gap_certified for r in rows)
+
     def test_finite_runs_are_ok(self):
         assert {r.status for r in run_experiment(minimal_config())} == {"ok"}
 
@@ -590,6 +599,25 @@ class TestCli:
                          "--seed-override", "5"]) == 0
         lines = open(out).read().splitlines()
         assert len(lines) == 11  # header + one seed's 10 rounds
+
+    def test_diverging_runs_warn_once_each_without_numpy(self, tmp_path):
+        """Each diverging run names itself in one fedvi warning, under the
+        default filter; numpy's overflow warnings stay quiet."""
+        tree = minimal_config(log_every=4, seeds=[0, 1, 2])
+        tree["algorithm"]["eta"] = 1e6
+        tree["federation"]["R"] = 40
+        cfg_path = self._write(tmp_path, tree)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert cli_main(["run", cfg_path, "--out",
+                             str(tmp_path / "d.csv")]) == 0
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == len(set(messages)) == 3
+        for w in caught:
+            assert w.category is RuntimeWarning
+            assert re.fullmatch(r"lesgd run \(master_seed \d+, M=1, K=1, "
+                                r"R=40\) diverged: iterate norm not finite "
+                                r"at step \d+", str(w.message))
 
     def test_bad_config_exits_2(self, tmp_path):
         tree = minimal_config()
