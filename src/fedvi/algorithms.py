@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -32,6 +33,10 @@ from .operators import OperatorSpec
 from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
+
+# How many times its problem's scale a run may stray from z0 before it
+# counts as blown up (RunConfig.growth_limit).
+BLOWUP = 1e6
 
 THEOREM_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8")
 ALGO_IDS = ("lesgd", "lippax", "slippax", "lsgd", "lda", "lesgd-hetero")
@@ -58,6 +63,7 @@ class RunConfig:
     log_every: int | None = None
     log_steps: bool = False
     z0: np.ndarray | None = None
+    reach: float = math.inf
 
     def __post_init__(self):
         if self.M < 1 or self.K < 1 or self.R < 1:
@@ -72,6 +78,8 @@ class RunConfig:
             raise ValueError("delta must be nonnegative")
         if self.log_every is not None and self.log_every < 1:
             raise ValueError("log_every must be >= 1")
+        if not self.reach > 0:
+            raise ValueError("reach must be positive")
 
     @property
     def T(self) -> int:
@@ -84,6 +92,20 @@ class RunConfig:
         """Steps between trajectory records (log_every communication rounds,
         or every step when log_steps is set)."""
         return 1 if self.log_steps else self.resolved_log_every() * self.K
+
+    def growth_limit(self, sigma: float) -> float:
+        """Distance from z0 past which a run has blown up.
+
+        ``reach`` is how far from z0 the problem lies (the caller's gap
+        ball: D plus the ball center's distance from z0), and noise of
+        size sigma moves a run about eta sigma sqrt(T) on its own.  Under
+        the theorems' step sizes a run stays within a small multiple of
+        their sum, while a run whose step is too large grows
+        geometrically and crosses BLOWUP times it within a few steps.
+        With the default infinite reach only a non-finite norm counts.
+        """
+        scale = self.reach + self.eta * sigma * math.sqrt(self.T)
+        return min(BLOWUP * scale, sys.float_info.max)
 
     def initial_point(self, dim: int) -> np.ndarray:
         if self.z0 is None:
@@ -181,6 +203,13 @@ def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
             yield from _draw_steps(oracle, stream, steps, queries, cfg.M)
 
 
+def _client_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=0)``'s bits: numpy's mean is this sum over the rows
+    divided by their count, behind a wrapper that costs more than the sum
+    at the runners' stack sizes."""
+    return np.add.reduce(a, axis=0) / len(a)
+
+
 def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
                 algo: str, queries: Queries) -> Trajectory:
     """The round structure every runner shares.
@@ -192,14 +221,18 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     T = K R steps, averages z_next across clients when ``sync`` (mod(t,
     K) = 0), and keeps the running mean of the outputs.  Every cadence
     steps and at t = T it records drift_z, the dispersion of z_next
-    before the sync; the first record whose state or output norm is not
-    finite marks the run diverged and warns, naming the run; numpy's
-    overflow and invalid-value warnings are off inside the loop.  The
+    before the sync; the first record where the client stack or the
+    output lies farther from z0 than ``cfg.growth_limit`` (Euclidean
+    norm, a non-finite one included) marks the run diverged and warns,
+    naming the run; numpy's overflow and invalid-value warnings are off
+    inside the loop.  The
     trajectory's ``delta`` is the largest radius the queries were drawn
     with.
     """
     dim = oracle.dim
-    z = np.tile(cfg.initial_point(dim), (cfg.M, 1))
+    z0 = cfg.initial_point(dim)
+    limit = cfg.growth_limit(oracle.sigma)
+    z = np.tile(z0, (cfg.M, 1))
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
     diverged_at = None
@@ -213,18 +246,20 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
             record = t % cadence == 0 or t == cfg.T
             drift = dispersion(z) if record else None
             if sync:
-                z[:] = z.mean(axis=0)
-            round_mean = p.mean(axis=0)
+                z[:] = _client_mean(z)
+            round_mean = _client_mean(p)
             output += (round_mean - output) / t
             if not record:
                 continue
-            if diverged_at is None and not all(
-                    np.isfinite(np.linalg.norm(a)) for a in (z, output)):
+            far = [np.linalg.norm(a - z0) for a in (z, output)]
+            if diverged_at is None and not all(n <= limit for n in far):
                 diverged_at = t
+                what = ("not finite" if not np.isfinite(far).all()
+                        else f"beyond {limit:.3g} from z0")
                 warnings.warn(
                     f"{algo} run (master_seed {cfg.master_seed}, M={cfg.M}, "
-                    f"K={cfg.K}, R={cfg.R}) diverged: iterate norm not "
-                    f"finite at step {t}", RuntimeWarning)
+                    f"K={cfg.K}, R={cfg.R}) diverged: iterate norm {what} "
+                    f"at step {t}", RuntimeWarning)
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=drift))
@@ -246,12 +281,18 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
         q = sample_oracle(oracle, points, draws=rows)
         return q if offsets is None else q + offsets
 
+    if reg.kind == "zero":
+        def primal(t, z):  # the identity; no caller writes to what it returns
+            return z
+    else:
+        def primal(t, z):
+            return mirror_map(MirrorState(t, eta), reg, z)
+
     def step(t, z, sync, draws):
-        u = mirror_map(MirrorState(t - 1, eta), reg, z)
-        x = z - eta * query(u, draws[0])
+        x = z - eta * query(primal(t - 1, z), draws[0])
         if sync:
-            x[:] = x.mean(axis=0)
-        v = mirror_map(MirrorState(t, eta), reg, x)
+            x[:] = _client_mean(x)
+        v = primal(t, x)
         return z - eta * query(v, draws[1]), v
     return _round_loop(cfg, oracle, step, algo,
                        ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))

@@ -97,13 +97,17 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     r = x_o - center
     v_c = A @ center + b
     g = A.T @ r - v_c
-    S = 0.5 * (A + A.T)
-    lam, U = np.linalg.eigh(S)
+    lam, U = op.sym_eigh
     lam = np.maximum(lam, 0.0)
     gt = U.T @ g
+    two_lam = 2.0 * lam
 
     def w_of(nu: float) -> np.ndarray:
-        return gt / (2.0 * lam + nu)
+        return gt / (two_lam + nu)
+
+    def radius(nu: float) -> float:
+        w = w_of(nu)
+        return math.sqrt(w.dot(w))  # np.linalg.norm's own path, its bits
 
     # interior stationary point, when it exists
     free = lam > 1e-14 * max(lam.max(initial=0.0), 1.0)
@@ -115,8 +119,7 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
             return center + U @ wt
 
     # boundary: solve ||w(nu)|| = D for nu > 0
-    nu = _secular_root(lambda nu: np.linalg.norm(w_of(nu)), D,
-                       2.0 * np.linalg.norm(gt) / D)
+    nu = _secular_root(radius, D, 2.0 * np.linalg.norm(gt) / D)
     return center + U @ w_of(nu)
 
 

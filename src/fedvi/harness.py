@@ -414,11 +414,13 @@ def _run_once(cfg: ExperimentConfig, spec: dict
         offsets, xi = _hetero_offsets(op, cfg, M)
     eta, gamma, delta = _resolve_plan(cfg, op, spec, xi)
 
+    z0 = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0, float)
+    reach = cfg.gap["D"] + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
     run_cfg = RunConfig(M=M, K=spec["K"], R=spec["R"], eta=eta, gamma=gamma,
                         delta=delta, H=cfg.algorithm["H"],
                         log_every=cfg.log_every,
-                        master_seed=_run_master_seed(**spec),
-                        z0=None if cfg.z0 is None else np.asarray(cfg.z0, float))
+                        master_seed=_run_master_seed(**spec), z0=z0,
+                        reach=reach)
     oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
 
     if algo_id == "lesgd-hetero":

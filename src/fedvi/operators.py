@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -57,8 +58,7 @@ class OperatorSpec:
         if self.L < 0:
             raise ValueError("L must be nonnegative")
         if self.is_affine:
-            A = self.payload["A"]
-            s_min = float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
+            s_min = float(self.sym_eigh[0].min())
             if s_min < -1e-10:
                 raise ValueError(
                     f"affine matrix is not monotone: min sym eigenvalue {s_min:g}")
@@ -67,6 +67,13 @@ class OperatorSpec:
     def is_affine(self) -> bool:
         """Whether V(z) = Az + b; every kind but bounded-nonlinear is."""
         return self.kind != "bounded-nonlinear"
+
+    @cached_property
+    def sym_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of the symmetric part (A + A^T) / 2 of an affine V, once."""
+        A = affine_parts(self)[0]
+        lam, U = np.linalg.eigh(0.5 * (A + A.T))
+        return _frozen(lam), _frozen(U)
 
     @property
     def solution(self) -> np.ndarray | None:
@@ -95,7 +102,11 @@ def _check_point(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
 
 def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     """Evaluate V(z).  Accepts batches over leading axes."""
-    z = _check_point(op, z)
+    return _apply(op, _check_point(op, z))
+
+
+def _apply(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
+    """eval_operator's arithmetic, for float points already checked."""
     if op.is_affine:
         return z @ op.payload["A"].T + op.payload["b"]
     C, b0 = op.payload["C"], op.payload["b0"]

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec, eval_operator
+from .operators import OperatorSpec, _apply
 from .rng import TAG_NOISE, TAG_SMOOTHING, normals, uniforms
 
 NOISE_MODELS = ("gaussian-isotropic", "bounded-uniform", "none")
@@ -57,11 +57,12 @@ def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
 
     A 2-D GEMM over the rows sums in a different order, so a row's bits
     would depend on how many rows share the call.  A single row is
-    evaluated as a 1-D point, which gives the same bits.
+    evaluated as a 1-D point, which gives the same bits.  ``z`` is a
+    float point or stack that :func:`sample_oracle` has checked.
     """
     if z.ndim == 1 or len(z) == 1:
-        return eval_operator(op, z.reshape(-1)).reshape(z.shape)
-    return eval_operator(op, z[:, None, :]).reshape(z.shape)
+        return _apply(op, z.reshape(-1)).reshape(z.shape)
+    return _apply(op, z[:, None, :]).reshape(z.shape)
 
 
 class Draws(NamedTuple):

@@ -1,13 +1,14 @@
 """Reference gap evaluators for the tests: dense polar grids of the
-restricted and composite objectives, and the one-start-at-a-time
-multistart ascent."""
+restricted and composite objectives, the one-start-at-a-time
+multistart ascent, and the exact restricted maximizer solved with
+np.linalg.norm in the multiplier bisection."""
 
 import math
 
 import numpy as np
 
 from fedvi.gaps import _project_box_ball
-from fedvi.operators import eval_operator, op_jacobian
+from fedvi.operators import affine_parts, eval_operator, op_jacobian
 from fedvi.regularizers import prox, reg_value
 
 
@@ -122,3 +123,33 @@ def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
         if val > best_val:
             best_val, best_z = val, z
     return best_val, best_z
+
+
+def reference_exact_concave_max(op, x_o, center, D):
+    """The affine restricted maximizer, written out with np.linalg.eigh
+    of the symmetric part per call and np.linalg.norm for every radius of
+    the doubling-plus-bisection solve of ||w(nu)|| = D."""
+    A, b = affine_parts(op)
+    g = A.T @ (x_o - center) - (A @ center + b)
+    lam, U = np.linalg.eigh(0.5 * (A + A.T))
+    lam = np.maximum(lam, 0.0)
+    gt = U.T @ g
+    free = lam > 1e-14 * max(lam.max(initial=0.0), 1.0)
+    if np.all(np.abs(gt[~free]) <= 1e-14 * max(1.0, np.linalg.norm(gt))):
+        wt = np.zeros_like(gt)
+        wt[free] = gt[free] / (2.0 * lam[free])
+        if np.linalg.norm(wt) <= D:
+            return center + U @ wt, "interior"
+    hi = 2.0 * np.linalg.norm(gt) / D
+    while np.linalg.norm(gt / (2.0 * lam + hi)) > D:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if np.linalg.norm(gt / (2.0 * lam + mid)) > D:
+            lo = mid
+        else:
+            hi = mid
+    return center + U @ (gt / (2.0 * lam + hi)), "boundary"

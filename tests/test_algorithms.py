@@ -1,7 +1,9 @@
 """Federated runners, theorem step-size schedules, and exact reductions."""
 
 import math
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +219,31 @@ class TestRunLesgd:
         assert [str(w.message) for w in caught] == [
             "lesgd run (master_seed 0, M=2, K=1, R=40) diverged: iterate "
             "norm not finite at step 13"]
+
+    def test_growth_past_the_limit_marks_the_run(self):
+        """V(z) = z with eta = 3 multiplies the state by 7 per step.
+
+        From z0 = 1 with reach 1 the limit is 1e6: 7^8 - 1 > 1e6 > 7^7 - 1,
+        so step 8 is the first record past it, long before any overflow.
+        Without a reach the same run stays ok.
+        """
+        cfg = RunConfig(M=1, K=1, R=40, eta=3.0, z0=np.array([1.0]),
+                        log_every=1, reach=1.0)
+        with pytest.warns(RuntimeWarning) as caught:
+            traj = run_lesgd(scalar_op(), cfg)
+        assert traj.diverged_at == 8
+        assert [str(w.message) for w in caught] == [
+            "lesgd run (master_seed 0, M=1, K=1, R=40) diverged: iterate "
+            "norm beyond 1e+06 from z0 at step 8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_lesgd(scalar_op(), replace(cfg, reach=math.inf)
+                             ).status == "ok"
+
+    def test_growth_limit_adds_the_noise_walk(self):
+        cfg = RunConfig(M=1, K=4, R=25, eta=0.5, reach=2.0)
+        assert cfg.growth_limit(3.0) == 1e6 * (2.0 + 0.5 * 3.0 * 10.0)
+        assert RunConfig().growth_limit(1.0) == sys.float_info.max
 
 
 class TestInnerProx:
@@ -469,6 +496,7 @@ class TestRunConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(M=0), dict(K=0), dict(R=0), dict(eta=0.0), dict(eta=-1.0),
         dict(gamma=0.0), dict(H=0), dict(delta=-0.1), dict(log_every=0),
+        dict(reach=0.0), dict(reach=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -599,6 +627,18 @@ class TestRoundDraws:
     @pytest.mark.parametrize("algo", ALGO_IDS)
     def test_runs_equal_per_query_reference_bitwise(self, algo, model, M, K):
         oracle, cfg = self._case("bounded-nonlinear", model, 0.8, M, K)
+        traj, extra = _run(algo, oracle, cfg)
+        _assert_same_bits(traj, reference_run(algo, oracle, cfg, **extra))
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_deterministic_runs_equal_per_query_reference_bitwise(
+            self, algo, kind, M, K):
+        """Without noise: the sync and output means, and LESGD's identity
+        mirror map, against the reference's .mean(axis=0) and mirror_map."""
+        oracle, cfg = self._case(kind, "none", 0.0, M, K)
         traj, extra = _run(algo, oracle, cfg)
         _assert_same_bits(traj, reference_run(algo, oracle, cfg, **extra))
 

@@ -13,7 +13,7 @@ from fedvi.gaps import (_certificate, _multistart_ascent, _project_box_ball,
 from fedvi.operators import affine_operator, eval_operator, make_test_problem
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
 from gap_reference import (composite_grid_oracle, grid_oracle,
-                           reference_multistart)
+                           reference_exact_concave_max, reference_multistart)
 
 
 class TestBatchedAscent:
@@ -92,6 +92,29 @@ class TestRestrictedGap:
             assert est.certified
             assert est.value == pytest.approx(
                 grid_oracle(op, x_o, center, D), abs=1e-3)
+
+    @pytest.mark.parametrize("kind,mu,d,sides", [
+        *[("affine", 0.1, d, {"interior", "boundary"}) for d in (1, 2, 10, 40)],
+        *[("affine", 0.0, d, {"boundary"}) for d in (2, 10, 40)],
+        ("skew", None, 1, {"interior"}),
+        *[("skew", None, d, {"boundary"}) for d in (2, 10, 40)]])
+    def test_exact_solve_matches_norm_reference_bitwise(self, kind, mu, d,
+                                                        sides):
+        """Interior and boundary maximizers and zero eigenvalues of the
+        symmetric part: mu = 0 has one, a skew field only zeros (d = 1
+        is the zero field, whose maximizer is the center)."""
+        rng = np.random.default_rng(d)
+        seen = set()
+        for seed in range(6):
+            op = make_test_problem(kind, d, {} if mu is None else {"mu": mu},
+                                   seed=seed)
+            x_o, center = rng.standard_normal((2, d))
+            for D in (0.05, 1.0, 1e3):
+                want, side = reference_exact_concave_max(op, x_o, center, D)
+                got = gaps._exact_concave_max(op, x_o, center, D)
+                assert np.array_equal(got, want), (seed, D, side)
+                seen.add(side)
+        assert seen == sides
 
     def test_value_recomputes_at_maximizer(self):
         op = make_test_problem("affine", 6, seed=3)

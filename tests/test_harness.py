@@ -348,10 +348,11 @@ class TestRunExperiment:
             assert [r.delta for r in rows] == [want] * 2, algo_id
 
     def test_diverged_run_is_marked(self, tmp_path):
-        """eta = 1e6 overflows: later rows are diverged, with empty gap,
-        drift and distance cells."""
+        """eta = 3 grows geometrically past the growth limit after two ok
+        records: later rows are diverged, with empty gap, drift and
+        distance cells."""
         tree = minimal_config(log_every=4, output=str(tmp_path / "d.csv"))
-        tree["algorithm"]["eta"] = 1e6
+        tree["algorithm"]["eta"] = 3.0
         tree["federation"]["R"] = 40
         with np.errstate(all="ignore"), \
                 pytest.warns(RuntimeWarning, match="diverged"):
@@ -370,18 +371,22 @@ class TestRunExperiment:
         assert all(all(row) for row in cells[:first])
 
     def test_ok_rows_hold_finite_cells_only(self):
-        """Outputs whose norm overflows are diverged, not ok rows with
-        inf distances and uncertified gaps of 1e181 and more."""
+        """A run is diverged from the first record that lies farther than
+        1e6 times the gap ball's reach from z0, not an ok row with an inf
+        distance or a gap of 1e41 and more (eta = 1e6 wrote three)."""
         tree = minimal_config(log_every=4)
-        tree["algorithm"]["eta"] = 1e6
         tree["federation"]["R"] = 40
-        with np.errstate(all="ignore"), \
-                pytest.warns(RuntimeWarning, match="at step 16$"):
-            rows = run_experiment(tree)
-        assert [r.status for r in rows] == ["ok"] * 3 + ["diverged"] * 7
-        for row in rows[:3]:
-            assert math.isfinite(row.gap_value) and row.gap_certified
-            assert math.isfinite(row.dist_to_solution)
+        for eta, n_ok, step in ((3.0, 2, 12), (4.0, 1, 8), (1e6, 0, 4)):
+            tree["algorithm"]["eta"] = eta
+            with np.errstate(all="ignore"), pytest.warns(
+                    RuntimeWarning,
+                    match=f"beyond 1e\\+06 from z0 at step {step}$"):
+                rows = run_experiment(tree)
+            assert [r.status for r in rows] == (["ok"] * n_ok
+                                                + ["diverged"] * (10 - n_ok))
+            for row in rows[:n_ok]:
+                assert abs(row.gap_value) < 1e12 and row.gap_certified
+                assert row.dist_to_solution < 1e6
 
     def test_affine_lda_gaps_are_certified(self):
         """The composite gap of an affine operator carries its certificate."""
@@ -616,8 +621,8 @@ class TestCli:
         for w in caught:
             assert w.category is RuntimeWarning
             assert re.fullmatch(r"lesgd run \(master_seed \d+, M=1, K=1, "
-                                r"R=40\) diverged: iterate norm not finite "
-                                r"at step \d+", str(w.message))
+                                r"R=40\) diverged: iterate norm beyond "
+                                r"1e\+06 from z0 at step 4", str(w.message))
 
     def test_bad_config_exits_2(self, tmp_path):
         tree = minimal_config()
