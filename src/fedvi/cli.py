@@ -72,7 +72,9 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config's sweep to CSV")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="CSV output path")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="kept for compatibility; no longer changes how "
+                            "runs execute (always serially)")
     p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 

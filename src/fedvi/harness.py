@@ -3,9 +3,9 @@
 A config is a JSON tree with problem / algorithm / federation / noise /
 gap blocks plus optional sweep lists.  Output is deterministic: the
 per-run seed is derived from the run's own parameters (seed entry and
-sweep values), so reordering sweep lists or changing the worker count
-never changes any run's rows, and rows are written in enumeration
-order.
+sweep values), so reordering sweep lists never changes any run's rows.
+Runs execute serially on the calling thread, and rows are written in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import itertools
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -470,17 +469,23 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
 
 def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
                    out_path: str | None = None) -> list[ResultRow]:
-    """Execute all (sweep point x seed) runs; write CSV when a path is set."""
+    """Execute all (sweep point x seed) runs in enumeration order on the
+    calling thread; write CSV when a path is set (`out_path` overrides
+    the config's `output`). `workers` is kept for existing callers and no
+    longer changes how runs execute."""
     cfg = (config if isinstance(config, ExperimentConfig)
            else ExperimentConfig.from_dict(config))
-    specs = cfg.expand_runs()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(lambda s: _execute_run(cfg, s), specs))
-    else:
-        per_run = [_execute_run(cfg, s) for s in specs]
-    rows = [row for chunk in per_run for row in chunk]
     path = out_path or cfg.output
+    if path:
+        # reject an unwritable path before the sweep, not after it; append
+        # mode leaves an existing file as it is until the rows are written
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise ConfigError("output", f"cannot write {path}: "
+                              f"{exc.strerror}") from None
+    rows = [row for spec in cfg.expand_runs()
+            for row in _execute_run(cfg, spec)]
     if path:
         write_csv(rows, path)
     return rows
@@ -521,8 +526,9 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
              x_name: str) -> dict[tuple, RateFit]:
     """Least squares on (log x, log gap) over final-round rows, per group.
 
-    Rows whose gap is not positive, NaN or empty (a diverged run) are
-    excluded and counted.
+    Rows whose x is not positive, or whose gap is not positive, NaN or
+    empty (a diverged run), have no logarithm; they are excluded and
+    counted.
     """
     final: dict[tuple, list[tuple[float, float]]] = {}
     excluded: dict[tuple, int] = {}
@@ -534,7 +540,7 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         gap = _row_get(row, "gap_value")
         # an empty gap is a diverged run's
         gap = math.nan if gap in (None, "") else float(gap)
-        if not gap > 0:
+        if not (x > 0 and gap > 0):
             excluded[key] = excluded.get(key, 0) + 1
             continue
         final.setdefault(key, []).append((x, gap))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -254,6 +255,22 @@ class TestRunExperiment:
         csv8 = rows_to_csv(run_experiment(minimal_config(), workers=8))
         assert csv1 == csv2 == csv8
 
+    def test_runs_start_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("run_experiment started a thread")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run_experiment(minimal_config(), workers=8)
+
+    def test_unwritable_output_rejected_before_any_run(self, tmp_path,
+                                                       monkeypatch):
+        def refuse(cfg, spec):
+            raise AssertionError("a run started")
+        monkeypatch.setattr("fedvi.harness._execute_run", refuse)
+        out = str(tmp_path / "missing" / "x.csv")
+        with pytest.raises(ConfigError, match="cannot write") as err:
+            run_experiment(minimal_config(output=out))
+        assert err.value.path == "output"
+
     def test_csv_schema(self, tmp_path):
         out = tmp_path / "rows.csv"
         run_experiment(minimal_config(output=str(out)))
@@ -476,6 +493,16 @@ class TestFitRate:
         fits = fit_rate(rows, [], "R")
         assert fits[()].n_excluded == 1
         assert abs(fits[()].slope + 1.0) < 1e-9
+
+    def test_nonpositive_x_excluded_and_counted(self):
+        """sigma = 0 is a legal sweep level with no logarithm."""
+        rows = run_experiment(minimal_config(
+            noise={"sigma": 0.0, "model": "gaussian-isotropic"},
+            gap={"D": 12.0},  # ball covers the solution: every gap > 0
+            sweep={"sigma": [0, 1, 2, 4, 8]}))
+        fit = fit_rate(rows, [], "sigma")[()]
+        assert [x for x, _ in fit.pairs] == [1, 2, 4, 8]
+        assert fit.n_excluded == 1
 
     def test_too_few_distinct_x_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -709,6 +736,10 @@ class TestCli:
          "--seed-override"),
         (lambda t, tmp: [str(tmp / "config.json"), "--workers", "0"],
          "--workers"),
+        (lambda t, tmp: [str(tmp / "config.json"),
+                         "--out", str(tmp / "missing" / "x.csv")], "output"),
+        (lambda t, tmp: t.update(output=str(tmp / "missing" / "x.csv")),
+         "output"),
     ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
@@ -719,7 +750,7 @@ class TestCli:
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
              "lesgd-hetero-block", "config-missing", "seed-override-negative",
-             "workers-below-one"]
+             "workers-below-one", "out-missing-dir", "output-missing-dir"]
         + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()
