@@ -9,26 +9,28 @@ certificate (the concavity bound at the current point, its inner
 maximum solved in the ball multiplier by the same secular equation)
 closes to 1e-7 (1 + |value|), and is tagged ``certified-ascent``.  Both
 gaps are certified by that one bound.  Nonlinear operators run a
-multistart projected ascent of fixed size (``ASCENT_STARTS`` starts of
-``ASCENT_STEPS`` steps, drawn from ``ASCENT_SEED``) and report the best
-objective value recomputed at a feasible point: a true lower bound of
-the sup, tagged as not certified.
+multistart projected ascent (``ASCENT_STARTS`` starts drawn from
+``ASCENT_SEED``, each stopped once one step moves it by at most
+``ASCENT_TOL`` (D + ||center||), or after ``ASCENT_STEPS`` steps) and
+report the best objective value recomputed at a feasible point: a true
+lower bound of the sup, tagged as not certified.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import (OperatorSpec, affine_parts, eval_operator,
-                        op_jacobian, op_vjp)
+                        op_jacobian, op_value_vjp)
 from .regularizers import ZERO_REG, RegularizerSpec, prox, reg_value
 
 ASCENT_STARTS = 16
 ASCENT_STEPS = 500
+ASCENT_TOL = 1e-12
 ASCENT_SEED = 0
 
 
@@ -40,15 +42,6 @@ class GapEstimate:
     method: str
     certified: bool
     maximizer: np.ndarray
-
-
-@dataclass(frozen=True)
-class CocoercivityReport:
-    """Outcome of testing the extra-gradient operator's co-coercivity."""
-
-    pairs_tested: int
-    violations: int
-    max_violation: float
 
 
 def _rownorm(W: np.ndarray) -> np.ndarray:
@@ -201,22 +194,22 @@ def _project_box_ball(p: np.ndarray, lo, hi, center: np.ndarray,
     return y_of(nu)
 
 
-def _ascent_path(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
-                 D: float, n_starts: int, n_iters: int, seed: int,
-                 prox_step=lambda U, step: U, feasible=lambda Z: Z
-                 ) -> Iterator[np.ndarray]:
+def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
+            n_starts: int, seed: int, prox_step, feasible
+            ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Projected (proximal) ascent on <V(z), x_o - z> from n_starts points.
 
-    All starts advance together as one (n_starts, 1, d) stack of row
-    vectors.  Every product over starts is a stacked matmul, never one
-    2-D GEMM, so no start's bits depend on how many starts run beside it.
-    Yields the stack after each step 0..n_iters, step 0 being the
-    feasible starts; later steps lie in the ball, not always in dom phi.
+    Returns the feasible starts as an (n_starts, 1, d) stack of row
+    vectors and the step map, which advances any row subset of such a
+    stack by one step into the ball (not always into dom phi).  Every
+    product over rows is a stacked matmul, never one 2-D GEMM, so no
+    row's bits depend on which rows are stepped beside it.
     """
     d = center.shape[0]
 
     def grad(Z: np.ndarray) -> np.ndarray:
-        return op_vjp(op, Z, x_o - Z) - eval_operator(op, Z)
+        V, JtW = op_value_vjp(op, Z, x_o - Z)
+        return JtW - V
 
     # step 1/(2L), L the largest gradient-difference ratio of 20 probe pairs
     rng = np.random.default_rng((seed, 0x11B5))
@@ -232,22 +225,34 @@ def _ascent_path(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     Z = np.concatenate([center[None, None],
                         _project_ball(x_o[None, None], center, D),
                         center + D * U / _rownorm(U)])[:n_starts]
-    Z = feasible(Z)
-    yield Z
-    for _ in range(n_iters):
-        Z = _project_ball(prox_step(Z + step * grad(Z), step), center, D)
-        yield Z
+
+    def advance(Z: np.ndarray) -> np.ndarray:
+        return _project_ball(prox_step(Z + step * grad(Z), step), center, D)
+
+    return feasible(Z), advance
 
 
 def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                        D: float, n_starts: int, n_iters: int, seed: int,
                        prox_step=lambda U, step: U, feasible=lambda Z: Z
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The final feasible points (n_starts, d) of ``_ascent_path`` and
-    their objective values."""
-    for Z in _ascent_path(op, x_o, center, D, n_starts, n_iters, seed,
-                          prox_step, feasible):
-        pass
+    """The final feasible points (n_starts, d) of ``_ascent`` and their
+    objective values.
+
+    Each start runs until one step moves it by at most ASCENT_TOL
+    (D + ||center||), or for n_iters steps; only the starts still moving
+    are stepped, so each start's bits depend on that start alone.
+    """
+    Z, advance = _ascent(op, x_o, center, D, n_starts, seed, prox_step,
+                         feasible)
+    tol = ASCENT_TOL * (D + float(np.linalg.norm(center)))
+    live = np.arange(n_starts)
+    for _ in range(n_iters):
+        if not live.size:
+            break
+        prev = Z[live]
+        Z[live] = nxt = advance(prev)
+        live = live[_rownorm(nxt - prev).ravel() > tol]
     Z = feasible(Z)
     values = eval_operator(op, Z) @ np.swapaxes(x_o - Z, -1, -2)
     return Z[:, 0], values.ravel()
@@ -324,9 +329,10 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
 
     checks = {2 ** k for k in range(ASCENT_STEPS.bit_length())}
     checks.add(ASCENT_STEPS)
-    path = _ascent_path(op, v_o, center, D, 1, ASCENT_STEPS, ASCENT_SEED,
-                        prox_step, feasible)
-    for t, Z in enumerate(path):
+    Z, advance = _ascent(op, v_o, center, D, 1, ASCENT_SEED, prox_step,
+                         feasible)
+    for t in range(1, ASCENT_STEPS + 1):
+        Z = advance(Z)
         if t not in checks:
             continue
         z = feasible(Z)[0, 0]
@@ -338,22 +344,6 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
                        certified=_closes(bound, value), maximizer=best)
 
 
-def exact_prox_point(op: OperatorSpec, z: np.ndarray, eta: float) -> np.ndarray:
-    """Solve x = z - eta V(x) for affine V by a linear solve."""
-    if not op.is_affine:
-        raise ValueError("exact_prox_point requires an affine operator; "
-                         "use solve_inner_prox with large H instead")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    A, b = affine_parts(op)
-    z = np.asarray(z, dtype=float)
-    x = np.linalg.solve(np.eye(op.dim) + eta * A, z - eta * b)
-    residual = np.linalg.norm(x + eta * eval_operator(op, x) - z)
-    if residual > 1e-10 * (1.0 + np.linalg.norm(z)):
-        raise ArithmeticError(f"proximal-point residual {residual:g} too large")
-    return x
-
-
 def dispersion(points: np.ndarray) -> float:
     """Mean squared deviation of the rows from their mean."""
     # identical rows must read as exactly zero dispersion; the mean of M
@@ -363,28 +353,3 @@ def dispersion(points: np.ndarray) -> float:
     center = points.mean(axis=0)
     return float(((points - center) ** 2).sum(axis=1).mean())
 
-
-def check_eg_cocoercivity(op: OperatorSpec, eta: float, n_pairs: int = 10_000,
-                          seed: int = 0, radius: float = 10.0,
-                          tol: float = 1e-9) -> CocoercivityReport:
-    """Test ||F(z)-F(z')||^2 <= (2/eta) <F(z)-F(z'), z-z'> for the
-    deterministic extra-gradient operator F(z) = V(z - eta V(z))."""
-    if not op.is_affine:
-        raise ValueError("the co-coercivity lemma applies to affine operators")
-    if eta > 1.0 / op.L + 1e-12:
-        raise ValueError(f"eta={eta:g} exceeds 1/L={1.0 / op.L:g}")
-    rng = np.random.default_rng(seed)
-    z1 = rng.standard_normal((n_pairs, op.dim)) * radius / math.sqrt(op.dim)
-    z2 = rng.standard_normal((n_pairs, op.dim)) * radius / math.sqrt(op.dim)
-
-    def F(z):
-        return eval_operator(op, z - eta * eval_operator(op, z))
-
-    dF = F(z1) - F(z2)
-    lhs = (dF ** 2).sum(axis=1)
-    rhs = (2.0 / eta) * np.einsum("ij,ij->i", dF, z1 - z2)
-    margin = lhs - rhs
-    scale = 1.0 + np.abs(lhs) + np.abs(rhs)
-    violations = int((margin > tol * scale).sum())
-    return CocoercivityReport(pairs_tested=n_pairs, violations=violations,
-                              max_violation=float(margin.max(initial=0.0)))

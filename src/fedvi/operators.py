@@ -123,18 +123,22 @@ def op_jacobian(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     return C.T @ (w[:, None] * C)
 
 
-def op_vjp(op: OperatorSpec, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vector-Jacobian product J(z)^T w, over leading batch axes of z and w.
+def op_value_vjp(op: OperatorSpec, z: np.ndarray, w: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """V(z) and the vector-Jacobian product J(z)^T w, over leading batch
+    axes of z and w.
 
-    No Jacobian is formed.  A batch of shape (n, 1, d) is evaluated as
-    stacked products, so each row's bits do not depend on n.
+    No Jacobian is formed, and Cz + b0 is computed once for both.  A
+    batch of shape (n, 1, d) is evaluated as stacked products, so each
+    row's bits do not depend on n.
     """
     z = _check_point(op, z)
     w = np.asarray(w, dtype=float)
     if op.is_affine:
-        return w @ op.payload["A"]
+        return _apply(op, z), w @ op.payload["A"]
     C, b0 = op.payload["C"], op.payload["b0"]
-    return ((w @ C.T) / np.cosh(z @ C.T + b0) ** 2) @ C
+    u = z @ C.T + b0
+    return np.tanh(u) @ C, ((w @ C.T) / np.cosh(u) ** 2) @ C
 
 
 def affine_parts(op: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,12 @@
 """Reference gap evaluators for the tests: dense polar grids of the
 restricted and composite objectives, the one-start-at-a-time
 multistart ascent, and the exact restricted maximizer solved with
-np.linalg.norm in the multiplier bisection."""
+np.linalg.norm in the multiplier bisection.  Also the exact proximal
+point of an affine operator and the extra-gradient co-coercivity check,
+which only the tests use."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,3 +156,53 @@ def reference_exact_concave_max(op, x_o, center, D):
         else:
             hi = mid
     return center + U @ (gt / (2.0 * lam + hi)), "boundary"
+
+
+def exact_prox_point(op, z, eta):
+    """Solve x = z - eta V(x) for affine V by a linear solve."""
+    if not op.is_affine:
+        raise ValueError("exact_prox_point requires an affine operator; "
+                         "use solve_inner_prox with large H instead")
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    A, b = affine_parts(op)
+    z = np.asarray(z, dtype=float)
+    x = np.linalg.solve(np.eye(op.dim) + eta * A, z - eta * b)
+    residual = np.linalg.norm(x + eta * eval_operator(op, x) - z)
+    if residual > 1e-10 * (1.0 + np.linalg.norm(z)):
+        raise ArithmeticError(f"proximal-point residual {residual:g} too large")
+    return x
+
+
+@dataclass(frozen=True)
+class CocoercivityReport:
+    """Outcome of testing the extra-gradient operator's co-coercivity."""
+
+    pairs_tested: int
+    violations: int
+    max_violation: float
+
+
+def check_eg_cocoercivity(op, eta, n_pairs=10_000, seed=0, radius=10.0,
+                          tol=1e-9):
+    """Test ||F(z)-F(z')||^2 <= (2/eta) <F(z)-F(z'), z-z'> for the
+    deterministic extra-gradient operator F(z) = V(z - eta V(z))."""
+    if not op.is_affine:
+        raise ValueError("the co-coercivity lemma applies to affine operators")
+    if eta > 1.0 / op.L + 1e-12:
+        raise ValueError(f"eta={eta:g} exceeds 1/L={1.0 / op.L:g}")
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal((n_pairs, op.dim)) * radius / math.sqrt(op.dim)
+    z2 = rng.standard_normal((n_pairs, op.dim)) * radius / math.sqrt(op.dim)
+
+    def F(z):
+        return eval_operator(op, z - eta * eval_operator(op, z))
+
+    dF = F(z1) - F(z2)
+    lhs = (dF ** 2).sum(axis=1)
+    rhs = (2.0 / eta) * np.einsum("ij,ij->i", dF, z1 - z2)
+    margin = lhs - rhs
+    scale = 1.0 + np.abs(lhs) + np.abs(rhs)
+    violations = int((margin > tol * scale).sum())
+    return CocoercivityReport(pairs_tested=n_pairs, violations=violations,
+                              max_violation=float(margin.max(initial=0.0)))

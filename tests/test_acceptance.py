@@ -12,15 +12,15 @@ import pytest
 
 from fedvi.algorithms import (RunConfig, constants_of, derived_gamma, run_lda,
                               run_lesgd, step_size)
-from fedvi.gaps import (check_eg_cocoercivity, composite_gap,
-                        exact_prox_point, restricted_gap)
+from fedvi.gaps import composite_gap, restricted_gap
 from fedvi.harness import compare_reduction, fit_rate, rows_to_csv, run_experiment
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem, operator_bound_on_ball)
 from fedvi.oracles import OracleSpec, noiseless
 from fedvi.regularizers import RegularizerSpec
 from fedvi.algorithms import run_lsgd
-from gap_reference import grid_oracle
+from gap_reference import (check_eg_cocoercivity, exact_prox_point,
+                           grid_oracle)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

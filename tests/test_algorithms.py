@@ -13,7 +13,7 @@ from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
                               derived_gamma, run_lda, run_lesgd,
                               run_lesgd_hetero, run_lippax, run_lsgd,
                               run_slippax, solve_inner_prox, step_size)
-from fedvi.gaps import dispersion, exact_prox_point
+from fedvi.gaps import dispersion
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
 from fedvi.oracles import (Draws, OracleSpec, draw_rows, noiseless,
@@ -21,6 +21,7 @@ from fedvi.oracles import (Draws, OracleSpec, draw_rows, noiseless,
 from fedvi.regularizers import (RegularizerSpec, ZERO_REG, MirrorState,
                                 mirror_map, prox)
 from fedvi.rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
+from gap_reference import exact_prox_point
 
 SHAPE = {"M": 1, "K": 4, "R": 100, "sigma": 1.0, "D": 1.0}
 

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from fedvi import gaps
 from fedvi.gaps import (_certificate, _multistart_ascent, _project_box_ball,
-                        check_eg_cocoercivity, composite_gap, dispersion,
-                        exact_prox_point, restricted_gap)
-from fedvi.operators import affine_operator, eval_operator, make_test_problem
+                        composite_gap, dispersion, restricted_gap)
+from fedvi.harness import ExperimentConfig, build_problem, run_single
+from fedvi.operators import (KINDS, affine_operator, eval_operator,
+                             make_test_problem, op_value_vjp)
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox
-from gap_reference import (composite_grid_oracle, grid_oracle,
+from gap_reference import (check_eg_cocoercivity, composite_grid_oracle,
+                           exact_prox_point, grid_oracle,
                            reference_exact_concave_max, reference_multistart)
 
 
@@ -46,15 +48,85 @@ class TestBatchedAscent:
         np.testing.assert_allclose(est.maximizer, z, rtol=1e-9, atol=1e-12)
         assert not est.certified and est.method == "multistart-ascent"
 
-    @pytest.mark.parametrize("d", [3, 20])
-    def test_starts_do_not_depend_on_batch_size(self, d):
+    @pytest.mark.parametrize("d,D,n_iters", [
+        (3, 2.0, 120), (20, 2.0, 120), (20, 1.0, gaps.ASCENT_STEPS)])
+    def test_starts_do_not_depend_on_batch_size(self, d, D, n_iters,
+                                                monkeypatch):
         op = make_test_problem("bounded-nonlinear", d, seed=6)
         x_o = np.random.default_rng(0).standard_normal(d)
         center = np.zeros(d)
-        few, few_vals = _multistart_ascent(op, x_o, center, 2.0, 2, 120, 4)
-        many, many_vals = _multistart_ascent(op, x_o, center, 2.0, 16, 120, 4)
+        rows = _count_ascent_rows(monkeypatch)
+        few, few_vals = _multistart_ascent(op, x_o, center, D, 2, n_iters, 4)
+        rows.clear()
+        many, many_vals = _multistart_ascent(op, x_o, center, D, 16, n_iters,
+                                             4)
         np.testing.assert_array_equal(few, many[:2])
         np.testing.assert_array_equal(few_vals, many_vals[:2])
+        if n_iters == gaps.ASCENT_STEPS:
+            # the starts stop one by one, all before the last step: the
+            # stepped stack shrinks through several heights
+            assert len(set(rows[1:])) >= 3 and len(rows) - 1 < n_iters
+
+
+def _count_ascent_rows(monkeypatch) -> list[int]:
+    """Record the rows of each gradient call of the ascent: the probe
+    first, then one call per step of the starts still moving."""
+    rows = []
+
+    def counted(op, Z, W):
+        rows.append(Z.shape[0])
+        return op_value_vjp(op, Z, W)
+    monkeypatch.setattr(gaps, "op_value_vjp", counted)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def lippax_outputs():
+    """The gap inputs of the nonlinear-lippax benchmark shape: LIPPAX T3's
+    last output on bounded-nonlinear d=20, ball of radius 1 at 0."""
+    out = []
+    for seed in (1, 2, 3):
+        cfg = ExperimentConfig.from_dict({
+            "problem": {"kind": "bounded-nonlinear", "dim": 20, "seed": seed},
+            "algorithm": {"id": "lippax", "schedule": "T3"},
+            "federation": {"M": 4, "K": 8, "R": 20},
+            "noise": {"sigma": 1.0, "model": "gaussian-isotropic"},
+            "gap": {"D": 1.0}, "seeds": [seed], "log_every": 20})
+        x_o = run_single(cfg).records[-1].output_avg
+        out.append((build_problem(cfg), x_o))
+    return out
+
+
+class TestAscentStop:
+    def test_stops_within_150_steps_on_the_benchmark_shape(
+            self, lippax_outputs, monkeypatch):
+        rows = _count_ascent_rows(monkeypatch)
+        for op, x_o in lippax_outputs:
+            rows.clear()
+            restricted_gap(op, x_o, np.zeros(20), 1.0)
+            assert len(rows) - 1 <= 150
+
+    @pytest.mark.parametrize("D", [1.0, 5.0])
+    def test_stopped_value_matches_the_full_ascent(self, lippax_outputs, D):
+        for op, x_o in lippax_outputs:
+            est = restricted_gap(op, x_o, np.zeros(20), D)
+            value, _ = reference_multistart(op, x_o, np.zeros(20), D)
+            assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_gap_lies_below_the_monotone_merit(self, kind):
+        """sup <V(z), x_o - z> <= <V(x_o), x_o - c> + D ||V(x_o)|| by
+        monotonicity (Nesterov's dual-extrapolation merit): no ascent,
+        stopped early or not, may report more."""
+        rng = np.random.default_rng(KINDS.index(kind))
+        for d in (4, 10, 20):
+            op = make_test_problem(kind, d, seed=d)
+            for D in (0.5, 1.0, 5.0):
+                center = 0.5 * rng.standard_normal(d)
+                x_o = rng.standard_normal(d)
+                value = restricted_gap(op, x_o, center, D).value
+                merit, _ = _certificate(op, ZERO_REG, x_o, center, D, z=x_o)
+                assert value <= merit + 1e-12 * (1.0 + abs(value)), (d, D)
 
 class TestRestrictedGap:
     def test_zero_operator_gives_zero(self):

@@ -5,7 +5,8 @@ import pytest
 
 from fedvi.operators import (OperatorSpec, affine_operator, eval_operator,
                              load_affine_text, make_test_problem, op_jacobian,
-                             op_vjp, operator_bound_on_ball, verify_properties)
+                             op_value_vjp, operator_bound_on_ball,
+                             verify_properties)
 
 ZOO = [
     make_test_problem("affine", 6, {"L": 1.0}, seed=0),
@@ -41,7 +42,7 @@ class TestEvalOperator:
         np.testing.assert_allclose(batched, looped, atol=1e-14)
 
 
-class TestOpVjp:
+class TestOpValueVjp:
     KINDS = [make_test_problem("affine", 5, seed=1),
              make_test_problem("bilinear-saddle", 6, seed=2),
              make_test_problem("bounded-nonlinear", 4, seed=3)]
@@ -50,7 +51,9 @@ class TestOpVjp:
     def test_single_point_matches_jacobian(self, op):
         rng = np.random.default_rng(0)
         z, w = rng.standard_normal((2, op.dim))
-        np.testing.assert_allclose(op_vjp(op, z, w), op_jacobian(op, z).T @ w,
+        V, JtW = op_value_vjp(op, z, w)
+        np.testing.assert_array_equal(V, eval_operator(op, z))
+        np.testing.assert_allclose(JtW, op_jacobian(op, z).T @ w,
                                    rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("op", KINDS, ids=lambda op: op.kind)
@@ -58,13 +61,14 @@ class TestOpVjp:
         rng = np.random.default_rng(1)
         z, w = rng.standard_normal((2, 7, op.dim))
         looped = np.stack([op_jacobian(op, zi).T @ wi for zi, wi in zip(z, w)])
-        np.testing.assert_allclose(op_vjp(op, z, w), looped,
-                                   rtol=1e-12, atol=0)
+        V, JtW = op_value_vjp(op, z, w)
+        np.testing.assert_array_equal(V, eval_operator(op, z))
+        np.testing.assert_allclose(JtW, looped, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_rejected(self):
         op = make_test_problem("bounded-nonlinear", 3, seed=0)
         with pytest.raises(ValueError, match="dimension"):
-            op_vjp(op, np.zeros(4), np.zeros(3))
+            op_value_vjp(op, np.zeros(4), np.zeros(3))
 
 
 class TestMakeTestProblem:
