@@ -5,11 +5,13 @@ quadratic over a ball, which is solved exactly (eigenbasis + secular
 equation on the KKT multiplier) and tagged ``exact-concave``.  The
 composite gap adds a convex phi, so on affine operators its objective
 is still concave: one proximal-ascent start runs until a duality
-certificate (the concavity bound at the current point, its inner
-maximum solved in the ball multiplier by the same secular equation)
-closes to 1e-7 (1 + |value|), and is tagged ``certified-ascent``.  Both
-gaps are certified by that one bound.  Nonlinear operators run a
-multistart projected ascent (``ASCENT_STARTS`` starts drawn from
+certificate (the concavity bound at the current point) closes to
+1e-7 (1 + |value|), and is tagged ``certified-ascent``.  Both gaps are
+certified by that one bound.  Each ascent step (the exact prox of phi
+plus the ball) and the certificate's inner maximum are one exact solve
+on the piecewise-linear path t -> prox(phi, c + t a, t s), with no
+iteration.  Nonlinear operators run a multistart proximal ascent
+(``ASCENT_STARTS`` starts drawn from
 ``ASCENT_SEED``, each stopped once one step moves it by at most
 ``ASCENT_TOL`` (D + ||center||), or after ``ASCENT_STEPS`` steps) and
 report the best objective value recomputed at a feasible point: a true
@@ -26,7 +28,8 @@ import numpy as np
 
 from .operators import (OperatorSpec, affine_parts, eval_operator,
                         op_jacobian, op_value_vjp)
-from .regularizers import ZERO_REG, RegularizerSpec, prox, reg_value
+from .regularizers import (ZERO_REG, RegularizerSpec, prox, prox_kinks,
+                           reg_value)
 
 ASCENT_STARTS = 16
 ASCENT_STEPS = 500
@@ -49,11 +52,47 @@ def _rownorm(W: np.ndarray) -> np.ndarray:
     return np.sqrt(W @ np.swapaxes(W, -1, -2))
 
 
-def _project_ball(Z: np.ndarray, center: np.ndarray, D: float) -> np.ndarray:
-    """Project each row of a (..., 1, d) stack onto the ball."""
-    W = Z - center
+def _prox_path(reg: RegularizerSpec, A: np.ndarray, step: float,
+               center: np.ndarray, D: float, t_max: float) -> np.ndarray:
+    """y(t) = prox(phi, c + t A, t step) at the largest t <= t_max with
+    ||y(t) - c|| <= D, for each row of an (n, 1, d) stack A.
+
+    ||y(t) - c|| grows with t and y is linear in t between the kinks of
+    ``prox_kinks``, so one prox call at 0 (in the ball), the kinks below
+    t_max and twice t_max (two points past the last kink for t_max inf)
+    brackets that t on one segment, where ||y - c|| = R, a few ulps
+    inside D, is a quadratic."""
+    R = D * (1.0 - 1e-15)
+    kinks = prox_kinks(reg, center, A, step)
+    kinks = np.where(kinks < t_max, np.maximum(kinks, 0.0), 0.0)
+    last = kinks.max(axis=-1, keepdims=True, initial=0.0)
+    ends = [last + 1.0, 2.0 * last + 2.0] if t_max == math.inf else [
+        np.full_like(last, t_max)] * 2
+    T = np.sort(np.concatenate([0.0 * last, kinks, *ends], -1))[:, 0, :, None]
+    Y = prox(reg, center + T * A, T * step)
+    W = Y - center
+    out = np.sqrt((W * W).sum(axis=2)) > R
+    out[:, -1] = True  # t_max, or the ray past the last kink
+    k, rows = np.maximum(out.argmax(axis=1) - 1, 0), np.arange(len(Y))
+    P = Y[rows, k][:, None]
+    p, q = P - center, Y[rows, k + 1][:, None] - P
+    pq, qq = p @ np.swapaxes(q, 1, 2), q @ np.swapaxes(q, 1, 2)
+    slack = np.maximum(R * R - p @ np.swapaxes(p, 1, 2), 0.0)
+    den = pq + np.sqrt(pq * pq + qq * slack)
+    return P + q * np.divide(slack, den, out=np.zeros_like(den), where=den > 0)
+
+
+def _prox_ball(reg: RegularizerSpec, U: np.ndarray, step: float,
+               center: np.ndarray, D: float) -> np.ndarray:
+    """argmin_y (1/2)||y - u||^2 + step phi(y) over ||y - c|| <= D for each
+    row u of an (n, 1, d) stack: the ``_prox_path`` point at t = 1/(1 + nu),
+    nu the ball multiplier.  Step 0 gives the nearest point of the ball
+    and dom phi."""
+    if reg.kind != "zero":
+        return _prox_path(reg, U - center, step, center, D, 1.0)
+    W = U - center
     n = _rownorm(W)
-    return np.where(n <= D, Z, center + W * (D / np.maximum(n, D)))
+    return np.where(n <= D, U, center + W * (D / np.maximum(n, D)))
 
 
 def _secular_root(radius: Callable[[float], float], D: float,
@@ -116,15 +155,6 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     return center + U @ w_of(nu)
 
 
-def _free_argmax(reg: RegularizerSpec, a: np.ndarray,
-                 center: np.ndarray) -> np.ndarray | None:
-    """A maximizer of <a, y> - phi(y) over all y, None when unbounded."""
-    if reg.kind == "l1":
-        return np.zeros_like(a) if np.abs(a).max() <= reg.lam else None
-    return np.where(a > 0, reg.hi, np.where(a < 0, reg.lo,
-                                             np.clip(center, reg.lo, reg.hi)))
-
-
 def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
                  center: np.ndarray, D: float, z: np.ndarray
                  ) -> tuple[float, np.ndarray | None]:
@@ -135,12 +165,11 @@ def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
 
         sup h <= g(z) + phi(v_o) + max_{||y - c|| <= D} <a, y - z> - phi(y).
 
-    The inner max is bounded by its Lagrange dual in the ball multiplier
-    nu (weak duality: every nu >= 0 gives an upper bound), whose inner
-    maximizer is y(nu) = prox(phi, c + a / nu, 1 / nu); the secular root
-    of ||y(nu) - c|| = D gives the tightest one, and nu -> 0 when a free
-    maximizer already lies in the ball.  Zero phi has the closed form
-    <a, c - z> + D ||a||.  Also returns y(nu), a feasible point that
+    With ball multiplier nu the inner maximizer is y = prox(phi, c + t a, t)
+    at t = 1/nu, the point of ``_prox_path`` with t_max = inf (a free
+    maximizer when the ball never binds), so the inner max is solved
+    exactly, with no bisection.  Zero phi has the closed form
+    <a, c - z> + D ||a||.  Also returns y, a feasible point that
     maximizes h itself when g is linear (S = 0); None for zero phi, whose
     sup the exact solve already finds.
     """
@@ -150,19 +179,8 @@ def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
         inner = float(a @ (center - z)) + D * float(np.linalg.norm(a))
         y = None
     else:
-        def y_of(nu: float) -> np.ndarray:
-            return prox(reg, center + a / nu, 1.0 / nu)
-
-        nu, y = 0.0, _free_argmax(reg, a, center)
-        if y is None or np.linalg.norm(y - center) > D:
-            # ||y(nu) - c|| <= (||a|| + lam sqrt(d)) / nu for l1, so this
-            # first guess is feasible there; a box may need doubling
-            hi = 2.0 * (np.linalg.norm(a) + reg.lam * math.sqrt(a.size)) / D
-            nu = _secular_root(lambda nu: np.linalg.norm(y_of(nu) - center),
-                               D, hi or 1.0)
-            y = y_of(nu)
-        slack = D * D - float((y - center) @ (y - center))
-        inner = float(a @ (y - z)) - reg_value(reg, y) + 0.5 * nu * slack
+        y = _prox_path(reg, a[None, None], 1.0, center, D, math.inf)[0, 0]
+        inner = float(a @ (y - z)) - reg_value(reg, y)
     return float(Vz @ (v_o - z) + reg_value(reg, v_o) + inner), y
 
 
@@ -176,34 +194,16 @@ def _check_radius(D: float) -> None:
         raise ValueError("ball radius D must be positive")
 
 
-def _project_box_ball(p: np.ndarray, lo, hi, center: np.ndarray,
-                      D: float) -> np.ndarray:
-    """Nearest point to p in the box [lo, hi] and the ball ||y - c|| <= D.
-
-    KKT: y(nu) = clip((p + nu c) / (1 + nu), lo, hi) with the ball
-    multiplier nu >= 0, and ||y(nu) - c|| is nonincreasing in nu.  The
-    sets must intersect.
-    """
-    def y_of(nu: float) -> np.ndarray:
-        return np.clip((p + nu * center) / (1.0 + nu), lo, hi)
-
-    nu = 0.0
-    if np.linalg.norm(y_of(0.0) - center) > D:
-        nu = _secular_root(lambda nu: np.linalg.norm(y_of(nu) - center),
-                           D, 1.0)
-    return y_of(nu)
-
-
 def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
-            n_starts: int, seed: int, prox_step, feasible
+            n_starts: int, seed: int, reg: RegularizerSpec
             ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Projected (proximal) ascent on <V(z), x_o - z> from n_starts points.
+    """Proximal ascent on <V(z), x_o - z> - phi(z) from n_starts points.
 
-    Returns the feasible starts as an (n_starts, 1, d) stack of row
-    vectors and the step map, which advances any row subset of such a
-    stack by one step into the ball (not always into dom phi).  Every
-    product over rows is a stacked matmul, never one 2-D GEMM, so no
-    row's bits depend on which rows are stepped beside it.
+    Returns the starts, in the ball and dom phi, as an (n_starts, 1, d)
+    stack of row vectors and the step map, which advances any row subset
+    of such a stack by one ``_prox_ball`` step, so every iterate is
+    feasible.  Every product over rows is a stacked matmul, never one 2-D
+    GEMM, so no row's bits depend on which rows are stepped beside it.
     """
     d = center.shape[0]
 
@@ -223,28 +223,28 @@ def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
     rng = np.random.default_rng((seed, 0xA5CE))
     U = rng.standard_normal((max(n_starts - 2, 0), 1, d))
     Z = np.concatenate([center[None, None],
-                        _project_ball(x_o[None, None], center, D),
+                        _prox_ball(ZERO_REG, x_o[None, None], 0.0, center, D),
                         center + D * U / _rownorm(U)])[:n_starts]
+    Z = Z if reg.kind == "zero" else _prox_ball(reg, Z, 0.0, center, D)
 
     def advance(Z: np.ndarray) -> np.ndarray:
-        return _project_ball(prox_step(Z + step * grad(Z), step), center, D)
+        return _prox_ball(reg, Z + step * grad(Z), step, center, D)
 
-    return feasible(Z), advance
+    return Z, advance
 
 
 def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                        D: float, n_starts: int, n_iters: int, seed: int,
-                       prox_step=lambda U, step: U, feasible=lambda Z: Z
+                       reg: RegularizerSpec = ZERO_REG
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The final feasible points (n_starts, d) of ``_ascent`` and their
-    objective values.
+    """The final points (n_starts, d) of ``_ascent`` and their values of
+    <V(z), x_o - z>.
 
     Each start runs until one step moves it by at most ASCENT_TOL
     (D + ||center||), or for n_iters steps; only the starts still moving
     are stepped, so each start's bits depend on that start alone.
     """
-    Z, advance = _ascent(op, x_o, center, D, n_starts, seed, prox_step,
-                         feasible)
+    Z, advance = _ascent(op, x_o, center, D, n_starts, seed, reg)
     tol = ASCENT_TOL * (D + float(np.linalg.norm(center)))
     live = np.arange(n_starts)
     for _ in range(n_iters):
@@ -253,7 +253,6 @@ def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         prev = Z[live]
         Z[live] = nxt = advance(prev)
         live = live[_rownorm(nxt - prev).ravel() > tol]
-    Z = feasible(Z)
     values = eval_operator(op, Z) @ np.swapaxes(x_o - Z, -1, -2)
     return Z[:, 0], values.ravel()
 
@@ -306,20 +305,10 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
         if np.linalg.norm(inside - center) > D:
             raise ValueError("phi is infinite everywhere on the ball")
 
-    def feasible(Z: np.ndarray) -> np.ndarray:
-        if reg.kind != "box-indicator":
-            return _project_ball(Z, center, D)
-        return np.stack([_project_box_ball(z, reg.lo, reg.hi, center, D)
-                         for z in Z[:, 0]])[:, None]
-
-    def prox_step(U: np.ndarray, step: float) -> np.ndarray:
-        return prox(reg, U, step)
-
     phi_vo = reg_value(reg, v_o)
     if not op.is_affine:
         Z, values = _multistart_ascent(
-            op, v_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED,
-            prox_step, feasible)
+            op, v_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED, reg)
         return _best_start(Z, values + phi_vo - np.array(
             [reg_value(reg, z) for z in Z]))
 
@@ -329,13 +318,12 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
 
     checks = {2 ** k for k in range(ASCENT_STEPS.bit_length())}
     checks.add(ASCENT_STEPS)
-    Z, advance = _ascent(op, v_o, center, D, 1, ASCENT_SEED, prox_step,
-                         feasible)
+    Z, advance = _ascent(op, v_o, center, D, 1, ASCENT_SEED, reg)
     for t in range(1, ASCENT_STEPS + 1):
         Z = advance(Z)
         if t not in checks:
             continue
-        z = feasible(Z)[0, 0]
+        z = Z[0, 0]
         bound, y = _certificate(op, reg, v_o, center, D, z)
         value, best = max((h(z), z), (h(y), y), key=lambda vz: vz[0])
         if _closes(bound, value):

@@ -54,9 +54,11 @@ def reg_value(reg: RegularizerSpec, u: np.ndarray) -> float:
     return float("inf")
 
 
-def prox(reg: RegularizerSpec, u: np.ndarray, weight: float) -> np.ndarray:
-    """argmin_v (1/2)||v - u||^2 + weight * phi(v)."""
-    if weight < 0:
+def prox(reg: RegularizerSpec, u: np.ndarray,
+         weight: float | np.ndarray) -> np.ndarray:
+    """argmin_v (1/2)||v - u||^2 + weight * phi(v); an array weight is
+    broadcast against u and, unlike a float, not checked for sign."""
+    if not isinstance(weight, np.ndarray) and weight < 0:
         raise ValueError("prox weight must be nonnegative")
     u = np.asarray(u, dtype=float)
     if reg.kind == "zero":
@@ -65,6 +67,18 @@ def prox(reg: RegularizerSpec, u: np.ndarray, weight: float) -> np.ndarray:
         t = weight * reg.lam
         return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
     return np.clip(u, reg.lo, reg.hi)
+
+
+def prox_kinks(reg: RegularizerSpec, c: np.ndarray, a: np.ndarray,
+               step: float) -> np.ndarray:
+    """The t at which t -> prox(phi, c + t a, t step) changes piece, for
+    l1 or box phi: two per coordinate along the last axis, inf or nan
+    where there is none.  Between kinks the prox is linear in t."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if reg.kind == "l1":
+            s = step * reg.lam
+            return np.concatenate([-c / (a - s), -c / (a + s)], axis=-1)
+        return np.concatenate([(reg.lo - c) / a, (reg.hi - c) / a], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fedvi.gaps import _project_box_ball
+from fedvi.gaps import _prox_ball
 from fedvi.operators import affine_parts, eval_operator, op_jacobian
-from fedvi.regularizers import prox, reg_value
+from fedvi.regularizers import reg_value
 
 
 def _disk_points(center, D, n_r, n_theta):
@@ -79,7 +79,9 @@ def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
     """The one-start-at-a-time ascent the batched evaluator replaced.
 
     Returns (best value, maximizer); with reg it is the composite gap's
-    proximal ascent, without it restricted_gap's projected ascent.
+    proximal ascent, each step ``gaps._prox_ball`` on one point (checked
+    against a grid on its own), without it restricted_gap's projected
+    ascent.
     """
     def project(z):
         w = z - center
@@ -106,20 +108,16 @@ def reference_multistart(op, x_o, center, D, reg=None, n_starts=16,
         u = rng.standard_normal(d)
         starts.append(center + D * u / np.linalg.norm(u))
 
-    def feasible(z):
+    def advance(u, weight):
         if reg is None:
-            return z
-        if reg.kind != "box-indicator":
-            return project(z)
-        return _project_box_ball(z, reg.lo, reg.hi, center, D)
+            return project(u)
+        return _prox_ball(reg, u[None, None], weight, center, D)[0, 0]
 
     best_val, best_z = -math.inf, None
     for z in starts[:n_starts]:
-        z = feasible(z)
+        z = z if reg is None else advance(z, 0.0)
         for _ in range(n_iters):
-            u = z + step * grad(z)
-            z = project(u if reg is None else prox(reg, u, step))
-        z = feasible(z)
+            z = advance(z + step * grad(z), step)
         val = float(eval_operator(op, z) @ (x_o - z))
         if reg is not None:
             val += reg_value(reg, x_o) - reg_value(reg, z)

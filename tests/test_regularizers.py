@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedvi.regularizers import (MirrorState, RegularizerSpec, ZERO_REG,
-                                mirror_map, prox, reg_value)
+                                mirror_map, prox, prox_kinks, reg_value)
 
 
 def prox_1d_oracle(reg: RegularizerSpec, u: float, weight: float,
@@ -62,6 +62,12 @@ class TestProx:
         with pytest.raises(ValueError):
             prox(L1, np.zeros(2), -0.1)
 
+    def test_array_weight_is_one_weight_per_row(self):
+        u = np.array([[1.0, -0.1], [1.0, -0.1], [-2.0, 0.5]])
+        w = np.array([[0.0], [0.3], [1.0]])
+        rows = [prox(L1, row, float(x)) for row, x in zip(u, w[:, 0])]
+        np.testing.assert_array_equal(prox(L1, u, w), rows)
+
     def test_l1_subgradient_optimality(self):
         """u - prox(u) must lie in weight * subdifferential of lam*||.||_1."""
         rng = np.random.default_rng(0)
@@ -103,6 +109,31 @@ class TestProx:
         reg = RegularizerSpec(kind="l1", lam=lam)
         got = prox(reg, np.array([u]), weight)[0]
         assert abs(got - prox_1d_oracle(reg, u, weight)) < 1e-6
+
+
+class TestProxKinks:
+    def test_l1_kinks_are_where_a_coordinate_meets_the_threshold(self):
+        """c + t a = +-(t step lam): 1 - t = +-t/2 at t = 2/3 and 2."""
+        kinks = prox_kinks(L1, np.array([1.0, -1.0]), np.array([-1.0, 1.0]),
+                           0.5)
+        np.testing.assert_allclose(np.sort(kinks), [2 / 3, 2 / 3, 2, 2])
+
+    @pytest.mark.parametrize("reg", [L1, BOX], ids=["l1", "box"])
+    def test_prox_is_linear_between_kinks(self, reg):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            c, a = 2.0 * rng.standard_normal((2, 2))
+            kinks = prox_kinks(reg, c, a, 0.7)
+            ts = np.unique(np.concatenate(
+                [[0.0], kinks[np.isfinite(kinks) & (kinks > 0)], [10.0]]))
+
+            def path(t):
+                return prox(reg, c + t * a, t * 0.7)
+
+            for t0, t1 in zip(ts, ts[1:]):
+                np.testing.assert_allclose(
+                    path(0.5 * (t0 + t1)), 0.5 * (path(t0) + path(t1)),
+                    rtol=0, atol=1e-12)
 
 
 class TestRegValue:
