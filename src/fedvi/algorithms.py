@@ -85,13 +85,11 @@ class RunConfig:
     def T(self) -> int:
         return self.K * self.R
 
-    def resolved_log_every(self) -> int:
-        return self.log_every if self.log_every else max(1, self.R // 20)
-
     def record_cadence(self) -> int:
-        """Steps between trajectory records (log_every communication rounds,
-        or every step when log_steps is set)."""
-        return 1 if self.log_steps else self.resolved_log_every() * self.K
+        """Steps between trajectory records: every step when log_steps is
+        set, else log_every communication rounds (unset: R // 20, >= 1)."""
+        rounds = self.log_every or max(1, self.R // 20)
+        return 1 if self.log_steps else rounds * self.K
 
     def growth_limit(self, sigma: float) -> float:
         """Distance from z0 past which a run has blown up.
@@ -126,16 +124,16 @@ class TrajectoryRecord:
 
 @dataclass
 class Trajectory:
-    """Per-round log plus the running-average output of a run.
+    """Per-round log of a run; the last record, at t = T, holds the
+    run's final running-average output.
 
-    ``diverged_at`` is the step of the first record where the Euclidean
-    norm of the client states or of the output is not finite; that
-    record and every later one are diverged.
+    ``diverged_at`` is the step of the first record where the client
+    states or the output lie beyond ``RunConfig.growth_limit`` from z0;
+    that record and every later one are diverged.
     """
 
     algo: str
     records: list[TrajectoryRecord]
-    final_output: np.ndarray
     config: RunConfig
     diverged_at: int | None = None
 
@@ -264,8 +262,8 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=drift))
     cfg = replace(cfg, delta=max(delta for _, _, delta in queries))
-    return Trajectory(algo=algo, records=records, final_output=output,
-                      config=cfg, diverged_at=diverged_at)
+    return Trajectory(algo=algo, records=records, config=cfg,
+                      diverged_at=diverged_at)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,

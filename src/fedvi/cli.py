@@ -10,7 +10,7 @@ import csv
 import sys
 
 from .harness import (SCHEMA, ConfigError, ExperimentConfig, fit_rate,
-                      run_experiment)
+                      run_experiment, verify_problem)
 
 
 def _cmd_run(args) -> int:
@@ -20,9 +20,7 @@ def _cmd_run(args) -> int:
             if not SCHEMA["seeds"][1]([args.seed_override]):
                 raise ConfigError("--seed-override", "must be an integer >= 0")
             cfg.seeds = [args.seed_override]
-        if args.workers < 1:
-            raise ConfigError("--workers", "must be an integer >= 1")
-        rows = run_experiment(cfg, workers=args.workers, out_path=args.out)
+        rows = run_experiment(cfg, out_path=args.out)
     except ConfigError as exc:
         print(f"config rejected: {exc}", file=sys.stderr)
         return 2
@@ -48,7 +46,6 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .harness import verify_problem
     try:
         cfg = ExperimentConfig.from_file(args.config)
         failures = verify_problem(cfg)
@@ -72,9 +69,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config's sweep to CSV")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="CSV output path")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="kept for compatibility; no longer changes how "
-                            "runs execute (always serially)")
     p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 

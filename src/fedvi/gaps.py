@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (OperatorSpec, affine_parts, eval_operator,
-                        op_jacobian, op_value_vjp)
+from .operators import OperatorSpec, affine_parts, eval_operator, op_value_vjp
 from .regularizers import (ZERO_REG, RegularizerSpec, prox, prox_kinks,
                            reg_value)
 
@@ -173,8 +172,8 @@ def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
     maximizes h itself when g is linear (S = 0); None for zero phi, whose
     sup the exact solve already finds.
     """
-    Vz = eval_operator(op, z)
-    a = op_jacobian(op, z).T @ (v_o - z) - Vz
+    Vz, JtW = op_value_vjp(op, z, v_o - z)
+    a = JtW - Vz
     if reg.kind == "zero":
         inner = float(a @ (center - z)) + D * float(np.linalg.norm(a))
         y = None

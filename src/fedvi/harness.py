@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,8 +29,8 @@ from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, load_affine_text,
                         make_test_problem, operator_bound_on_ball,
                         verify_properties)
-from .oracles import NOISE_MODELS, OracleSpec, sample_oracle
-from .regularizers import REG_KINDS, RegularizerSpec, ZERO_REG
+from .oracles import NOISE_MODELS, OracleSpec, draw_rows, sample_oracle
+from .regularizers import REG_KINDS, RegularizerSpec
 from .rng import RngStream
 
 
@@ -309,11 +309,15 @@ class ExperimentConfig:
             _expect(not isinstance(point, list) or len(point) == dim, path,
                     f"must have {dim} entries, the problem's dimension")
 
+    def initial_point(self, dim: int) -> np.ndarray:
+        """z0, or zeros of the problem's dimension."""
+        return np.zeros(dim) if self.z0 is None else np.asarray(self.z0, float)
+
     def gap_center(self, dim: int) -> np.ndarray:
         """Center of the gap ball: gap.center, or the initial point."""
         center = self.gap["center"]
         if center == "z0":
-            center = [0.0] * dim if self.z0 is None else self.z0
+            return self.initial_point(dim)
         return np.asarray(center, float)
 
     def expand_runs(self) -> list[dict]:
@@ -386,8 +390,7 @@ def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
             _expect(gamma > 0, "algorithm.eta",
                     "too large: the derived inner step gamma is 0")
         return algo["eta"], gamma, algo["delta"] or 0.0
-    center = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0)
-    G = operator_bound_on_ball(op, center, 10.0 * D)
+    G = operator_bound_on_ball(op, cfg.initial_point(op.dim), 10.0 * D)
     try:
         plan = step_size(algo["schedule"], constants_of(op, xi, G),
                          dict(spec, D=D), delta_rule=algo["delta_rule"])
@@ -413,7 +416,7 @@ def _run_once(cfg: ExperimentConfig, spec: dict
         offsets, xi = _hetero_offsets(op, cfg, M)
     eta, gamma, delta = _resolve_plan(cfg, op, spec, xi)
 
-    z0 = np.zeros(op.dim) if cfg.z0 is None else np.asarray(cfg.z0, float)
+    z0 = cfg.initial_point(op.dim)
     reach = cfg.gap["D"] + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
     run_cfg = RunConfig(M=M, K=spec["K"], R=spec["R"], eta=eta, gamma=gamma,
                         delta=delta, H=cfg.algorithm["H"],
@@ -471,8 +474,8 @@ def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
                    out_path: str | None = None) -> list[ResultRow]:
     """Execute all (sweep point x seed) runs in enumeration order on the
     calling thread; write CSV when a path is set (`out_path` overrides
-    the config's `output`). `workers` is kept for existing callers and no
-    longer changes how runs execute."""
+    the config's `output`). `workers` changes nothing: the benchmark in
+    `perfbench/` is its only caller, and ROADMAP item 8 deletes it."""
     cfg = (config if isinstance(config, ExperimentConfig)
            else ExperimentConfig.from_dict(config))
     path = out_path or cfg.output
@@ -563,42 +566,6 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
     return fits
 
 
-def _strip_reduction_axis(cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg with everything a reduction pair may differ on reset."""
-    algorithm = {k: v for k, v in cfg.algorithm.items()
-                 if k not in ("id", "delta")}
-    problem = {k: v for k, v in cfg.problem.items() if k != "hetero"}
-    return replace(cfg, problem=problem, algorithm=algorithm,
-                   regularizer=ZERO_REG)
-
-
-def compare_reduction(config_a: dict, config_b: dict
-                      ) -> tuple[bool, float]:
-    """Run two configs that differ only along a reduction axis and compare
-    every logged iterate; returns (exactly equal, max coordinate deviation)."""
-    cfg_a = ExperimentConfig.from_dict(config_a)
-    cfg_b = ExperimentConfig.from_dict(config_b)
-    if _strip_reduction_axis(cfg_a) != _strip_reduction_axis(cfg_b):
-        raise ValueError("configs differ outside the reduction axis")
-    traj_a, traj_b = run_single(cfg_a), run_single(cfg_b)
-    dev = 0.0
-    if len(traj_a.records) != len(traj_b.records):
-        raise ValueError("trajectories logged different round sets")
-    for ra, rb in zip(traj_a.records, traj_b.records):
-        dev = max(dev, float(np.abs(ra.mean_iterate - rb.mean_iterate).max()),
-                  float(np.abs(ra.output_avg - rb.output_avg).max()))
-    dev = max(dev, float(np.abs(traj_a.final_output - traj_b.final_output).max()))
-    return dev == 0.0, dev
-
-
-def run_single(cfg: ExperimentConfig) -> Trajectory:
-    """Run the configured algorithm once (no sweep, first seed), returning
-    the raw trajectory rather than CSV rows."""
-    if cfg.sweep:
-        raise ValueError("run_single expects a config without sweep axes")
-    return _run_once(cfg, cfg.expand_runs()[0])[0]
-
-
 def verify_problem(cfg: ExperimentConfig) -> list[str]:
     """Property/invariant suite for the configured problem; returns failures."""
     op = build_problem(cfg)
@@ -625,13 +592,13 @@ def verify_problem(cfg: ExperimentConfig) -> list[str]:
         z = np.zeros(op.dim)
         n = 20_000
         # n independent draws at z: one stacked query on n path keys
-        draws = sample_oracle(oracle, np.tile(z, (n, 1)),
-                              [stream.at(0, i) for i in range(n)])
-        exact = sample_oracle(OracleSpec(base=op, noise_model="none"), z)
-        err = np.abs(draws.mean(axis=0) - exact)
+        draws = draw_rows(oracle, [stream.at(0, i) for i in range(n)])
+        samples = sample_oracle(oracle, np.tile(z, (n, 1)), draws=draws)
+        exact = sample_oracle(OracleSpec(base=op), z)
+        err = np.abs(samples.mean(axis=0) - exact)
         if np.any(err > 5 * sigma / math.sqrt(n)):
             failures.append(f"oracle bias: max coordinate error {err.max():g}")
-        second = float((np.linalg.norm(draws - exact, axis=1) ** 2).mean())
+        second = float((np.linalg.norm(samples - exact, axis=1) ** 2).mean())
         if second > sigma ** 2 * (1 + 5 / math.sqrt(n)):
             failures.append(f"oracle variance {second:g} exceeds sigma^2")
     return failures

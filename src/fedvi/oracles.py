@@ -48,10 +48,6 @@ class OracleSpec:
         return delta > 0 or (self.sigma > 0 and self.noise_model != "none")
 
 
-def noiseless(op: OperatorSpec) -> OracleSpec:
-    return OracleSpec(base=op, noise_model="none", sigma=0.0)
-
-
 def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     """V at each row of z as its own (1, d) product.
 

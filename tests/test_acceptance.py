@@ -13,14 +13,15 @@ import pytest
 from fedvi.algorithms import (RunConfig, constants_of, derived_gamma, run_lda,
                               run_lesgd, step_size)
 from fedvi.gaps import composite_gap, restricted_gap
-from fedvi.harness import compare_reduction, fit_rate, rows_to_csv, run_experiment
+from fedvi.harness import fit_rate, rows_to_csv, run_experiment
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem, operator_bound_on_ball)
-from fedvi.oracles import OracleSpec, noiseless
+from fedvi.oracles import OracleSpec
 from fedvi.regularizers import RegularizerSpec
 from fedvi.algorithms import run_lsgd
 from gap_reference import (check_eg_cocoercivity, exact_prox_point,
                            grid_oracle)
+from run_reference import compare_reduction
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -214,7 +215,7 @@ class TestAcceptance:
         reg = RegularizerSpec(kind="l1", lam=0.05)
         cfg = RunConfig(M=1, K=8, R=500, eta=plan.eta, log_every=1,
                         master_seed=1)
-        traj = run_lda(noiseless(op), reg, cfg)
+        traj = run_lda(OracleSpec(base=op), reg, cfg)
         err_1 = composite_gap(op, reg, traj.records[0].output_avg, center, D)
         err_500 = composite_gap(op, reg, traj.records[-1].output_avg,
                                 center, D)
@@ -258,7 +259,7 @@ class TestAcceptance:
         op = make_test_problem("skew", 2)
         cfg = RunConfig(M=1, K=1, R=100, eta=0.5, z0=np.array([1.0, 0.0]),
                         log_every=1)
-        traj = run_lsgd(noiseless(op), cfg)
+        traj = run_lsgd(OracleSpec(base=op), cfg)
         factor = math.sqrt(1.25)
         norms = [1.0] + [float(np.linalg.norm(r.mean_iterate))
                          for r in traj.records]

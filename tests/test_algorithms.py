@@ -16,8 +16,7 @@ from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
 from fedvi.gaps import dispersion
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
-from fedvi.oracles import (Draws, OracleSpec, draw_rows, noiseless,
-                           sample_oracle)
+from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from fedvi.regularizers import (RegularizerSpec, ZERO_REG, MirrorState,
                                 mirror_map, prox)
 from fedvi.rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
@@ -128,7 +127,7 @@ class TestStepSize:
 
 
 def scalar_op() -> OracleSpec:
-    return noiseless(affine_operator(np.array([[1.0]]), np.array([0.0])))
+    return OracleSpec(base=affine_operator(np.array([[1.0]]), np.array([0.0])))
 
 
 class TestRunLesgd:
@@ -139,12 +138,13 @@ class TestRunLesgd:
         traj = run_lesgd(scalar_op(), cfg)
         assert traj.records[0].mean_iterate[0] == 0.5
         assert traj.records[1].mean_iterate[0] == 0.375  # = 0.75 * (1 - 0.5)
-        assert traj.final_output[0] == pytest.approx((0.5 + 0.375) / 2)
+        assert traj.records[-1].output_avg[0] == pytest.approx(
+            (0.5 + 0.375) / 2)
 
     def test_identical_clients_have_zero_drift(self):
         op = make_test_problem("affine", 3, seed=0)
         cfg = RunConfig(M=5, K=2, R=3, eta=0.1, log_steps=True)
-        traj = run_lesgd(noiseless(op), cfg)
+        traj = run_lesgd(OracleSpec(base=op), cfg)
         assert all(r.drift_z == 0.0 for r in traj.records)
 
     def test_single_client_local_horizon_equivalence(self):
@@ -153,7 +153,8 @@ class TestRunLesgd:
         oracle = OracleSpec(base=op, sigma=0.5)
         a = run_lesgd(oracle, RunConfig(M=1, K=6, R=1, eta=0.1, master_seed=3))
         b = run_lesgd(oracle, RunConfig(M=1, K=1, R=6, eta=0.1, master_seed=3))
-        assert np.array_equal(a.final_output, b.final_output)
+        assert np.array_equal(a.records[-1].output_avg,
+                              b.records[-1].output_avg)
 
     def test_synchronization_is_exact(self):
         """The step after a sync gets identical client rows, while the
@@ -190,9 +191,10 @@ class TestRunLesgd:
     def test_output_recomputable_from_full_log(self):
         op = make_test_problem("affine", 3, seed=4)
         cfg = RunConfig(M=2, K=2, R=4, eta=0.1, log_steps=True)
-        traj = run_lesgd(noiseless(op), cfg)
+        traj = run_lesgd(OracleSpec(base=op), cfg)
         recomputed = np.mean([r.mean_iterate for r in traj.records], axis=0)
-        np.testing.assert_allclose(traj.final_output, recomputed, atol=1e-12)
+        np.testing.assert_allclose(traj.records[-1].output_avg, recomputed,
+                                   atol=1e-12)
 
     def test_finite_run_is_ok(self):
         op = make_test_problem("affine", 3, seed=4)
@@ -251,7 +253,8 @@ class TestInnerProx:
     def test_zero_operator_fixed_point(self):
         zero = affine_operator(np.zeros((2, 2)), np.zeros(2))
         z = np.array([1.0, -2.0])
-        out = solve_inner_prox(noiseless(zero), z, eta=0.5, gamma=0.1, H=1)
+        out = solve_inner_prox(OracleSpec(base=zero), z, eta=0.5, gamma=0.1,
+                               H=1)
         np.testing.assert_array_equal(out, z)
 
     def test_converges_to_exact_proximal_point(self):
@@ -260,7 +263,7 @@ class TestInnerProx:
         gamma = derived_gamma(eta, op.L)
         z = np.random.default_rng(1).standard_normal(5)
         x_star = exact_prox_point(op, z, eta)
-        out = solve_inner_prox(noiseless(op), z, eta, gamma, H=60)
+        out = solve_inner_prox(OracleSpec(base=op), z, eta, gamma, H=60)
         assert np.linalg.norm(out - x_star) <= 1e-8
 
     def test_per_step_contraction_factor(self):
@@ -322,7 +325,7 @@ class TestLippaxFamily:
         zero = affine_operator(np.zeros((2, 2)), np.zeros(2))
         cfg = RunConfig(M=2, K=1, R=3, eta=0.5, H=1, gamma=0.2,
                         z0=np.array([1.0, 2.0]), log_every=1)
-        traj = run_lippax(noiseless(zero), cfg)
+        traj = run_lippax(OracleSpec(base=zero), cfg)
         for rec in traj.records:
             np.testing.assert_array_equal(rec.mean_iterate, [1.0, 2.0])
 
@@ -331,7 +334,7 @@ class TestLippaxFamily:
         eta = 1.0 / op.L
         z0 = np.array([1.0, -1.0, 0.5, 2.0])
         cfg = RunConfig(M=1, K=1, R=1, eta=eta, H=60, z0=z0, log_every=1)
-        traj = run_lippax(noiseless(op), cfg)
+        traj = run_lippax(OracleSpec(base=op), cfg)
         x_star = exact_prox_point(op, z0, eta)
         np.testing.assert_allclose(traj.records[0].mean_iterate, x_star,
                                    atol=1e-8)
@@ -344,7 +347,8 @@ class TestLippaxFamily:
         a, b = run_lippax(oracle, cfg), run_slippax(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
-        assert np.array_equal(a.final_output, b.final_output)
+        assert np.array_equal(a.records[-1].output_avg,
+                              b.records[-1].output_avg)
 
     def test_slippax_delta_positive_differs(self):
         op = make_test_problem("affine", 3, seed=7)
@@ -353,7 +357,8 @@ class TestLippaxFamily:
         smoothed = RunConfig(M=2, K=2, R=2, eta=0.2, H=3, delta=0.1,
                              master_seed=21)
         a, b = run_lippax(oracle, base), run_slippax(oracle, smoothed)
-        assert not np.array_equal(a.final_output, b.final_output)
+        assert not np.array_equal(a.records[-1].output_avg,
+                                  b.records[-1].output_avg)
 
     def test_affine_smoothing_is_unbiased_across_seeds(self):
         """Smoothed and plain inner loops agree in expectation on affine
@@ -366,7 +371,7 @@ class TestLippaxFamily:
                        z0=np.array([1.0, -1.0]))
             a = run_lippax(oracle, RunConfig(**cfg))
             b = run_slippax(oracle, RunConfig(**cfg, delta=0.2))
-            diffs.append(b.final_output - a.final_output)
+            diffs.append(b.records[-1].output_avg - a.records[-1].output_avg)
         diffs = np.array(diffs)
         se = diffs.std(axis=0, ddof=1) / math.sqrt(len(diffs))
         assert np.all(np.abs(diffs.mean(axis=0)) <= 3 * se)
@@ -379,7 +384,7 @@ class TestRunLsgd:
                         log_every=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            traj = run_lsgd(noiseless(op), cfg)
+            traj = run_lsgd(OracleSpec(base=op), cfg)
         np.testing.assert_array_equal(traj.records[0].mean_iterate, [0.0, 0.0])
 
     def test_distance_monotone_for_small_eta(self):
@@ -387,7 +392,7 @@ class TestRunLsgd:
                                {"eig_range": [0.2, 1.0]}, seed=10)
         cfg = RunConfig(M=1, K=1, R=30, eta=1.0 / op.beta,
                         z0=np.ones(4) * 2, log_every=1)
-        traj = run_lsgd(noiseless(op), cfg)
+        traj = run_lsgd(OracleSpec(base=op), cfg)
         dists = [np.linalg.norm(r.mean_iterate - op.solution)
                  for r in traj.records]
         assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
@@ -398,7 +403,8 @@ class TestRunLsgd:
         cfg = RunConfig(M=1, K=1, R=100, eta=0.5, z0=np.array([1.0, 0.0]),
                         log_every=1)
         with pytest.warns(RuntimeWarning, match="co-coercivity"):
-            traj = run_lsgd(noiseless(op), cfg)  # skew is not co-coercive
+            # skew is not co-coercive
+            traj = run_lsgd(OracleSpec(base=op), cfg)
         factor = math.sqrt(1 + 0.5 ** 2)
         norms = [1.0] + [float(np.linalg.norm(r.mean_iterate))
                          for r in traj.records]
@@ -408,7 +414,7 @@ class TestRunLsgd:
     def test_warning_on_non_cocoercive_operator(self):
         op = make_test_problem("skew", 2)
         with pytest.warns(RuntimeWarning, match="co-coercivity"):
-            run_lsgd(noiseless(op), RunConfig(M=1, K=1, R=1, eta=0.1))
+            run_lsgd(OracleSpec(base=op), RunConfig(M=1, K=1, R=1, eta=0.1))
 
 
 class TestRunLda:
@@ -421,7 +427,8 @@ class TestRunLda:
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
             assert np.array_equal(ra.output_avg, rb.output_avg)
-        assert np.array_equal(a.final_output, b.final_output)
+        assert np.array_equal(a.records[-1].output_avg,
+                              b.records[-1].output_avg)
 
     def test_scalar_hand_simulation_with_l1(self):
         """Two rounds of the dual-space recursion with prox weight t*eta."""
@@ -441,7 +448,8 @@ class TestRunLda:
             expected_v.append(v)
         got = [r.mean_iterate[0] for r in traj.records]
         np.testing.assert_allclose(got, expected_v, atol=1e-15)
-        assert traj.final_output[0] == pytest.approx(np.mean(expected_v))
+        assert traj.records[-1].output_avg[0] == pytest.approx(
+            np.mean(expected_v))
 
 
 class TestRunLesgdHetero:
@@ -453,7 +461,8 @@ class TestRunLesgdHetero:
         b = run_lesgd(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
-        assert np.array_equal(a.final_output, b.final_output)
+        assert np.array_equal(a.records[-1].output_avg,
+                              b.records[-1].output_avg)
 
     def test_scalar_hand_simulation(self):
         """Four scalar updates and one averaging, against a reference loop."""
@@ -462,7 +471,8 @@ class TestRunLesgdHetero:
         eta, z0 = 0.25, 1.0
         cfg = RunConfig(M=2, K=2, R=1, eta=eta, z0=np.array([z0]),
                         log_steps=True)
-        traj = run_lesgd_hetero(noiseless(op), np.array([offsets]).T, cfg)
+        traj = run_lesgd_hetero(OracleSpec(base=op), np.array([offsets]).T,
+                                cfg)
 
         z = [z0, z0]
         xbars = []
@@ -476,17 +486,17 @@ class TestRunLesgdHetero:
             xbars.append(sum(x) / 2)
         got = [r.mean_iterate[0] for r in traj.records]
         np.testing.assert_allclose(got, xbars, atol=1e-15)
-        np.testing.assert_allclose(traj.final_output[0], np.mean(xbars),
+        np.testing.assert_allclose(traj.records[-1].output_avg[0], np.mean(xbars),
                                    atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        a = noiseless(make_test_problem("affine", 2, seed=0))
+        a = OracleSpec(base=make_test_problem("affine", 2, seed=0))
         with pytest.raises(ValueError, match="offsets have shape"):
             run_lesgd_hetero(a, np.zeros((2, 3)),
                              RunConfig(M=2, K=1, R=1, eta=0.1))
 
     def test_wrong_client_count_rejected(self):
-        a = noiseless(make_test_problem("affine", 2, seed=0))
+        a = OracleSpec(base=make_test_problem("affine", 2, seed=0))
         for shape in [(1, 2), (3, 2), (2,), (2, 2, 1)]:
             with pytest.raises(ValueError, match="offsets have shape"):
                 run_lesgd_hetero(a, np.zeros(shape),
@@ -505,6 +515,15 @@ class TestRunConfigValidation:
 
     def test_total_steps(self):
         assert RunConfig(M=1, K=7, R=9, eta=0.1).T == 63
+
+    def test_record_cadence(self):
+        """log_every rounds, R // 20 rounds (at least 1) when unset, or
+        every step with log_steps."""
+        base = dict(M=1, K=3, R=45, eta=0.1)
+        assert RunConfig(**base, log_every=4).record_cadence() == 12
+        assert RunConfig(**base).record_cadence() == 6
+        assert RunConfig(**dict(base, R=10)).record_cadence() == 3
+        assert RunConfig(**base, log_steps=True).record_cadence() == 1
 
     def test_bad_z0_shape_rejected(self):
         cfg = RunConfig(M=1, K=1, R=1, eta=0.1, z0=np.zeros(3))
@@ -602,7 +621,7 @@ def _assert_same_bits(traj, ref):
         assert np.array_equal(rec.mean_iterate, mean)
         assert np.array_equal(rec.output_avg, output)
         assert rec.drift_z == drift_z
-    assert np.array_equal(traj.final_output, ref[-1][1])
+    assert np.array_equal(traj.records[-1].output_avg, ref[-1][1])
 
 
 def _trajectory_bits(traj):

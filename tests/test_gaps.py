@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from fedvi import gaps
 from fedvi.gaps import (_certificate, _multistart_ascent, _prox_ball,
                         composite_gap, dispersion, restricted_gap)
-from fedvi.harness import ExperimentConfig, build_problem, run_single
+from fedvi.harness import ExperimentConfig, build_problem
 from fedvi.operators import (KINDS, affine_operator, eval_operator,
                              make_test_problem, op_value_vjp)
 from fedvi.regularizers import RegularizerSpec, ZERO_REG, prox, reg_value
 from gap_reference import (check_eg_cocoercivity, composite_grid_oracle,
                            exact_prox_point, grid_oracle,
                            reference_exact_concave_max, reference_multistart)
+from run_reference import run_single
 
 
 class TestBatchedAscent:

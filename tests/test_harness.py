@@ -18,11 +18,11 @@ from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
 from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
-                           build_problem, compare_reduction, fit_rate,
-                           rows_to_csv, run_experiment, run_single,
-                           verify_problem)
+                           build_problem, fit_rate, rows_to_csv,
+                           run_experiment, verify_problem)
 from fedvi.oracles import OracleSpec, sample_oracle
 from fedvi.rng import RngStream
+from run_reference import compare_reduction, run_single
 
 
 def minimal_config(**overrides):
@@ -248,6 +248,15 @@ class TestRunExperiment:
         gaps = [r.gap_value for r in rows]
         assert all(a >= b - 1e-12 for a, b in zip(gaps[2:], gaps[3:]))
         assert all(r.gap_certified for r in rows)
+
+    def test_z0_is_the_start_and_the_default_gap_center(self):
+        """One rule: z0 as floats, or zeros of the problem's dimension."""
+        cfg = ExperimentConfig.from_dict(minimal_config())
+        assert np.array_equal(cfg.gap_center(2), np.zeros(2))
+        cfg = ExperimentConfig.from_dict(minimal_config(z0=[1, -2]))
+        for point in (cfg.initial_point(2), cfg.gap_center(2)):
+            assert point.dtype == float
+            assert np.array_equal(point, [1.0, -2.0])
 
     def test_csv_byte_identical_across_reruns_and_workers(self):
         csv1 = rows_to_csv(run_experiment(minimal_config()))
@@ -617,12 +626,12 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "slope=" in captured
 
-    def test_workers_flag_is_deterministic(self, tmp_path):
+    def test_workers_flag_is_rejected(self, tmp_path, capsys):
         cfg_path = self._write(tmp_path, minimal_config())
-        out1, out8 = str(tmp_path / "w1.csv"), str(tmp_path / "w8.csv")
-        assert cli_main(["run", cfg_path, "--out", out1, "--workers", "1"]) == 0
-        assert cli_main(["run", cfg_path, "--out", out8, "--workers", "8"]) == 0
-        assert open(out1, "rb").read() == open(out8, "rb").read()
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg_path, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         cfg_path = self._write(tmp_path, minimal_config(seeds=[0, 1, 2]))
@@ -734,8 +743,6 @@ class TestCli:
         (lambda t, tmp: [str(tmp / "nope.json")], "<file>"),
         (lambda t, tmp: [str(tmp / "config.json"), "--seed-override", "-1"],
          "--seed-override"),
-        (lambda t, tmp: [str(tmp / "config.json"), "--workers", "0"],
-         "--workers"),
         (lambda t, tmp: [str(tmp / "config.json"),
                          "--out", str(tmp / "missing" / "x.csv")], "output"),
         (lambda t, tmp: t.update(output=str(tmp / "missing" / "x.csv")),
@@ -750,7 +757,7 @@ class TestCli:
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
              "lesgd-hetero-block", "config-missing", "seed-override-negative",
-             "workers-below-one", "out-missing-dir", "output-missing-dir"]
+             "out-missing-dir", "output-missing-dir"]
         + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()

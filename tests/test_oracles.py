@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedvi.operators import make_test_problem
-from fedvi.oracles import OracleSpec, draw_rows, noiseless, sample_oracle
+from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream, normals, uniforms
 
 
@@ -21,7 +21,7 @@ def _draws(oracle, z, n, seed=0, delta=0.0):
 class TestSampleOracle:
     def test_noiseless_is_exact(self):
         op = make_test_problem("affine", 3, seed=0)
-        oracle = noiseless(op)
+        oracle = OracleSpec(base=op)
         z = np.array([0.3, -1.0, 2.0])
         np.testing.assert_array_equal(sample_oracle(oracle, z),
                                       op.payload["A"] @ z + op.payload["b"])
@@ -32,7 +32,7 @@ class TestSampleOracle:
                             sigma=0.0)
         z = np.zeros(3)
         np.testing.assert_array_equal(sample_oracle(oracle, z),
-                                      sample_oracle(noiseless(op), z))
+                                      sample_oracle(OracleSpec(base=op), z))
 
     def test_missing_generator_rejected(self):
         op = make_test_problem("affine", 3, seed=0)
@@ -41,7 +41,7 @@ class TestSampleOracle:
             sample_oracle(oracle, np.zeros(3))
 
     def test_dimension_mismatch_rejected(self):
-        oracle = noiseless(make_test_problem("affine", 3, seed=0))
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0))
         with pytest.raises(ValueError, match="dimension"):
             sample_oracle(oracle, np.zeros(2))
 
@@ -54,7 +54,8 @@ class TestSampleOracle:
         z = np.array([0.5, -0.5, 1.0, 0.0])
         n = 100_000
         draws = _draws(oracle, z, n)
-        err = np.abs(draws.mean(axis=0) - sample_oracle(noiseless(op), z))
+        exact = sample_oracle(OracleSpec(base=op), z)
+        err = np.abs(draws.mean(axis=0) - exact)
         assert np.all(err < 5 * sigma / math.sqrt(n))
 
     @pytest.mark.parametrize("model", ["gaussian-isotropic", "bounded-uniform"])
@@ -65,7 +66,7 @@ class TestSampleOracle:
         oracle = OracleSpec(base=op, noise_model=model, sigma=sigma)
         z = np.zeros(4)
         n = 50_000
-        noise = _draws(oracle, z, n) - sample_oracle(noiseless(op), z)
+        noise = _draws(oracle, z, n) - sample_oracle(OracleSpec(base=op), z)
         second = float((noise ** 2).sum(axis=1).mean())
         assert second <= sigma ** 2 * (1 + 5 / math.sqrt(n))
         assert second >= sigma ** 2 * (1 - 5 / math.sqrt(n))
@@ -77,7 +78,7 @@ class TestSampleOracle:
         z = np.array([1.0, -1.0, 0.5])
         n = 200_000
         draws = _draws(oracle, z, n, delta=0.1)
-        exact = sample_oracle(noiseless(op), z)
+        exact = sample_oracle(OracleSpec(base=op), z)
         # noise of the smoothed draw is delta * A s: std <= delta * L per coord
         tol = 5 * 0.1 * op.L / math.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - exact) < tol)
@@ -124,7 +125,7 @@ class TestStackedQuery:
 
     @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
     def test_exact_stack_equals_single_points_bitwise(self, kind):
-        oracle = noiseless(make_test_problem(kind, 30, seed=1))
+        oracle = OracleSpec(base=make_test_problem(kind, 30, seed=1))
         Z = np.random.default_rng(0).standard_normal((9, 30))
         single = np.stack([sample_oracle(oracle, z) for z in Z])
         assert np.array_equal(sample_oracle(oracle, Z), single)
@@ -159,7 +160,7 @@ class TestStackedQuery:
     def test_radii_pick_the_smoothed_rows(self):
         """Only rows with a positive radius draw a direction, in key
         order, each the direction its key draws alone."""
-        oracle = noiseless(make_test_problem("affine", 4, seed=0))
+        oracle = OracleSpec(base=make_test_problem("affine", 4, seed=0))
         keys = [RngStream(2).at(m, 1) for m in range(5)]
         radii = np.array([0.0, 0.5, 0.0, 0.2, 0.0])
         shift, noise = draw_rows(oracle, keys, radii)
@@ -182,8 +183,8 @@ class TestStackedQuery:
 
     def test_is_stochastic(self):
         op = make_test_problem("affine", 3, seed=0)
-        assert not noiseless(op).is_stochastic()
-        assert noiseless(op).is_stochastic(0.1)
+        assert not OracleSpec(base=op).is_stochastic()
+        assert OracleSpec(base=op).is_stochastic(0.1)
         assert not OracleSpec(base=op, sigma=0.0).is_stochastic()
         assert OracleSpec(base=op, sigma=0.5).is_stochastic()
         assert not OracleSpec(base=op, noise_model="none",
