@@ -23,7 +23,7 @@ import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,7 +134,6 @@ class Trajectory:
 
     algo: str
     records: list[TrajectoryRecord]
-    config: RunConfig
     diverged_at: int | None = None
 
     @property
@@ -223,9 +222,7 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     output lies farther from z0 than ``cfg.growth_limit`` (Euclidean
     norm, a non-finite one included) marks the run diverged and warns,
     naming the run; numpy's overflow and invalid-value warnings are off
-    inside the loop.  The
-    trajectory's ``delta`` is the largest radius the queries were drawn
-    with.
+    inside the loop.
     """
     dim = oracle.dim
     z0 = cfg.initial_point(dim)
@@ -261,9 +258,7 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=drift))
-    cfg = replace(cfg, delta=max(delta for _, _, delta in queries))
-    return Trajectory(algo=algo, records=records, config=cfg,
-                      diverged_at=diverged_at)
+    return Trajectory(algo=algo, records=records, diverged_at=diverged_at)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
@@ -360,6 +355,7 @@ def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
                       algo: str) -> Trajectory:
     eta = cfg.eta
+    # defaults for direct callers; the harness passes both resolved
     H = cfg.H or default_inner_steps(cfg.K, cfg.R)
     gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
 
@@ -367,9 +363,8 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
         x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])
         # outer extra step: fresh, unsmoothed draw at x_t^m
         return z - eta * sample_oracle(oracle, x, draws=draws[H]), x
-    # the trajectory reports the inner-loop parameters the run used
     inner = [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
-    return _round_loop(replace(cfg, H=H, gamma=gamma), oracle, step, algo,
+    return _round_loop(cfg, oracle, step, algo,
                        inner + [(0, PHASE_UPDATE, 0.0)])
 
 
@@ -390,11 +385,10 @@ def derived_gamma(eta: float, L: float) -> float:
 
 @dataclass(frozen=True)
 class StepSizePlan:
-    """Theorem schedule: eta as the min over branches, plus gamma/delta."""
+    """Theorem schedule: eta as the min over branches, plus delta."""
 
     theorem_id: str
     eta: float
-    gamma: float | None
     delta: float
     active_branch: int
     branches: tuple[float, ...]
@@ -521,15 +515,13 @@ def step_size(theorem_id: str, constants: dict, shape: dict,
     if not np.isfinite(eta) or eta <= 0:
         raise ValueError(f"{theorem_id} schedule produced eta={eta!r}")
     active = branches.index(eta)
-    gamma = derived_gamma(eta, L) if theorem_id in ("T3", "T4", "T5") else None
     delta = 0.0
     if theorem_id == "T5":
         d = float(constants["d"])
         root = math.sqrt(d) if delta_rule == "sqrt-d" else d ** 0.25
         delta = eta * sigma / root
-    return StepSizePlan(theorem_id=theorem_id, eta=eta, gamma=gamma,
-                        delta=delta, active_branch=active,
-                        branches=tuple(branches))
+    return StepSizePlan(theorem_id=theorem_id, eta=eta, delta=delta,
+                        active_branch=active, branches=tuple(branches))
 
 
 def constants_of(op: OperatorSpec, xi: float | None = None,

@@ -94,28 +94,6 @@ def _prox_ball(reg: RegularizerSpec, U: np.ndarray, step: float,
     return np.where(n <= D, U, center + W * (D / np.maximum(n, D)))
 
 
-def _secular_root(radius: Callable[[float], float], D: float,
-                  hi: float) -> float:
-    """Least ball multiplier nu found with radius(nu) <= D.
-
-    ``radius`` is nonincreasing in nu.  ``hi`` is doubled until it is
-    feasible, then [0, hi] is bisected to float resolution; the feasible
-    end is returned.
-    """
-    while radius(hi) > D:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if radius(mid) > D:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                        D: float) -> np.ndarray:
     """Maximizer of <V(z), x_o - z> over ||z - center|| <= D for affine V.
@@ -149,9 +127,19 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         if np.linalg.norm(wt) <= D:
             return center + U @ wt
 
-    # boundary: solve ||w(nu)|| = D for nu > 0
-    nu = _secular_root(radius, D, 2.0 * np.linalg.norm(gt) / D)
-    return center + U @ w_of(nu)
+    # boundary: bisect [0, hi] to float resolution for the least nu with
+    # ||w(nu)|| <= D, keeping the feasible end.  lam >= 0 gives ||w(nu)||
+    # <= ||gt|| / nu, so hi = 2 ||gt|| / D is feasible from the start.
+    lo, hi = 0.0, 2.0 * np.linalg.norm(gt) / D
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if radius(mid) > D:
+            lo = mid
+        else:
+            hi = mid
+    return center + U @ w_of(hi)
 
 
 def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,

@@ -22,9 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
-                         Trajectory, constants_of, derived_gamma, run_lda,
-                         run_lesgd, run_lesgd_hetero, run_lippax, run_lsgd,
-                         run_slippax, step_size)
+                         Trajectory, constants_of, default_inner_steps,
+                         derived_gamma, run_lda, run_lesgd, run_lesgd_hetero,
+                         run_lippax, run_lsgd, run_slippax, step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, load_affine_text,
                         make_test_problem, operator_bound_on_ball,
@@ -375,55 +375,59 @@ def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
     return offsets, xi
 
 
-def _resolve_plan(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
-                  xi: float | None):
-    """(eta, gamma, delta) as configured, or as the schedule gives them."""
+def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
+                xi: float | None) -> RunConfig:
+    """The run's full parameter set, as the runner uses it and the CSV
+    reports it: eta and delta as configured or scheduled; for LIPPAX and
+    SLIPPAX only, gamma as configured or derived from eta, and H as
+    configured or ``default_inner_steps(K, R)``; delta 0.0 for every id
+    but SLIPPAX, the one that smooths."""
     algo, D = cfg.algorithm, cfg.gap["D"]
-    if algo["schedule"] is None:
-        gamma = algo["gamma"]
-        if gamma is None and algo["id"] in READERS["algorithm.gamma"]:
-            try:
-                gamma = derived_gamma(algo["eta"], op.L)
-            except OverflowError as exc:
-                raise ConfigError("algorithm.eta", "too small: the derived "
-                                  "inner step gamma overflows") from exc
-            _expect(gamma > 0, "algorithm.eta",
-                    "too large: the derived inner step gamma is 0")
-        return algo["eta"], gamma, algo["delta"] or 0.0
-    G = operator_bound_on_ball(op, cfg.initial_point(op.dim), 10.0 * D)
-    try:
-        plan = step_size(algo["schedule"], constants_of(op, xi, G),
-                         dict(spec, D=D), delta_rule=algo["delta_rule"])
-    except (ArithmeticError, ValueError) as exc:
-        raise ConfigError("algorithm.schedule",
-                          f"no step size for this run: {exc}") from exc
-    return plan.eta, None, plan.delta  # the runner derives gamma from eta
+    eta, delta, gamma, H = algo["eta"], algo["delta"], algo["gamma"], algo["H"]
+    blame = "algorithm.eta"  # the field a bad derived gamma is reported at
+    if algo["schedule"] is not None:
+        G = operator_bound_on_ball(op, cfg.initial_point(op.dim), 10.0 * D)
+        try:
+            plan = step_size(algo["schedule"], constants_of(op, xi, G),
+                             dict(spec, D=D), delta_rule=algo["delta_rule"])
+        except (ArithmeticError, ValueError) as exc:
+            raise ConfigError("algorithm.schedule",
+                              f"no step size for this run: {exc}") from exc
+        eta, delta, blame = plan.eta, plan.delta, "algorithm.schedule"
+    if algo["id"] in READERS["algorithm.gamma"]:
+        H = H or default_inner_steps(spec["K"], spec["R"])
+        try:
+            gamma = gamma or derived_gamma(eta, op.L)
+        except OverflowError as exc:
+            raise ConfigError(blame, f"eta {eta:g} is too small: the derived "
+                              "inner step gamma overflows") from exc
+        _expect(gamma > 0, blame,
+                f"eta {eta:g} is too large: the derived inner step gamma is 0")
+    z0 = cfg.initial_point(op.dim)
+    reach = D + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
+    return RunConfig(M=spec["M"], K=spec["K"], R=spec["R"], eta=eta,
+                     gamma=gamma, H=H,
+                     delta=(delta or 0.0) if algo["id"] == "slippax" else 0.0,
+                     log_every=cfg.log_every,
+                     master_seed=_run_master_seed(**spec), z0=z0, reach=reach)
 
 
 def _run_once(cfg: ExperimentConfig, spec: dict
-              ) -> tuple[Trajectory, OperatorSpec]:
+              ) -> tuple[Trajectory, OperatorSpec, RunConfig]:
     """Build and run one (sweep point, seed) run of the configured algorithm.
 
-    Returns the trajectory and the operator its gaps are measured on
-    (also for heterogeneous clients, whose offsets sum to zero).
-    """
-    M, sigma = spec["M"], spec["sigma"]
+    Returns the trajectory, the operator its gaps are measured on (also
+    for heterogeneous clients, whose offsets sum to zero), and its
+    parameters."""
     op = build_problem(cfg)
     algo_id = cfg.algorithm["id"]
 
     offsets = xi = None
     if algo_id == "lesgd-hetero":
-        offsets, xi = _hetero_offsets(op, cfg, M)
-    eta, gamma, delta = _resolve_plan(cfg, op, spec, xi)
-
-    z0 = cfg.initial_point(op.dim)
-    reach = cfg.gap["D"] + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
-    run_cfg = RunConfig(M=M, K=spec["K"], R=spec["R"], eta=eta, gamma=gamma,
-                        delta=delta, H=cfg.algorithm["H"],
-                        log_every=cfg.log_every,
-                        master_seed=_run_master_seed(**spec), z0=z0,
-                        reach=reach)
-    oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
+        offsets, xi = _hetero_offsets(op, cfg, spec["M"])
+    run_cfg = _run_config(cfg, op, spec, xi)
+    oracle = OracleSpec(base=op, noise_model=cfg.noise["model"],
+                        sigma=spec["sigma"])
 
     if algo_id == "lesgd-hetero":
         traj = run_lesgd_hetero(oracle, offsets, run_cfg)
@@ -433,12 +437,11 @@ def _run_once(cfg: ExperimentConfig, spec: dict
         runner = {"lesgd": run_lesgd, "lippax": run_lippax,
                   "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
         traj = runner(oracle, run_cfg)
-    return traj, op
+    return traj, op, run_cfg
 
 
 def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
-    traj, gap_op = _run_once(cfg, spec)
-    run_cfg = traj.config
+    traj, gap_op, run_cfg = _run_once(cfg, spec)
 
     center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution

@@ -217,8 +217,8 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
     - affine: L (default 1), mu (min sym eigenvalue, default 0.1 L),
       skew (relative skew weight, default 1.0), b_scale (default 1).
     - skew: L (default 1); b is zero, solution at the origin.
-    - bilinear-saddle: L (default 1), b_scale (default 1); dim is split
-      as dx + dy with dx = dim // 2.
+    - bilinear-saddle: L (default 1), b_scale (default 1), dx (default
+      dim // 2); dim is split as dx + dy.
     - quadratic-gradient: eig_range [lo, hi] (default [0.1, 1]),
       b_scale; optional requested beta is validated against L.
     - bounded-nonlinear: L (default 1), n_terms (default 2 dim),
@@ -259,10 +259,10 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
     if kind == "bilinear-saddle":
         L = float(params.pop("L", 1.0))
         b_scale = float(params.pop("b_scale", 1.0))
-        dx = int(params.pop("dx", dim // 2))
+        dx = _count_param(params, "dx", max(dim // 2, 1))
         _reject_unknown(kind, params)
         dy = dim - dx
-        if dx < 1 or dy < 1:
+        if dy < 1:
             raise ValueError("bilinear-saddle needs dim >= 2")
         B = rng.standard_normal((dx, dy))
         if dx == dy:
@@ -299,7 +299,7 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
 
     if kind == "bounded-nonlinear":
         L = float(params.pop("L", 1.0))
-        n_terms = int(params.pop("n_terms", 2 * dim))
+        n_terms = _count_param(params, "n_terms", 2 * dim)
         bias_scale = float(params.pop("bias_scale", 0.5))
         _reject_unknown(kind, params)
         C = rng.standard_normal((n_terms, dim))
@@ -314,6 +314,13 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
                             L=L_exact, G=G, beta=L_exact, Lambda=Lam)
 
     raise ValueError(f"unknown problem kind {kind!r}")
+
+
+def _count_param(params: dict[str, Any], name: str, default: int) -> int:
+    v = params.pop(name, default)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    return v
 
 
 def _reject_unknown(kind: str, leftover: dict[str, Any]) -> None:

@@ -34,7 +34,7 @@ class TestStepSize:
                   * 100 ** (1 / 3))
         assert plan.eta == min(b1, b2, b3)
         assert plan.active_branch == [b1, b2, b3].index(min(b1, b2, b3))
-        assert plan.gamma is None and plan.delta == 0.0
+        assert plan.delta == 0.0
 
     def test_t1_sigma_zero_keeps_only_smoothness_branch(self):
         shape = dict(SHAPE, sigma=0.0)
@@ -53,7 +53,7 @@ class TestStepSize:
                               * 0.7 ** (2 / 3) * 1.5 ** (1 / 3)))
         assert plan.eta == pytest.approx(expect, rel=1e-14)
 
-    def test_t3_branches_and_gamma(self):
+    def test_t3_branches(self):
         shape = {"M": 3, "K": 5, "R": 40, "sigma": 0.4, "D": 2.0}
         plan = step_size("T3", {"L": 1.2, "G": 4.0}, shape)
         e = math.e
@@ -66,8 +66,6 @@ class TestStepSize:
                               * 1.2 ** (1 / 3) * 0.4 ** (2 / 3)),
             2.0 / (0.4 * math.sqrt(15 * 5 * 40)))
         assert plan.eta == pytest.approx(expect, rel=1e-14)
-        assert plan.gamma == pytest.approx(
-            1 / (plan.eta * (1.2 + 1 / plan.eta) ** 2), rel=1e-14)
 
     def test_t5_delta_rules(self):
         shape = {"M": 1, "K": 2, "R": 10, "sigma": 1.0, "D": 1.0}

@@ -20,7 +20,7 @@ from fedvi.gaps import restricted_gap
 from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
                            build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
-from fedvi.oracles import OracleSpec, sample_oracle
+from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream
 from run_reference import compare_reduction, run_single
 
@@ -342,16 +342,25 @@ class TestRunExperiment:
                    for r in rows)
 
     def test_csv_reports_resolved_inner_parameters(self):
-        """H and gamma cells hold what LIPPAX used, also when derived."""
+        """H, gamma and delta cells hold what LIPPAX and SLIPPAX used, also
+        when derived."""
         tree = minimal_config(log_every=4)
         tree["problem"] = {"kind": "bounded-nonlinear", "dim": 3, "seed": 1}
         tree["algorithm"] = {"id": "lippax", "schedule": "T3"}
         tree["federation"] = {"M": 2, "K": 3, "R": 4}
         (row,) = run_experiment(tree)
         assert row.H == default_inner_steps(3, 4)
-        # the runner derives gamma from the schedule's eta
+        # the harness derives gamma from the schedule's eta
         L = build_problem(ExperimentConfig.from_dict(tree)).L
         assert row.gamma == derived_gamma(row.eta, L)
+
+        tree["algorithm"] = {"id": "slippax", "schedule": "T5"}
+        tree["noise"] = {"sigma": 0.5, "model": "gaussian-isotropic"}
+        (row,) = run_experiment(tree)
+        assert row.H == default_inner_steps(3, 4)
+        assert row.gamma == derived_gamma(row.eta, L)
+        # T5's sqrt-d radius, the plan's delta
+        assert row.delta == row.eta * 0.5 / math.sqrt(3) > 0
 
         tree = minimal_config()
         tree["algorithm"] = {"id": "lippax", "eta": 0.2}
@@ -598,14 +607,16 @@ class TestVerifyProblem:
     @pytest.mark.parametrize("model", ["gaussian-isotropic",
                                        "bounded-uniform"])
     def test_stacked_draws_equal_looped_draws_bitwise(self, model):
-        """The oracle check's one 20,000-key query is 20,000 point queries."""
+        """The oracle check's one 20,000-row query, drawn by draw_rows, is
+        20,000 keyed point queries."""
         cfg = ExperimentConfig.from_dict(minimal_config(
             noise={"sigma": 0.5, "model": model}))
         oracle = OracleSpec(base=build_problem(cfg), noise_model=model,
                             sigma=0.5)
         stream, z, n = RngStream(0), np.zeros(oracle.dim), 20_000
         keys = [stream.at(0, i) for i in range(n)]
-        stacked = sample_oracle(oracle, np.tile(z, (n, 1)), keys)
+        stacked = sample_oracle(oracle, np.tile(z, (n, 1)),
+                                draws=draw_rows(oracle, keys))
         looped = np.stack([sample_oracle(oracle, z, k) for k in keys])
         assert np.array_equal(stacked, looped)
 
@@ -709,6 +720,10 @@ class TestCli:
         (lambda t, tmp: TestCli._nonlinear(t, id="slippax", schedule="T5")
          or t.update(noise={"sigma": 1e300, "model": "gaussian-isotropic"}),
          "algorithm.schedule"),
+        (lambda t, tmp: t.update(
+            algorithm={"id": "lippax", "schedule": "T1"},
+            noise={"sigma": 1e300, "model": "gaussian-isotropic"}),
+         "algorithm.schedule"),
         (lambda t, tmp: t.update(algorithm={"id": "lippax", "eta": 1e-300}),
          "algorithm.eta"),
         (lambda t, tmp: t.update(algorithm={"id": "lippax", "eta": 1e308})
@@ -739,6 +754,12 @@ class TestCli:
          "regularizer"),
         (lambda t, tmp: t["problem"].update(hetero={"offset_scale": 9.0}),
          "problem.hetero"),
+        (lambda t, tmp: t.update(problem={
+            "kind": "bounded-nonlinear", "dim": 3,
+            "params": {"n_terms": 1.5}}), "problem"),
+        (lambda t, tmp: t.update(problem={
+            "kind": "bilinear-saddle", "dim": 4, "params": {"dx": True}}),
+         "problem"),
         # a mutator that returns CLI arguments replaces the config path
         (lambda t, tmp: [str(tmp / "nope.json")], "<file>"),
         (lambda t, tmp: [str(tmp / "config.json"), "--seed-override", "-1"],
@@ -751,12 +772,14 @@ class TestCli:
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
              "file-not-a-path", "file-center-length", "file-box-lo-length",
-             "schedule-overflow", "eta-gamma-overflow", "eta-gamma-underflow",
+             "schedule-overflow", "schedule-gamma-overflow",
+             "eta-gamma-overflow", "eta-gamma-underflow",
              "schedule-with-eta", "schedule-with-gamma",
              "schedule-with-delta", "model-none-sigma",
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
-             "lesgd-hetero-block", "config-missing", "seed-override-negative",
+             "lesgd-hetero-block", "n-terms-float", "dx-bool",
+             "config-missing", "seed-override-negative",
              "out-missing-dir", "output-missing-dir"]
         + [p[0] for p in PROBES])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
