@@ -132,7 +132,6 @@ class Trajectory:
     that record and every later one are diverged.
     """
 
-    algo: str
     records: list[TrajectoryRecord]
     diverged_at: int | None = None
 
@@ -258,7 +257,7 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=round_mean, output_avg=output.copy(),
                 drift_z=drift))
-    return Trajectory(algo=algo, records=records, diverged_at=diverged_at)
+    return Trajectory(records=records, diverged_at=diverged_at)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,

@@ -176,11 +176,6 @@ def _closes(bound: float, value: float) -> bool:
     return bound - value <= 1e-7 * (1.0 + abs(value))
 
 
-def _check_radius(D: float) -> None:
-    if D <= 0:
-        raise ValueError("ball radius D must be positive")
-
-
 def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
             n_starts: int, seed: int, reg: RegularizerSpec
             ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
@@ -244,60 +239,55 @@ def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     return Z[:, 0], values.ravel()
 
 
-def _best_start(Z: np.ndarray, values: np.ndarray) -> GapEstimate:
-    k = int(np.argmax(values))
-    return GapEstimate(value=float(values[k]), method="multistart-ascent",
-                       certified=False, maximizer=Z[k])
-
-
 def restricted_gap(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
                    D: float, method: str = "auto") -> GapEstimate:
-    """sup of <V(z), x_o - z> over the ball ||z - center|| <= D.
+    """sup of <V(z), x_o - z> over the ball ||z - center|| <= D: the
+    composite gap with phi = 0.
 
     ``auto`` solves affine operators exactly and runs the multistart
     ascent otherwise; ``exact-concave`` insists on the exact solve.
     """
-    _check_radius(D)
     if method not in ("auto", "exact-concave"):
         raise ValueError(f"unknown gap method {method!r}")
-    x_o = np.asarray(x_o, dtype=float)
-    center = np.asarray(center, dtype=float)
-    if not op.is_affine:
-        if method == "exact-concave":
-            raise ValueError("exact-concave requires an affine operator")
-        return _best_start(*_multistart_ascent(
-            op, x_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED))
-    z_star = _exact_concave_max(op, x_o, center, D)
-    value = float(eval_operator(op, z_star) @ (x_o - z_star))
-    bound, _ = _certificate(op, ZERO_REG, x_o, center, D, z_star)
-    return GapEstimate(value=value, method="exact-concave",
-                       certified=_closes(bound, value), maximizer=z_star)
+    if method == "exact-concave" and not op.is_affine:
+        raise ValueError("exact-concave requires an affine operator")
+    return composite_gap(op, ZERO_REG, x_o, center, D)
 
 
 def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
                   center: np.ndarray, D: float) -> GapEstimate:
     """sup of <V(z), v_o - z> + phi(v_o) - phi(z) over the ball and dom phi.
 
-    For affine V one start ascends until the certificate closes, checked
-    after 1, 2, 4, ... steps and the last; nonlinear V runs the multistart
-    ascent uncertified.
+    Nonlinear V runs the multistart ascent uncertified.  For affine V
+    zero phi is solved exactly, and otherwise one start ascends until
+    the certificate closes, checked after 1, 2, 4, ... steps and the last.
     """
-    _check_radius(D)
+    if D <= 0:
+        raise ValueError("ball radius D must be positive")
     v_o = np.asarray(v_o, dtype=float)
     center = np.asarray(center, dtype=float)
-    if reg.kind == "zero":
-        return restricted_gap(op, v_o, center, D)
     if reg.kind == "box-indicator":
         inside = np.clip(center, reg.lo, reg.hi)
         if np.linalg.norm(inside - center) > D:
             raise ValueError("phi is infinite everywhere on the ball")
 
-    phi_vo = reg_value(reg, v_o)
     if not op.is_affine:
         Z, values = _multistart_ascent(
             op, v_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED, reg)
-        return _best_start(Z, values + phi_vo - np.array(
-            [reg_value(reg, z) for z in Z]))
+        if reg.kind != "zero":
+            values = values + reg_value(reg, v_o) - np.array(
+                [reg_value(reg, z) for z in Z])
+        k = int(np.argmax(values))
+        return GapEstimate(value=float(values[k]), method="multistart-ascent",
+                           certified=False, maximizer=Z[k])
+    if reg.kind == "zero":
+        z_star = _exact_concave_max(op, v_o, center, D)
+        value = float(eval_operator(op, z_star) @ (v_o - z_star))
+        bound, _ = _certificate(op, reg, v_o, center, D, z_star)
+        return GapEstimate(value=value, method="exact-concave",
+                           certified=_closes(bound, value), maximizer=z_star)
+
+    phi_vo = reg_value(reg, v_o)
 
     def h(z: np.ndarray) -> float:
         return (float(eval_operator(op, z) @ (v_o - z)) + phi_vo

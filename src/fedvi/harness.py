@@ -26,7 +26,7 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
                          derived_gamma, run_lda, run_lesgd, run_lesgd_hetero,
                          run_lippax, run_lsgd, run_slippax, step_size)
 from .gaps import composite_gap
-from .operators import (KINDS, OperatorSpec, load_affine_text,
+from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
                         make_test_problem, operator_bound_on_ball,
                         verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, draw_rows, sample_oracle
@@ -71,7 +71,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 class RateFit:
     """Log-log least-squares fit of gap against one experiment axis."""
 
-    x_name: str
     pairs: list[tuple[float, float]]
     slope: float
     intercept: float
@@ -82,11 +81,6 @@ class RateFit:
 def _expect(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(path, message)
-
-
-def _is_number(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v))
 
 
 def _is_int(v) -> bool:
@@ -263,6 +257,10 @@ class ExperimentConfig:
             _expect((tree[block] if block else tree).get(key) is None or
                     algorithm["id"] in ids, path,
                     f"read only by algorithm.id {' or '.join(ids)}")
+        _expect("delta_rule" not in tree["algorithm"] or (
+            algorithm["id"] == "slippax" and algorithm["schedule"] == "T5"),
+            "algorithm.delta_rule",
+            "read only by algorithm.id slippax under algorithm.schedule T5")
         _expect("regularizer" not in tree or "kind" in tree["regularizer"],
                 "regularizer.kind", "required when the block is given")
         for name in ("lo", "hi"):
@@ -563,9 +561,9 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         ss_res = float(((ly - pred) ** 2).sum())
         ss_tot = float(((ly - ly.mean()) ** 2).sum())
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        fits[key] = RateFit(x_name=x_name, pairs=sorted(pairs),
-                            slope=float(slope), intercept=float(intercept),
-                            r2=r2, n_excluded=excluded.get(key, 0))
+        fits[key] = RateFit(pairs=sorted(pairs), slope=float(slope),
+                            intercept=float(intercept), r2=r2,
+                            n_excluded=excluded.get(key, 0))
     return fits
 
 

@@ -11,6 +11,7 @@ the declarations to account.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
@@ -19,13 +20,17 @@ import numpy as np
 
 INF = float("inf")
 
-KINDS = (
-    "affine",
-    "bilinear-saddle",
-    "skew",
-    "quadratic-gradient",
-    "bounded-nonlinear",
-)
+# Each zoo kind's params and their defaults, in one place.  None marks
+# a default derived from dim or L: mu = 0.1 L, dx = max(dim // 2, 1),
+# n_terms = 2 dim.
+PARAMS = {
+    "affine": {"L": 1.0, "mu": None, "skew": 1.0, "b_scale": 1.0},
+    "bilinear-saddle": {"L": 1.0, "b_scale": 1.0, "dx": None},
+    "skew": {"L": 1.0},
+    "quadratic-gradient": {"eig_range": (0.1, 1.0), "b_scale": 1.0},
+    "bounded-nonlinear": {"L": 1.0, "n_terms": None, "bias_scale": 0.5},
+}
+KINDS = tuple(PARAMS)
 
 # max |d^2/du^2 tanh(u)| = 4 / (3 sqrt(3)); halved it bounds the
 # second-order remainder of each tanh term.
@@ -207,70 +212,83 @@ def _random_skew(rng: np.random.Generator, d: int) -> np.ndarray:
     return 0.5 * (W - W.T)
 
 
+def _is_number(v) -> bool:  # a finite int or float, never a bool
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+# What a given param must be; a param not named here, a finite number.
+_CHECKS = {
+    "L": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    **dict.fromkeys(("dx", "n_terms"), (
+        lambda v: _is_number(v) and isinstance(v, int) and v >= 1,
+        "an integer >= 1")),
+    "eig_range": (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+                  and all(map(_is_number, v)) and 0 <= v[0] <= v[1],
+                  "two finite numbers [lo, hi] with 0 <= lo <= hi"),
+}
+
+
 def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
                       seed: int = 0) -> OperatorSpec:
-    """Build a zoo operator with declared constants.
+    """Build a zoo operator with declared constants: exact for the affine
+    kinds (spectra), conservative for bounded-nonlinear.
 
-    Constants are exact for the affine kinds (spectra) and conservative
-    for bounded-nonlinear.  Kind-specific params:
-
-    - affine: L (default 1), mu (min sym eigenvalue, default 0.1 L),
-      skew (relative skew weight, default 1.0), b_scale (default 1).
-    - skew: L (default 1); b is zero, solution at the origin.
-    - bilinear-saddle: L (default 1), b_scale (default 1), dx (default
-      dim // 2); dim is split as dx + dy.
-    - quadratic-gradient: eig_range [lo, hi] (default [0.1, 1]),
-      b_scale; optional requested beta is validated against L.
-    - bounded-nonlinear: L (default 1), n_terms (default 2 dim),
-      bias_scale (default 0.5).
+    ``params`` sets any of the kind's ``PARAMS``, the rest take their
+    defaults there, and a bad one raises a ValueError naming it before
+    anything is built.  affine's mu, its least symmetric eigenvalue
+    before scaling to L, needs 0 <= mu <= L, and mu > 0 at dim 1.
     """
-    params = dict(params or {})
-    rng = np.random.default_rng(seed)
+    if kind not in PARAMS:
+        raise ValueError(f"unknown problem kind {kind!r}")
     if dim < 1:
         raise ValueError("dim must be a positive integer")
+    params = dict(params or {})
+    unknown = sorted(set(params) - set(PARAMS[kind]))
+    if unknown:
+        raise ValueError(f"unknown params for kind {kind!r}: {unknown}")
+    for name, v in params.items():
+        check, need = _CHECKS.get(name, (_is_number, "a finite number"))
+        if not check(v):
+            raise ValueError(f"{name} must be {need}, got {v!r}")
+    p = {**PARAMS[kind], **params}
+    rng = np.random.default_rng(seed)
 
     if kind == "affine":
-        L = float(params.pop("L", 1.0))
-        if L <= 0:
-            raise ValueError("affine kind requires L > 0")
-        mu = float(params.pop("mu", 0.1 * L))
+        L = p["L"]
+        mu = 0.1 * L if p["mu"] is None else p["mu"]
         if not 0 <= mu <= L:
-            raise ValueError("need 0 <= mu <= L")
-        skew_w = float(params.pop("skew", 1.0))
-        b_scale = float(params.pop("b_scale", 1.0))
-        _reject_unknown(kind, params)
+            raise ValueError(f"mu must be in [0, L] = [0, {L!r}], got {mu!r}")
+        if dim == 1 and mu == 0:
+            raise ValueError("mu must be > 0 at dim 1: A is [mu] scaled to L")
         U = _random_orthogonal(rng, dim)
         lam = np.linspace(mu, max(mu, 0.8 * L), dim)
         S = (U * lam) @ U.T
-        A = S + skew_w * _random_skew(rng, dim)
+        A = S + p["skew"] * _random_skew(rng, dim)
         A *= L / np.linalg.norm(A, 2)
-        b = b_scale * rng.standard_normal(dim)
+        b = p["b_scale"] * rng.standard_normal(dim)
         return affine_operator(A, b)
 
     if kind == "skew":
-        L = float(params.pop("L", 1.0))
-        _reject_unknown(kind, params)
         J = np.zeros((dim, dim))
         for i in range(0, dim - 1, 2):
-            J[i, i + 1], J[i + 1, i] = L, -L
+            J[i, i + 1], J[i + 1, i] = p["L"], -p["L"]
         return affine_operator(J, np.zeros(dim), "skew",
                                solution=np.zeros(dim))
 
     if kind == "bilinear-saddle":
-        L = float(params.pop("L", 1.0))
-        b_scale = float(params.pop("b_scale", 1.0))
-        dx = _count_param(params, "dx", max(dim // 2, 1))
-        _reject_unknown(kind, params)
+        dx = max(dim // 2, 1) if p["dx"] is None else p["dx"]
         dy = dim - dx
         if dy < 1:
-            raise ValueError("bilinear-saddle needs dim >= 2")
+            raise ValueError(f"dx must be below dim {dim}, and bilinear-saddle "
+                             "needs dim >= 2")
         B = rng.standard_normal((dx, dy))
         if dx == dy:
             # keep the coupling matrix comfortably nonsingular
             B += np.eye(dx) * np.linalg.norm(B, 2) * 0.1
-        B *= L / np.linalg.norm(B, 2)
-        c = b_scale * rng.standard_normal(dx)
-        e = b_scale * rng.standard_normal(dy)
+        B *= p["L"] / np.linalg.norm(B, 2)
+        c = p["b_scale"] * rng.standard_normal(dx)
+        e = p["b_scale"] * rng.standard_normal(dy)
         A = np.block([[np.zeros((dx, dx)), B], [-B.T, np.zeros((dy, dy))]])
         b = np.concatenate([c, e])
         solution = None
@@ -280,52 +298,26 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         return affine_operator(A, b, "bilinear-saddle", solution=solution)
 
     if kind == "quadratic-gradient":
-        lo, hi = params.pop("eig_range", (0.1, 1.0))
-        b_scale = float(params.pop("b_scale", 1.0))
-        want_beta = params.pop("beta", None)
-        _reject_unknown(kind, params)
-        if not 0 <= lo <= hi:
-            raise ValueError("eig_range must satisfy 0 <= lo <= hi")
-        if want_beta is not None and want_beta < hi:
-            raise ValueError(
-                f"requested beta {want_beta:g} < smoothness {hi:g}: a gradient "
-                "field cannot be co-coercive below its Lipschitz constant")
+        lo, hi = p["eig_range"]
         U = _random_orthogonal(rng, dim)
         lam = np.linspace(lo, hi, dim) if dim > 1 else np.array([hi])
         Q = (U * lam) @ U.T
         Q = 0.5 * (Q + Q.T)
-        b = b_scale * rng.standard_normal(dim)
+        b = p["b_scale"] * rng.standard_normal(dim)
         return affine_operator(Q, b, "quadratic-gradient")
 
-    if kind == "bounded-nonlinear":
-        L = float(params.pop("L", 1.0))
-        n_terms = _count_param(params, "n_terms", 2 * dim)
-        bias_scale = float(params.pop("bias_scale", 0.5))
-        _reject_unknown(kind, params)
-        C = rng.standard_normal((n_terms, dim))
-        C *= math.sqrt(L) / np.linalg.norm(C, 2)
-        b0 = bias_scale * rng.standard_normal(n_terms)
-        row_norms = np.linalg.norm(C, axis=1)
-        G = float(row_norms.sum())
-        Lam = float(_TANH_CURVATURE * (row_norms ** 3).sum())
-        L_exact = float(np.linalg.eigvalsh(C.T @ C).max())
-        return OperatorSpec(dim=dim, kind="bounded-nonlinear",
-                            payload={"C": _frozen(C), "b0": _frozen(b0)},
-                            L=L_exact, G=G, beta=L_exact, Lambda=Lam)
-
-    raise ValueError(f"unknown problem kind {kind!r}")
-
-
-def _count_param(params: dict[str, Any], name: str, default: int) -> int:
-    v = params.pop(name, default)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
-    return v
-
-
-def _reject_unknown(kind: str, leftover: dict[str, Any]) -> None:
-    if leftover:
-        raise ValueError(f"unknown params for kind {kind!r}: {sorted(leftover)}")
+    # bounded-nonlinear
+    n_terms = 2 * dim if p["n_terms"] is None else p["n_terms"]
+    C = rng.standard_normal((n_terms, dim))
+    C *= math.sqrt(p["L"]) / np.linalg.norm(C, 2)
+    b0 = p["bias_scale"] * rng.standard_normal(n_terms)
+    row_norms = np.linalg.norm(C, axis=1)
+    G = float(row_norms.sum())
+    Lam = float(_TANH_CURVATURE * (row_norms ** 3).sum())
+    L_exact = float(np.linalg.eigvalsh(C.T @ C).max())
+    return OperatorSpec(dim=dim, kind="bounded-nonlinear",
+                        payload={"C": _frozen(C), "b0": _frozen(b0)},
+                        L=L_exact, G=G, beta=L_exact, Lambda=Lam)
 
 
 def _sample_ball(rng: np.random.Generator, n: int, d: int,

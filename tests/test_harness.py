@@ -20,6 +20,7 @@ from fedvi.gaps import restricted_gap
 from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
                            build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
+from fedvi.operators import PARAMS
 from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream
 from run_reference import compare_reduction, run_single
@@ -73,6 +74,29 @@ PROBES = [
         algorithm={"id": "lda", "eta": 0.1},
         regularizer={"kind": "box-indicator", "lo": 1.0, "hi": -1.0}),
      "regularizer"),
+]
+
+
+# Problem params that once ran, or failed inside numpy without naming
+# the param: (id, kind, dim, params, the message after "problem: ").
+BAD_PROBLEM_PARAMS = [
+    ("affine-L-string", "affine", 2, {"L": "2"}, "L must be"),
+    ("affine-mu-bool", "affine", 2, {"mu": True}, "mu must be"),
+    ("affine-b-scale-inf", "affine", 2, {"b_scale": math.inf},
+     "b_scale must be"),
+    ("affine-skew-nan", "affine", 2, {"skew": math.nan}, "skew must be"),
+    ("affine-dim-1-mu-0", "affine", 1, {"mu": 0}, "mu must be"),
+    ("skew-L-negative", "skew", 2, {"L": -1}, "L must be"),
+    ("bilinear-L-zero", "bilinear-saddle", 4, {"L": 0}, "L must be"),
+    ("nonlinear-L-negative", "bounded-nonlinear", 3, {"L": -1}, "L must be"),
+    ("nonlinear-L-nan", "bounded-nonlinear", 3, {"L": math.nan},
+     "L must be"),
+    ("quadratic-eig-range-string", "quadratic-gradient", 3,
+     {"eig_range": ["a", 1]}, "eig_range must be"),
+    ("quadratic-eig-range-inf", "quadratic-gradient", 3,
+     {"eig_range": [0.1, math.inf]}, "eig_range must be"),
+    ("quadratic-beta", "quadratic-gradient", 3, {"beta": 5},
+     "unknown params for kind 'quadratic-gradient': ['beta']"),
 ]
 
 
@@ -153,6 +177,24 @@ class TestConfigValidation:
             else f"`{json.dumps(spec[0])}`"
             for path, spec in _schema_fields(SCHEMA)
             if not isinstance(spec, dict)}
+
+    def test_readme_lists_every_problem_param_and_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        row = re.search(r"^\| `problem.params` \|.*$", readme, re.M).group(0)
+        listed = {kind: dict(re.findall(r"`(\w+)` = `([^`]*)`", body))
+                  for kind, body in re.findall(r"`([\w-]+)`: ([^;|]+)", row)}
+        derived = {"mu": "0.1 L", "dx": "max(d // 2, 1)", "n_terms": "2 d"}
+        assert listed == {
+            kind: {name: derived[name] if default is None
+                   else json.dumps(default)
+                   for name, default in params.items()}
+            for kind, params in PARAMS.items()}
+
+    def test_delta_rule_accepted_for_slippax_t5(self):
+        tree = minimal_config(algorithm={"id": "slippax", "schedule": "T5",
+                                         "delta_rule": "fourth-root-d"})
+        cfg = ExperimentConfig.from_dict(tree)
+        assert cfg.algorithm["delta_rule"] == "fourth-root-d"
 
     def test_readme_example_config_is_accepted(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -760,6 +802,15 @@ class TestCli:
         (lambda t, tmp: t.update(problem={
             "kind": "bilinear-saddle", "dim": 4, "params": {"dx": True}}),
          "problem"),
+        (lambda t, tmp: t.update(algorithm={
+            "id": "lesgd", "schedule": "T1", "delta_rule": "fourth-root-d"}),
+         "algorithm.delta_rule"),
+        (lambda t, tmp: t["algorithm"].update(delta_rule="fourth-root-d"),
+         "algorithm.delta_rule"),
+        (lambda t, tmp: t.update(algorithm={
+            "id": "lippax", "schedule": "T5", "delta_rule": "fourth-root-d"}),
+         "algorithm.delta_rule"),
+        (lambda t, tmp: t.update(gap={"D": 10 ** 400}), "gap.D"),
         # a mutator that returns CLI arguments replaces the config path
         (lambda t, tmp: [str(tmp / "nope.json")], "<file>"),
         (lambda t, tmp: [str(tmp / "config.json"), "--seed-override", "-1"],
@@ -768,7 +819,10 @@ class TestCli:
                          "--out", str(tmp / "missing" / "x.csv")], "output"),
         (lambda t, tmp: t.update(output=str(tmp / "missing" / "x.csv")),
          "output"),
-    ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES],
+    ] + [(lambda t, tmp, p=p: p[1](t), p[2]) for p in PROBES] + [
+        (lambda t, tmp, c=c: t.update(problem=dict(
+            kind=c[1], dim=c[2], params=c[3])), "problem")
+        for c in BAD_PROBLEM_PARAMS],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
              "file-not-a-path", "file-center-length", "file-box-lo-length",
@@ -779,15 +833,32 @@ class TestCli:
              "model-none-sweep-sigma", "file-kind", "file-dim", "file-params",
              "lesgd-H", "lesgd-gamma", "lesgd-delta", "lesgd-regularizer",
              "lesgd-hetero-block", "n-terms-float", "dx-bool",
+             "lesgd-t1-delta-rule", "lesgd-eta-delta-rule",
+             "lippax-t5-delta-rule", "D-beyond-float",
              "config-missing", "seed-override-negative",
              "out-missing-dir", "output-missing-dir"]
-        + [p[0] for p in PROBES])
+        + [p[0] for p in PROBES] + [c[0] for c in BAD_PROBLEM_PARAMS])
     def test_malformed_fields_exit_2(self, tmp_path, mutate, path, capsys):
         tree = minimal_config()
         args = mutate(tree, tmp_path)
         config = self._write(tmp_path, tree)
         assert cli_main(["run", *(args or [config])]) == 2
         assert f"config rejected: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind,dim,params,message",
+                             [c[1:] for c in BAD_PROBLEM_PARAMS],
+                             ids=[c[0] for c in BAD_PROBLEM_PARAMS])
+    def test_bad_problem_param_is_named(self, tmp_path, capsys, kind, dim,
+                                        params, message):
+        """The param is rejected by name before numpy sees it."""
+        tree = minimal_config(problem={"kind": kind, "dim": dim,
+                                       "params": params})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["run", self._write(tmp_path, tree)]) == 2
+        assert f"config rejected: problem: {message}" in \
+            capsys.readouterr().err
+        assert not caught
 
     def test_verify_missing_config_exits_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2

@@ -1,12 +1,35 @@
 """Operator evaluation, the problem zoo, and empirical property checks."""
 
+import math
+
 import numpy as np
 import pytest
 
-from fedvi.operators import (OperatorSpec, affine_operator, eval_operator,
-                             load_affine_text, make_test_problem, op_jacobian,
-                             op_value_vjp, operator_bound_on_ball,
-                             verify_properties)
+from fedvi.operators import (KINDS, PARAMS, OperatorSpec, affine_operator,
+                             eval_operator, load_affine_text,
+                             make_test_problem, op_jacobian, op_value_vjp,
+                             operator_bound_on_ball, verify_properties)
+
+# One bad value per case; each must be rejected naming its param.
+BAD_PARAMS = [
+    ("affine", 3, {"L": "2"}),
+    ("affine", 3, {"mu": True}),
+    ("affine", 3, {"mu": 2.0}),
+    ("affine", 1, {"mu": 0}),
+    ("affine", 3, {"b_scale": math.inf}),
+    ("affine", 3, {"skew": math.nan}),
+    ("skew", 2, {"L": -1}),
+    ("bilinear-saddle", 4, {"L": 0}),
+    ("bilinear-saddle", 4, {"dx": 4}),
+    ("bilinear-saddle", 4, {"b_scale": 10 ** 400}),
+    ("bounded-nonlinear", 3, {"L": -1}),
+    ("bounded-nonlinear", 3, {"L": math.nan}),
+    ("bounded-nonlinear", 3, {"bias_scale": None}),
+    ("quadratic-gradient", 3, {"eig_range": ["a", 1]}),
+    ("quadratic-gradient", 3, {"eig_range": [0.1, math.inf]}),
+    ("quadratic-gradient", 3, {"eig_range": [1.0, 0.1]}),
+    ("quadratic-gradient", 3, {"eig_range": [0.1]}),
+]
 
 ZOO = [
     make_test_problem("affine", 6, {"L": 1.0}, seed=0),
@@ -103,10 +126,34 @@ class TestMakeTestProblem:
         assert report.measured_beta <= op.beta * (1 + 1e-6)
         assert np.isfinite(report.measured_beta)
 
-    def test_unsatisfiable_beta_rejected(self):
-        with pytest.raises(ValueError, match="co-coercive"):
+    def test_beta_is_an_unknown_param(self):
+        """op.beta is exact from the spectrum; no param requests it."""
+        with pytest.raises(ValueError, match=r"unknown params for kind "
+                           r"'quadratic-gradient': \['beta'\]"):
             make_test_problem("quadratic-gradient", 4,
-                              {"eig_range": [0.1, 1.0], "beta": 0.5})
+                              {"eig_range": [0.1, 1.0], "beta": 5})
+
+    @pytest.mark.parametrize("kind,dim,params", BAD_PARAMS,
+                             ids=[f"{k}-{next(iter(p))}"
+                                  for k, _, p in BAD_PARAMS])
+    def test_bad_param_rejected_by_name(self, kind, dim, params):
+        (name,) = params
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make_test_problem(kind, dim, params)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_defaults_are_the_table(self, kind):
+        """Every PARAMS default given explicitly, the derived ones at
+        L = 1 and dim 4, builds the operator of no params, bit for bit."""
+        derived = {"mu": 0.1, "dx": 2, "n_terms": 8}
+        given = {name: derived[name] if default is None else default
+                 for name, default in PARAMS[kind].items()}
+        a = make_test_problem(kind, 4, seed=3)
+        b = make_test_problem(kind, 4, given, seed=3)
+        assert a.payload.keys() == b.payload.keys()
+        for key in a.payload:
+            np.testing.assert_array_equal(a.payload[key], b.payload[key])
+        assert (a.L, a.G, a.beta, a.Lambda) == (b.L, b.G, b.beta, b.Lambda)
 
     def test_affine_lambda_is_exactly_zero(self):
         for op in ZOO[:5]:
