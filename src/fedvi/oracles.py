@@ -8,7 +8,8 @@ Randomness comes from path keys (:mod:`fedvi.rng`): :func:`draw_rows`
 turns any number of keys into smoothing and noise rows in one
 vectorized pass per draw tag, and :func:`sample_oracle` applies one
 query's rows.  Since a draw depends on its key and never on the query
-point, the runners draw a whole communication round's rows ahead.
+point, the runners draw a run's rows ahead, in blocks of whole steps
+that may span communication rounds.
 """
 
 from __future__ import annotations

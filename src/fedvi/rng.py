@@ -42,13 +42,18 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _mix(h: int, part: int) -> int:
+    """Fold one path component into a running key: one SplitMix64 step."""
+    h = ((h ^ (part & _MASK)) + _GOLDEN) & _MASK
+    h = ((h ^ (h >> 30)) * _MIX1) & _MASK
+    h = ((h ^ (h >> 27)) * _MIX2) & _MASK
+    return h ^ (h >> 31)
+
+
 def _absorb(h: int, *parts: int) -> int:
     """Fold path components into a running key, one SplitMix64 step each."""
     for part in parts:
-        h = ((h ^ (part & _MASK)) + _GOLDEN) & _MASK
-        h = ((h ^ (h >> 30)) * _MIX1) & _MASK
-        h = ((h ^ (h >> 27)) * _MIX2) & _MASK
-        h ^= h >> 31
+        h = _mix(h, part)
     return h
 
 
@@ -56,19 +61,46 @@ def _absorb(h: int, *parts: int) -> int:
 class RngStream:
     """Deterministic family of path keys under one master seed.
 
-    The master seed is taken modulo 2**64.
+    The master seed is taken modulo 2**64.  The key of path (client,
+    step, inner, phase) is ``_absorb(prefix, client, step, inner,
+    phase)``, and :meth:`at` reuses the stems that paths share: the
+    client stage ``_absorb(prefix, client)``, kept for every client the
+    stream has seen, and the current step's heads ``_absorb(stage,
+    step)`` and (client, inner) stems, kept until a call names another
+    step.  Then a call on a known stem folds in ``phase`` alone.  The
+    step's heads and stems are one ``(step, heads, stems)`` triple that
+    a new step replaces whole, so an entry is only ever read under the
+    step and stream it was made for, in any call order and under any
+    thread interleaving, and the memo holds one step's stems at a time.
     """
 
     master_seed: int
     _prefix: int = field(init=False, repr=False, compare=False)
+    _stages: dict = field(init=False, repr=False, compare=False)
+    _memo: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_prefix", _absorb(0, self.master_seed))
+        object.__setattr__(self, "_stages", {})
+        object.__setattr__(self, "_memo", (None, {}, {}))
 
     def at(self, client: int, step: int, inner: int = 0,
            phase: int = 0) -> int:
         """Key of one path; the same path always yields the same key."""
-        return _absorb(self._prefix, client, step, inner, phase)
+        memo_step, heads, stems = self._memo
+        if memo_step != step:
+            heads, stems = {}, {}
+            object.__setattr__(self, "_memo", (step, heads, stems))
+        stem = stems.get((client, inner))
+        if stem is None:
+            head = heads.get(client)
+            if head is None:
+                stage = self._stages.get(client)
+                if stage is None:
+                    stage = self._stages[client] = _mix(self._prefix, client)
+                head = heads[client] = _mix(stage, step)
+            stem = stems[client, inner] = _mix(head, inner)
+        return _mix(stem, phase)
 
 
 @lru_cache(maxsize=64)

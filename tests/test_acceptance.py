@@ -6,6 +6,7 @@ Each criterion carries its stated tolerance and runtime budget.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from fedvi.algorithms import (RunConfig, constants_of, derived_gamma, run_lda,
                               run_lesgd, step_size)
 from fedvi.gaps import composite_gap, restricted_gap
-from fedvi.harness import fit_rate, rows_to_csv, run_experiment
+from fedvi.harness import (ExperimentConfig, fit_rate, rows_to_csv,
+                           run_experiment)
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem, operator_bound_on_ball)
 from fedvi.oracles import OracleSpec
@@ -31,16 +33,10 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 # --- shared acceptance configs (criteria 1, 2, 10) -----------------------
 
-CONFIG_1 = {
-    "problem": {"kind": "affine", "dim": 10, "seed": 11,
-                "params": {"L": 1.0, "b_scale": 0.3, "mu": 0.0, "skew": 1.5}},
-    "algorithm": {"id": "lesgd", "schedule": "T1"},
-    "federation": {"M": 1, "K": 16, "R": 50},
-    "noise": {"sigma": 0.0, "model": "none"},
-    "gap": {"D": 5.0},
-    "sweep": {"R": [50, 100, 200, 400, 800]},
-    "seeds": [0],
-}
+def _config_1():
+    """The shipped rate sweep: deterministic LESGD T1 over R = 50..800."""
+    return ExperimentConfig.from_file(
+        Path(__file__).parents[1] / "configs" / "lesgd_rate_sweep.json")
 
 
 def _configs_2():
@@ -68,7 +64,7 @@ def _configs_2():
 @pytest.fixture(scope="module")
 def config1_rows():
     t0 = time.perf_counter()
-    rows = run_experiment(CONFIG_1)
+    rows = run_experiment(_config_1())
     return rows, time.perf_counter() - t0
 
 
@@ -276,7 +272,7 @@ class TestAcceptance:
         workers."""
         t0 = time.perf_counter()
         same = rows_to_csv(config1_rows[0]) == rows_to_csv(
-            run_experiment(CONFIG_1, workers=8))
+            run_experiment(_config_1(), workers=8))
         for M, cfg in _configs_2().items():
             same &= rows_to_csv(config2_rows[0][M]) == rows_to_csv(
                 run_experiment(cfg, workers=8))

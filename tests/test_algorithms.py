@@ -628,7 +628,7 @@ def _trajectory_bits(traj):
 
 
 class TestRoundDraws:
-    """A round's randomness drawn ahead gives the per-query draws' bits."""
+    """A run's randomness drawn ahead gives the per-query draws' bits."""
 
     @staticmethod
     def _case(kind, model, sigma, M, K, delta=0.3):
@@ -676,19 +676,32 @@ class TestRoundDraws:
         monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", budget)
         assert _trajectory_bits(_run(algo, oracle, cfg)[0]) == whole
 
-    def test_blocks_stay_inside_one_round(self, monkeypatch):
+    @pytest.mark.parametrize("algo,budget,sizes", [
+        ("lesgd", 150, [2] * 7 + [1]),  # 60 cells a step
+        ("lippax", 500, [4] * 3 + [3]),  # H = 3: 120 cells a step
+        ("lesgd", 1, [1] * 15)])
+    def test_blocks_are_whole_steps_across_rounds(self, monkeypatch, algo,
+                                                  budget, sizes):
+        """Blocks run over 1..T in consecutive whole steps, one step at
+        least, within the budget unless one step exceeds it, and cross
+        round boundaries (K = 5)."""
         oracle, cfg = self._case("affine", "gaussian-isotropic", 0.8, 3, 5)
         blocks = []
         draw_steps = algorithms._draw_steps
 
-        def recording(oracle, stream, steps, *args):
+        def recording(oracle, stream, steps, queries, M):
             blocks.append(list(steps))
-            return draw_steps(oracle, stream, steps, *args)
+            cells = 2 * len(queries) * M * oracle.dim * len(steps)
+            assert cells <= budget or len(steps) == 1
+            return draw_steps(oracle, stream, steps, queries, M)
         monkeypatch.setattr(algorithms, "_draw_steps", recording)
-        monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", 150)
-        run_lesgd(oracle, cfg)  # 60 cells a step: blocks of 2 steps
-        assert blocks == [[1, 2], [3, 4], [5], [6, 7], [8, 9], [10],
-                          [11, 12], [13, 14], [15]]
+        monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", budget)
+        _run(algo, oracle, cfg)
+        assert [t for block in blocks for t in block] == list(
+            range(1, cfg.T + 1))
+        assert [len(block) for block in blocks] == sizes
+        rounds = [{(t - 1) // cfg.K for t in block} for block in blocks]
+        assert any(len(r) > 1 for r in rounds) == (sizes[0] > 1)
 
     @pytest.mark.parametrize("algo,sigma,delta,queries_per_step", [
         ("lesgd", 0.8, 0.0, 2), ("lda", 0.8, 0.0, 2),

@@ -1,13 +1,15 @@
 """Stochastic oracle calibration and path-keyed stream determinism."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fedvi.operators import make_test_problem
 from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
-from fedvi.rng import RngStream, normals, uniforms
+from fedvi.rng import RngStream, _absorb, normals, uniforms
 
 
 def _draws(oracle, z, n, seed=0, delta=0.0):
@@ -234,6 +236,57 @@ class TestRngStream:
         np.testing.assert_allclose(normals([key], 4, 0), [[
             -0.5532042629724585, -0.5996166615877916, 0.32250115515272243,
             -0.7142613004007768]], rtol=1e-14)
+
+    def test_memoised_keys_equal_the_plain_chain(self):
+        """``at`` reuses client stages and step stems; every key still equals
+        the uncached chain, whatever the call order, and streams sharing the
+        calls keep apart."""
+        rng = np.random.default_rng(5)
+        wide = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 2 ** 70 + 1, -1, -2,
+                -(2 ** 64) - 5]
+
+        def part(n):  # mostly small, so stems repeat; at times masked
+            return (int(rng.integers(n)) if rng.random() < 0.8
+                    else wide[rng.integers(len(wide))])
+        # seeds 11 and 2**64 + 11 are one stream modulo 2**64
+        streams = [RngStream(11), RngStream(2 ** 64 + 11), RngStream(-4)]
+        for trial in range(20):
+            calls = [(int(rng.integers(3)), part(3), part(4), part(3),
+                      part(3)) for _ in range(400)]
+            if trial % 2:  # runs of one step, revisited across streams
+                calls.sort(key=lambda c: c[2])
+            for s, client, step, inner, phase in calls:
+                assert streams[s].at(client, step, inner, phase) == _absorb(
+                    streams[s]._prefix, client, step, inner, phase)
+        assert streams[0].at(3, 17, 2, 1) == streams[1].at(3, 17, 2, 1)
+        assert streams[0].at(3, 17, 2, 1) != streams[2].at(3, 17, 2, 1)
+
+    def test_memoised_keys_hold_under_threads(self):
+        """Threads that share one stream and keep changing its step, with a
+        switch forced every microsecond, still get the plain chain's keys."""
+        stream = RngStream(21)
+        wrong, done = [], []
+
+        def worker(seed):
+            paths = np.random.default_rng(seed).integers(4, size=(8000, 4))
+            for path in paths.tolist():
+                if stream.at(*path) != _absorb(stream._prefix, *path):
+                    wrong.append(path)
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == list(range(6)) and wrong == []
 
     def test_uniforms_match_a_scalar_reference(self):
         mask, golden = 2 ** 64 - 1, 0x9E3779B97F4A7C15
