@@ -206,9 +206,13 @@ def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
 
 
 def _client_mean(a: np.ndarray) -> np.ndarray:
-    """``a.mean(axis=0)``'s bits: numpy's mean is this sum over the rows
-    divided by their count, behind a wrapper that costs more than the sum
-    at the runners' stack sizes."""
+    """``a.mean(axis=0)``'s bits, in a fresh array: numpy's mean is this
+    sum over the rows divided by their count, behind a wrapper that costs
+    more than the sum at the runners' stack sizes.  The sum starts from
+    the additive identity, so one row's mean is ``0.0 + row``, which
+    turns -0.0 into +0.0, and the division by 1 is exact."""
+    if len(a) == 1:
+        return a[0] + 0.0
     return np.add.reduce(a, axis=0) / len(a)
 
 
@@ -236,14 +240,14 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
     diverged_at = None
-    cadence = cfg.record_cadence()
+    cadence, K, T = cfg.record_cadence(), cfg.K, cfg.T
     draws = _step_draws(oracle, cfg, queries)
     # a diverging run reports itself below, not through numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, cfg.T + 1):
-            sync = t % cfg.K == 0
+        for t in range(1, T + 1):
+            sync = t % K == 0
             z, p = step(t, z, sync, next(draws))
-            record = t % cadence == 0 or t == cfg.T
+            record = t % cadence == 0 or t == T
             drift = dispersion(z) if record else None
             if sync:
                 z[:] = _client_mean(z)
@@ -274,24 +278,17 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
     With ``offsets``, client m queries V(z) + offsets[m].
     """
     eta = cfg.eta
-
-    def query(points, rows):
-        q = sample_oracle(oracle, points, draws=rows)
-        return q if offsets is None else q + offsets
-
-    if reg.kind == "zero":
-        def primal(t, z):  # the identity; no caller writes to what it returns
-            return z
-    else:
-        def primal(t, z):
-            return mirror_map(MirrorState(t, eta), reg, z)
+    mirror = reg.kind != "zero"  # else the mirror map is the identity
 
     def step(t, z, sync, draws):
-        x = z - eta * query(primal(t - 1, z), draws[0])
+        u = mirror_map(MirrorState(t - 1, eta), reg, z) if mirror else z
+        q = sample_oracle(oracle, u, draws=draws[0])
+        x = z - eta * (q if offsets is None else q + offsets)
         if sync:
             x[:] = _client_mean(x)
-        v = primal(t, x)
-        return z - eta * query(v, draws[1]), v
+        v = mirror_map(MirrorState(t, eta), reg, x) if mirror else x
+        q = sample_oracle(oracle, v, draws=draws[1])
+        return z - eta * (q if offsets is None else q + offsets), v
     return _round_loop(cfg, oracle, step, algo,
                        ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))
 

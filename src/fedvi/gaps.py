@@ -3,6 +3,10 @@
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
 equation on the KKT multiplier) and tagged ``exact-concave``.  The
+multiplier is the float a bisection on the ball radius ends at; Newton
+steps bracket it to a few ulps, and the bisection replays its path,
+evaluating the radius only inside the bracket (``_exact_concave_max``
+gives the monotonicity that makes this the same float).  The
 composite gap adds a convex phi, so on affine operators its objective
 is still concave: one proximal-ascent start runs until a duality
 certificate (the concavity bound at the current point) closes to
@@ -21,6 +25,7 @@ lower bound of the sup, tagged as not certified.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,6 +39,10 @@ ASCENT_STARTS = 16
 ASCENT_STEPS = 500
 ASCENT_TOL = 1e-12
 ASCENT_SEED = 0
+# The exact affine solve's Newton steps toward the ball multiplier, and
+# the half-width of the bracket around their result, in ulps.
+NEWTON_STEPS = 50
+BRACKET_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -130,16 +139,56 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     # boundary: bisect [0, hi] to float resolution for the least nu with
     # ||w(nu)|| <= D, keeping the feasible end.  lam >= 0 gives ||w(nu)||
     # <= ||gt|| / nu, so hi = 2 ||gt|| / D is feasible from the start.
+    # radius rounds 2 lam + nu, gt over it, the squares, their sums in a
+    # fixed order and the root, each monotone in its inputs, so it never
+    # increases with the float nu.  A midpoint at or below the bracket's
+    # infeasible end therefore goes to lo, and one at or above its
+    # feasible end to hi, as radius(mid) would decide; only midpoints
+    # inside the bracket evaluate it.  Without a bracket, every midpoint
+    # does.  The path, and so hi, is the full bisection's either way.
     lo, hi = 0.0, 2.0 * np.linalg.norm(gt) / D
+    below, above = _nu_bracket(gt, two_lam, D, radius)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if radius(mid) > D:
+        if mid <= below or (mid < above and radius(mid) > D):
             lo = mid
         else:
             hi = mid
     return center + U @ w_of(hi)
+
+
+def _nu_bracket(gt: np.ndarray, two_lam: np.ndarray, D: float,
+                radius: Callable[[float], float]) -> tuple[float, float]:
+    """Floats a < b with radius(a) > D >= radius(b), BRACKET_ULPS ulps
+    either side of a Newton estimate of the root of ||w(nu)|| = D, or
+    (0, inf) when the two radius calls do not confirm them.
+
+    1/||w(nu)|| is concave and increasing on nu > 0, so Newton on
+    1/||w(nu)|| - 1/D climbs to the root from any point left of it
+    (Moré and Sorensen, "Computing a trust region step", 1983).  It
+    starts from a lower bound: ||w(nu)|| is at least |gt_i| / (2 lam_i +
+    nu) for each i and ||gt|| / (2 lam_max + nu).
+    """
+    nu = max(float(np.max(np.abs(gt) / D - two_lam)),
+             float(np.linalg.norm(gt)) / D - float(two_lam.max()),
+             sys.float_info.min)
+    for _ in range(NEWTON_STEPS):
+        den = two_lam + nu
+        w = gt / den
+        ww = w.dot(w)
+        step = (math.sqrt(ww) - D) / D * ww / (w / den).dot(w)
+        if not nu + step > nu:  # at the root to rounding, or not finite
+            break
+        nu += step
+        if step < 1e-9 * nu:  # quadratic convergence: the next is < 1 ulp
+            break
+    a = nu - BRACKET_ULPS * math.ulp(nu)
+    b = nu + BRACKET_ULPS * math.ulp(nu)
+    if a > 0 and radius(a) > D >= radius(b):
+        return a, b
+    return 0.0, math.inf
 
 
 def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,

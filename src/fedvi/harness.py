@@ -532,7 +532,9 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
 
     Rows whose x is not positive, or whose gap is not positive, NaN or
     empty (a diverged run), have no logarithm; they are excluded and
-    counted.
+    counted.  A group with fewer than 4 distinct usable x values, every
+    final row excluded included, raises a ValueError naming it and its
+    excluded count; so do rows with no final round at all, as group ().
     """
     final: dict[tuple, list[tuple[float, float]]] = {}
     excluded: dict[tuple, int] = {}
@@ -540,6 +542,7 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         if int(_row_get(row, "round")) != int(_row_get(row, "R")):
             continue
         key = tuple(_row_get(row, g) for g in group_by)
+        pairs = final.setdefault(key, [])
         x = float(_row_get(row, x_name))
         gap = _row_get(row, "gap_value")
         # an empty gap is a diverged run's
@@ -547,13 +550,14 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         if not (x > 0 and gap > 0):
             excluded[key] = excluded.get(key, 0) + 1
             continue
-        final.setdefault(key, []).append((x, gap))
+        pairs.append((x, gap))
     fits = {}
-    for key, pairs in final.items():
+    for key, pairs in (final or {(): []}).items():
         xs = sorted({p[0] for p in pairs})
         if len(xs) < 4:
             raise ValueError(
-                f"group {key}: need >= 4 distinct {x_name} values, got {len(xs)}")
+                f"group {key}: need >= 4 distinct {x_name} values, got "
+                f"{len(xs)} ({excluded.get(key, 0)} excluded)")
         lx = np.log([p[0] for p in pairs])
         ly = np.log([p[1] for p in pairs])
         slope, intercept = np.polyfit(lx, ly, 1)

@@ -116,13 +116,14 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray,
     yields for a stack, row m from the m-th.  An exact oracle needs
     neither.
     """
+    base = oracle.base
     z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2) or z.shape[-1] != oracle.dim:
+    if z.ndim not in (1, 2) or z.shape[-1] != base.dim:
         raise ValueError(f"query of shape {z.shape} does not match the "
-                         f"oracle's dimension {oracle.dim}")
+                         f"oracle's dimension {base.dim}")
     if draws is None:
         if not oracle.is_stochastic():
-            return _eval_rows(oracle.base, z)
+            return _eval_rows(base, z)
         draws = draw_rows(oracle, _query_keys(z, keys))
     elif keys is not None:
         raise ValueError("pre-drawn rows replace keys")
@@ -131,9 +132,10 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray,
         if rows is not None and rows.size != z.size:
             raise ValueError(f"{len(rows)} pre-drawn rows for a query "
                              f"of shape {z.shape}")
-    value = _eval_rows(oracle.base,
-                       z if shift is None else z + shift.reshape(z.shape))
-    return value if noise is None else value + noise.reshape(z.shape)
+    value = _eval_rows(base, z if shift is None else z + shift.reshape(z.shape))
+    if noise is not None:
+        value += noise.reshape(z.shape)  # value is a fresh array
+    return value
 
 
 def _query_keys(z: np.ndarray, keys) -> list[int]:

@@ -734,3 +734,22 @@ class TestRoundDraws:
         assert counts["queries"] == queries_per_step * steps
         assert counts["rows"] == queries_per_step * steps * cfg.M
         assert counts["at"] == drawing * steps * cfg.M
+
+
+class TestClientMean:
+    def test_one_row_is_the_reduce_bitwise_in_a_fresh_array(self):
+        """A one-row mean is 0.0 + row: -0.0 becomes +0.0, NaN, +-inf and
+        ordinary values keep their bits, and nothing aliases the stack."""
+        row = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.25e-300,
+               5e-324, 1e308]
+        a = np.array([row])
+        got = algorithms._client_mean(a)
+        want = np.add.reduce(a, axis=0) / 1
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert not np.signbit(got[0])
+        assert not np.shares_memory(got, a)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 16])
+    def test_equals_numpy_mean_bitwise(self, M):
+        a = np.random.default_rng(M).standard_normal((M, 7))
+        assert np.array_equal(algorithms._client_mean(a), a.mean(axis=0))

@@ -189,6 +189,85 @@ class TestRestrictedGap:
                 seen.add(side)
         assert seen == sides
 
+    @staticmethod
+    def _exact_sweep(n, seed):
+        """n random exact-solve instances: affine (mu 0 and 0.1), skew,
+        bilinear-saddle and quadratic-gradient at d = 1..40, D log-uniform
+        in [1e-3, 1e3], centres at 0 and away from it, and x_o at the
+        centre for every seventh."""
+        kinds = [("affine", {"mu": 0.0}), ("affine", {"mu": 0.1}),
+                 ("skew", {}), ("bilinear-saddle", {}),
+                 ("quadratic-gradient", {})]
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            kind, params = kinds[i % len(kinds)]
+            # mu = 0 and bilinear-saddle have no dim-1 problem
+            d = int(rng.integers(2 if kind == "bilinear-saddle"
+                                 or params.get("mu") == 0.0 else 1, 41))
+            op = make_test_problem(kind, d, params,
+                                   seed=int(rng.integers(1000)))
+            D = float(10.0 ** rng.uniform(-3.0, 3.0))
+            center = (0.0 if i % 3 == 0 else rng.uniform(0.0, 3.0)) \
+                * rng.standard_normal(d)
+            x_o = center.copy() if i % 7 == 0 else \
+                center + rng.uniform(0.1, 3.0) * rng.standard_normal(d)
+            yield op, x_o, center, D
+
+    @staticmethod
+    def _count_brackets(monkeypatch):
+        """Wrap gaps._nu_bracket to count its calls and its (0, inf)s."""
+        counts = {"calls": 0, "none": 0}
+        bracket = gaps._nu_bracket
+
+        def counting(*args):
+            out = bracket(*args)
+            counts["calls"] += 1
+            counts["none"] += out == (0.0, np.inf)
+            return out
+        monkeypatch.setattr(gaps, "_nu_bracket", counting)
+        return counts
+
+    def test_exact_solve_matches_norm_reference_on_random_sweep(
+            self, monkeypatch):
+        """1,200 instances, bitwise; the Newton bracket holds on nearly
+        all boundary solves, so few of them bisect on the radius alone."""
+        counts = self._count_brackets(monkeypatch)
+        seen = set()
+        for op, x_o, center, D in self._exact_sweep(1200, seed=2):
+            want, side = reference_exact_concave_max(op, x_o, center, D)
+            got = gaps._exact_concave_max(op, x_o, center, D)
+            assert np.array_equal(got, want), (op.kind, op.dim, D, side)
+            seen.add(side)
+        assert seen == {"interior", "boundary"}
+        assert counts["calls"] > 600
+        assert counts["none"] <= 0.02 * counts["calls"]
+
+    def test_exact_solve_without_bracket_matches_reference(self,
+                                                           monkeypatch):
+        """With no Newton step the bracket around the starting bound
+        mostly fails, and the bisection evaluates every midpoint."""
+        counts = self._count_brackets(monkeypatch)
+        monkeypatch.setattr(gaps, "NEWTON_STEPS", 0)
+        for op, x_o, center, D in self._exact_sweep(300, seed=3):
+            want, _ = reference_exact_concave_max(op, x_o, center, D)
+            assert np.array_equal(
+                gaps._exact_concave_max(op, x_o, center, D), want)
+        assert counts["none"] > counts["calls"] // 2
+
+    def test_exact_solve_at_the_bisection_cap_matches_reference(self):
+        """A near-null symmetric eigenvalue with a gradient component above
+        the pinned tolerance: the unconstrained maximizer lies inside the
+        ball, every midpoint is feasible, lo never moves and the loop runs
+        all 200 steps."""
+        A = np.diag([1.0, 1e-15]) + np.array([[0.0, 0.5], [-0.5, 0.0]])
+        op = affine_operator(A, np.array([0.3, 1e-13]))
+        want, side = reference_exact_concave_max(op, np.zeros(2),
+                                                 np.zeros(2), 100.0)
+        assert side == "boundary"
+        assert np.array_equal(
+            gaps._exact_concave_max(op, np.zeros(2), np.zeros(2), 100.0),
+            want)
+
     def test_value_recomputes_at_maximizer(self):
         op = make_test_problem("affine", 6, seed=3)
         x_o = np.random.default_rng(1).standard_normal(6)

@@ -578,6 +578,21 @@ class TestFitRate:
         assert fits[()].n_excluded == 2
         assert abs(fits[()].slope + 1.0) < 1e-9
 
+    @pytest.mark.parametrize("rows", [
+        [], [{"algo": "lesgd", "sigma": 0.0, "R": 400, "round": 100,
+              "gap_value": 0.5}]], ids=["empty", "no-final-round"])
+    def test_no_final_round_rows_rejected(self, rows):
+        with pytest.raises(ValueError, match=r"group \(\): need >= 4 "
+                           r"distinct R values, got 0 \(0 excluded\)"):
+            fit_rate(rows, [], "R")
+
+    def test_group_with_every_final_row_excluded_rejected(self):
+        rows = self._rows(lambda R: 100.0 / R) + self._rows(
+            lambda R: -1.0, algo="lippax")
+        with pytest.raises(ValueError, match=r"group \('lippax',\): need "
+                           r">= 4 distinct R values, got 0 \(4 excluded\)"):
+            fit_rate(rows, ["algo"], "R")
+
     def test_non_final_rounds_ignored(self):
         rows = self._rows(lambda R: 100.0 / R)
         rows.append({"algo": "lesgd", "sigma": 0.0, "R": 400, "round": 100,
@@ -867,6 +882,24 @@ class TestCli:
     def test_fit_missing_csv_exits_2(self, tmp_path, capsys):
         assert cli_main(["fit", str(tmp_path / "nope.csv"), "--x", "R"]) == 2
         assert "fit failed: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,group", [
+        ("", "()"),
+        ("algo,sigma,R,round,gap_value\nlesgd,0,40,20,0.1\n", "()"),
+        ("algo,sigma,R,round,gap_value\n"
+         + "".join(f"lesgd,0,{R},{R},{1 / R}\n" for R in (5, 10, 20, 40))
+         + "".join(f"lippax,0,{R},{R},\n" for R in (5, 10, 20)),
+         "('lippax',)")], ids=["empty", "no-final-round", "all-excluded"])
+    def test_fit_with_no_usable_group_exits_2(self, tmp_path, capsys, text,
+                                              group):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        assert cli_main(["fit", str(path), "--x", "R", "--group",
+                         "algo" if group != "()" else ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"fit failed: group {group}: need >= "
+                                       f"4 distinct R values, got 0 (")
 
     @pytest.mark.parametrize("column,args", [
         ("gap_value", ["--x", "R"]), ("round", ["--x", "R"]),

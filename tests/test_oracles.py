@@ -127,10 +127,13 @@ class TestStackedQuery:
 
     @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
     def test_exact_stack_equals_single_points_bitwise(self, kind):
+        """Nine rows, and one row as a (1, d) stack."""
         oracle = OracleSpec(base=make_test_problem(kind, 30, seed=1))
         Z = np.random.default_rng(0).standard_normal((9, 30))
         single = np.stack([sample_oracle(oracle, z) for z in Z])
-        assert np.array_equal(sample_oracle(oracle, Z), single)
+        for stack in (Z, Z[:1]):
+            assert np.array_equal(sample_oracle(oracle, stack),
+                                  single[:len(stack)])
 
     def test_wrong_generator_count_rejected(self):
         oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0),
