@@ -19,16 +19,14 @@ every oracle query of a step is one :func:`sample_oracle` call on the
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gaps import dispersion
 from .operators import OperatorSpec
 from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
@@ -154,36 +152,31 @@ Queries = Sequence[tuple[int, int, float]]
 
 
 def _draw_steps(oracle: OracleSpec, stream: RngStream, steps: Sequence[int],
-                queries: Queries, M: int) -> list[list[Draws | None]]:
+                queries: Queries, M: int) -> Iterator[tuple]:
     """Pre-drawn rows of every query of the given steps, in one pass.
 
     Row m of query j in step t is on path (m, t, inner_j, phase_j); each
     row that draws takes one :meth:`RngStream.at` key, and all of them
-    are one :func:`draw_rows` call.  Entry [i][j] is query j's (M, d)
-    rows in steps[i], or None when that query draws nothing.
+    are one :func:`draw_rows` call.  Returns one tuple per step whose
+    entry j is query j's (M, d) rows, or None when it draws nothing.
     """
-    live = [j for j, (_, _, delta) in enumerate(queries)
-            if oracle.is_stochastic(delta)]
-    table = [[None] * len(queries) for _ in steps]
+    live = [query for query in queries if oracle.is_stochastic(query[2])]
     at = stream.at
-    paths = [queries[j][:2] for j in live]
     keys = [at(m, t, inner, phase)
-            for t in steps for inner, phase in paths for m in range(M)]
-    radii = [queries[j][2] for j in live]
-    shift, noise = draw_rows(oracle, keys, np.repeat(
-        np.tile(radii, len(steps)), M) if any(radii) else None)
-    # the smoothed rows come back alone, in the same (step, query, m) order
-    smoothed = {j: n for n, j in enumerate(
-        j for j in live if queries[j][2] > 0)}
-    if shift is not None:
-        shift = shift.reshape(len(steps), len(smoothed), M, oracle.dim)
-    if noise is not None:
-        noise = noise.reshape(len(steps), len(live), M, oracle.dim)
-    for i, row in enumerate(table):
-        for k, j in enumerate(live):
-            row[j] = Draws(shift[i, smoothed[j]] if j in smoothed else None,
-                           None if noise is None else noise[i, k])
-    return table
+            for t in steps for inner, phase, _ in live for m in range(M)]
+    radii = [delta for _, _, delta in live]
+    # draw_rows returns the noise rows in (step, query, m) order and the
+    # shift rows in that order for the smoothed queries alone, so each
+    # query's rows over the steps are the next column of one or both
+    shifts, noises = (iter(() if rows is None else rows.reshape(
+        len(steps), -1, M, oracle.dim).swapaxes(0, 1))
+        for rows in draw_rows(oracle, keys, np.repeat(
+            np.tile(radii, len(steps)), M) if any(radii) else None))
+    none = [None] * len(steps)
+    return zip(*[map(Draws, next(shifts) if delta > 0 else none,
+                     next(noises, none))
+                 if oracle.is_stochastic(delta) else none
+                 for _, _, delta in queries])
 
 
 def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
@@ -191,12 +184,8 @@ def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
 
     The run's T steps are drawn ahead in blocks of consecutive whole
     steps of at most DRAW_BLOCK_CELLS cells, one step at least; a block
-    may span rounds, since a draw depends on its key alone.  Queries
-    that draw nothing build no table.
+    may span rounds, since a draw depends on its key alone.
     """
-    if not any(oracle.is_stochastic(delta) for _, _, delta in queries):
-        yield from itertools.repeat([None] * len(queries), cfg.T)
-        return
     stream = RngStream(cfg.master_seed)
     per_block = max(1, DRAW_BLOCK_CELLS
                     // (2 * len(queries) * cfg.M * oracle.dim))
@@ -214,6 +203,16 @@ def _client_mean(a: np.ndarray) -> np.ndarray:
     if len(a) == 1:
         return a[0] + 0.0
     return np.add.reduce(a, axis=0) / len(a)
+
+
+def dispersion(points: np.ndarray) -> float:
+    """Mean squared deviation of the rows from their mean."""
+    # identical rows must read as exactly zero dispersion; the mean of M
+    # identical floats is not bit-exact in general
+    if (points == points[0]).all():
+        return 0.0
+    center = points.mean(axis=0)
+    return float(((points - center) ** 2).sum(axis=1).mean())
 
 
 def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,

@@ -1,4 +1,4 @@
-"""Error functionals: restricted gap, composite gap, client dispersion.
+"""Error functionals: restricted gap and composite gap.
 
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
@@ -356,14 +356,4 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
             break
     return GapEstimate(value=value, method="certified-ascent",
                        certified=_closes(bound, value), maximizer=best)
-
-
-def dispersion(points: np.ndarray) -> float:
-    """Mean squared deviation of the rows from their mean."""
-    # identical rows must read as exactly zero dispersion; the mean of M
-    # identical floats is not bit-exact in general
-    if (points == points[0]).all():
-        return 0.0
-    center = points.mean(axis=0)
-    return float(((points - center) ** 2).sum(axis=1).mean())
 

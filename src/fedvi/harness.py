@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -283,7 +284,7 @@ class ExperimentConfig:
                                       seeds=list(c["seeds"])))
         if problem["file"] is None:
             cfg.check_dimension(problem["dim"])
-        n_runs = len(cfg.expand_runs())
+        n_runs = math.prod(map(len, sweep.values())) * len(cfg.seeds)
         _expect(n_runs <= cfg.max_runs, "sweep",
                 f"sweep cross-product yields {n_runs} runs, over the cap "
                 f"of {cfg.max_runs}")
@@ -480,6 +481,7 @@ def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
     cfg = (config if isinstance(config, ExperimentConfig)
            else ExperimentConfig.from_dict(config))
     path = out_path or cfg.output
+    created = bool(path) and not os.path.exists(path)
     if path:
         # reject an unwritable path before the sweep, not after it; append
         # mode leaves an existing file as it is until the rows are written
@@ -488,8 +490,13 @@ def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
         except OSError as exc:
             raise ConfigError("output", f"cannot write {path}: "
                               f"{exc.strerror}") from None
-    rows = [row for spec in cfg.expand_runs()
-            for row in _execute_run(cfg, spec)]
+    try:
+        rows = [row for spec in cfg.expand_runs()
+                for row in _execute_run(cfg, spec)]
+    except BaseException:
+        if created:  # the probe's empty file, not a result
+            os.remove(path)
+        raise
     if path:
         write_csv(rows, path)
     return rows
@@ -590,7 +597,9 @@ def verify_problem(cfg: ExperimentConfig) -> list[str]:
     if np.isfinite(op.beta) and report.measured_beta > op.beta * (1 + 1e-6):
         failures.append(f"co-coercivity: measured beta {report.measured_beta:g}"
                         f" exceeds declared {op.beta:g}")
-    sigma = cfg.noise["sigma"]
+    # noise rows are linear in sigma, so the largest sigma of any run
+    # decides the bias and variance checks for all of them
+    sigma = max([cfg.noise["sigma"], *cfg.sweep.get("sigma", [])])
     oracle = OracleSpec(base=op, noise_model=cfg.noise["model"], sigma=sigma)
     if oracle.is_stochastic():
         stream = RngStream(0)

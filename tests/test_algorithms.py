@@ -10,10 +10,9 @@ import pytest
 
 from fedvi import algorithms
 from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
-                              derived_gamma, run_lda, run_lesgd,
+                              derived_gamma, dispersion, run_lda, run_lesgd,
                               run_lesgd_hetero, run_lippax, run_lsgd,
                               run_slippax, solve_inner_prox, step_size)
-from fedvi.gaps import dispersion
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem)
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
@@ -753,3 +752,17 @@ class TestClientMean:
     def test_equals_numpy_mean_bitwise(self, M):
         a = np.random.default_rng(M).standard_normal((M, 7))
         assert np.array_equal(algorithms._client_mean(a), a.mean(axis=0))
+
+
+class TestDispersion:
+    def test_identical_points(self):
+        # 0.1 is not a float whose mean over 3 rows is bit-exact
+        for value in (1.0, 0.1):
+            assert dispersion(np.full((3, 2), value)) == 0.0
+
+    def test_two_clients_symmetric(self):
+        assert dispersion(np.array([[1.0, 0.0], [-1.0, 0.0]])) == 1.0
+
+    def test_three_scalar_clients(self):
+        assert dispersion(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(
+            2.0 / 3.0)

@@ -1,5 +1,5 @@
-"""Restricted and composite gap evaluators, drift stats, and the
-extra-gradient co-coercivity check."""
+"""Restricted and composite gap evaluators and the extra-gradient
+co-coercivity check."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fedvi import gaps
 from fedvi.gaps import (_certificate, _multistart_ascent, _prox_ball,
-                        composite_gap, dispersion, restricted_gap)
+                        composite_gap, restricted_gap)
 from fedvi.harness import ExperimentConfig, build_problem
 from fedvi.operators import (KINDS, affine_operator, eval_operator,
                              make_test_problem, op_value_vjp)
@@ -609,20 +609,6 @@ class TestExactProxPoint:
         op = make_test_problem("bounded-nonlinear", 3, seed=0)
         with pytest.raises(ValueError, match="affine"):
             exact_prox_point(op, np.zeros(3), 0.5)
-
-
-class TestDispersion:
-    def test_identical_points(self):
-        # 0.1 is not a float whose mean over 3 rows is bit-exact
-        for value in (1.0, 0.1):
-            assert dispersion(np.full((3, 2), value)) == 0.0
-
-    def test_two_clients_symmetric(self):
-        assert dispersion(np.array([[1.0, 0.0], [-1.0, 0.0]])) == 1.0
-
-    def test_three_scalar_clients(self):
-        assert dispersion(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(
-            2.0 / 3.0)
 
 
 class TestEgCocoercivity:

@@ -21,7 +21,7 @@ from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
                            build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
 from fedvi.operators import PARAMS
-from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
+from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream
 from run_reference import compare_reduction, run_single
 
@@ -207,6 +207,17 @@ class TestConfigValidation:
                               seeds=[0])
         with pytest.raises(ConfigError, match="cap"):
             ExperimentConfig.from_dict(tree)
+
+    def test_sweep_is_sized_without_building_it(self, monkeypatch):
+        """A 10^9-run sweep is rejected from its axis lengths alone."""
+        def refuse(self):
+            raise AssertionError("the sweep was built")
+        monkeypatch.setattr(ExperimentConfig, "expand_runs", refuse)
+        axis = list(range(1, 1001))
+        tree = minimal_config(sweep={"M": axis, "K": axis, "R": axis})
+        with pytest.raises(ConfigError, match="yields 1000000000 runs") as err:
+            ExperimentConfig.from_dict(tree)
+        assert err.value.path == "sweep"
 
 
 def _schema_fields(schema, prefix=()):
@@ -661,6 +672,21 @@ class TestVerifyProblem:
             noise={"sigma": 0.5, "model": "gaussian-isotropic"}))
         assert verify_problem(cfg) == []
 
+    def test_swept_sigma_is_checked(self, monkeypatch):
+        """With noise.sigma 0, a positive sweep.sigma still runs the oracle
+        checks, and they catch noise drawn twice too large."""
+        cfg = ExperimentConfig.from_dict(minimal_config(
+            noise={"sigma": 0.0, "model": "gaussian-isotropic"},
+            sweep={"sigma": [1, 4]}))
+        assert verify_problem(cfg) == []
+
+        def miscalibrated(oracle, keys, radii=None):
+            shift, noise = draw_rows(oracle, keys, radii)
+            return Draws(shift, 2.0 * noise)
+        monkeypatch.setattr("fedvi.harness.draw_rows", miscalibrated)
+        failures = verify_problem(cfg)
+        assert any(f.startswith("oracle variance") for f in failures)
+
     @pytest.mark.parametrize("model", ["gaussian-isotropic",
                                        "bounded-uniform"])
     def test_stacked_draws_equal_looped_draws_bitwise(self, model):
@@ -727,6 +753,20 @@ class TestCli:
             assert re.fullmatch(r"lesgd run \(master_seed \d+, M=1, K=1, "
                                 r"R=40\) diverged: iterate norm beyond "
                                 r"1e\+06 from z0 at step 4", str(w.message))
+
+    def test_rejected_run_leaves_no_output_behind(self, tmp_path):
+        """A run rejected after the --out probe removes the file the probe
+        made, and leaves a file that was there before as it was."""
+        tree = minimal_config(problem={"kind": "bilinear-saddle", "dim": 2,
+                                       "params": {"dx": 2}})
+        cfg_path = self._write(tmp_path, tree)
+        fresh = tmp_path / "fresh.csv"
+        assert cli_main(["run", cfg_path, "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"algo,seed\r\nlesgd,0")
+        assert cli_main(["run", cfg_path, "--out", str(old)]) == 2
+        assert old.read_bytes() == b"algo,seed\r\nlesgd,0"
 
     def test_bad_config_exits_2(self, tmp_path):
         tree = minimal_config()
