@@ -48,7 +48,7 @@ def default_inner_steps(K: int, R: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Federation shape, step sizes, and logging cadence for one run."""
+    """Federation shape, step sizes, and recording cadence for one run."""
 
     M: int = 1
     K: int = 1
@@ -58,8 +58,7 @@ class RunConfig:
     gamma: float | None = None
     delta: float = 0.0
     master_seed: int = 0
-    log_every: int | None = None
-    log_steps: bool = False
+    record_every: int = 1
     z0: np.ndarray | None = None
     reach: float = math.inf
 
@@ -74,20 +73,14 @@ class RunConfig:
             raise ValueError("H must be >= 1")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.log_every is not None and self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
         if not self.reach > 0:
             raise ValueError("reach must be positive")
 
     @property
     def T(self) -> int:
         return self.K * self.R
-
-    def record_cadence(self) -> int:
-        """Steps between trajectory records: every step when log_steps is
-        set, else log_every communication rounds (unset: R // 20, >= 1)."""
-        rounds = self.log_every or max(1, self.R // 20)
-        return 1 if self.log_steps else rounds * self.K
 
     def growth_limit(self, sigma: float) -> float:
         """Distance from z0 past which a run has blown up.
@@ -132,10 +125,6 @@ class Trajectory:
 
     records: list[TrajectoryRecord]
     diverged_at: int | None = None
-
-    @property
-    def status(self) -> str:
-        return "ok" if self.diverged_at is None else "diverged"
 
 
 # Cells (query rows x d, both draw tags) one pre-drawn block may hold.  A
@@ -224,13 +213,13 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     it draws nothing), and returns ``(z_next, p)``: the next states and
     the points whose client mean is the step's output.  The loop runs
     T = K R steps, averages z_next across clients when ``sync`` (mod(t,
-    K) = 0), and keeps the running mean of the outputs.  Every cadence
-    steps and at t = T it records drift_z, the dispersion of z_next
-    before the sync; the first record where the client stack or the
-    output lies farther from z0 than ``cfg.growth_limit`` (Euclidean
-    norm, a non-finite one included) marks the run diverged and warns,
-    naming the run; numpy's overflow and invalid-value warnings are off
-    inside the loop.
+    K) = 0), and keeps the running mean of the outputs.  Every
+    ``cfg.record_every`` steps and at t = T it records drift_z, the
+    dispersion of z_next before the sync; the first record where the
+    client stack or the output lies farther from z0 than
+    ``cfg.growth_limit`` (Euclidean norm, a non-finite one included)
+    marks the run diverged and warns, naming the run; numpy's overflow
+    and invalid-value warnings are off inside the loop.
     """
     dim = oracle.dim
     z0 = cfg.initial_point(dim)
@@ -239,7 +228,7 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
     diverged_at = None
-    cadence, K, T = cfg.record_cadence(), cfg.K, cfg.T
+    cadence, K, T = cfg.record_every, cfg.K, cfg.T
     draws = _step_draws(oracle, cfg, queries)
     # a diverging run reports itself below, not through numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):

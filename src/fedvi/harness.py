@@ -130,8 +130,7 @@ SCHEMA = {
         "seed": (0, lambda v: _is_int(v) and v >= 0,
                  "must be an integer >= 0"),
         "params": (None, lambda v: isinstance(v, dict), "must be an object"),
-        "hetero": {"offset_scale": (1.0, _nonnegative, _NONNEGATIVE),
-                   "xi": (None, _nonnegative, _NONNEGATIVE)},
+        "hetero": {"offset_scale": (1.0, _nonnegative, _NONNEGATIVE)},
     },
     "algorithm": {
         "id": (REQUIRED, ALGO_IDS.__contains__, f"must be one of {ALGO_IDS}"),
@@ -246,6 +245,9 @@ class ExperimentConfig:
                 "problem.kind", 'must be "affine" with a problem.file')
         _expect(problem["file"] is None or problem["params"] is None,
                 "problem.params", "not read with a problem.file")
+        _expect(problem["file"] is None or "seed" not in tree["problem"] or
+                algorithm["id"] == "lesgd-hetero", "problem.seed",
+                "read with a problem.file only by algorithm.id lesgd-hetero")
         # step sizes come from the schedule or from the config, never both
         scheduled = algorithm["schedule"] is not None
         _expect(algorithm["eta"] is not None or scheduled, "algorithm.eta",
@@ -276,6 +278,14 @@ class ExperimentConfig:
         sweep = {k: v for k, v in c["sweep"].items() if v is not None}
         if "sigma" in sweep:
             sweep["sigma"] = [float(v) for v in sweep["sigma"]]
+        # a run's seed derives from these values: a repeat reruns its runs
+        for path, values in [("seeds", c["seeds"]),
+                             *((f"sweep.{k}", v) for k, v in sweep.items())]:
+            seen = set()
+            for v in values:
+                _expect(v not in seen, path, f"repeats {v!r}; each value "
+                        "must be distinct")
+                seen.add(v)
         # sigma alone decides whether a run draws noise
         _expect(c["noise"]["model"] != "none" or not any(
             [c["noise"]["sigma"], *sweep.get("sigma", [])]), "noise.model",
@@ -364,14 +374,13 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
 
 def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
                     M: int) -> tuple[np.ndarray, float]:
-    """Per-client offsets (summing to zero): client m queries V + offsets[m]."""
+    """Per-client offsets (summing to zero): client m queries V + offsets[m],
+    so the largest offset norm is the exact heterogeneity bound xi."""
     hetero = cfg.problem["hetero"]
     rng = np.random.default_rng((cfg.problem["seed"], 0x4E7E))
     offsets = rng.standard_normal((M, op.dim)) * float(hetero["offset_scale"])
     offsets -= offsets.mean(axis=0)
-    xi = (float(hetero["xi"]) if hetero["xi"] is not None
-          else float(np.linalg.norm(offsets, axis=1).max()))
-    return offsets, xi
+    return offsets, float(np.linalg.norm(offsets, axis=1).max())
 
 
 def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
@@ -380,7 +389,8 @@ def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
     reports it: eta and delta as configured or scheduled; for LIPPAX and
     SLIPPAX only, gamma as configured or derived from eta, and H as
     configured or ``default_inner_steps(K, R)``; delta 0.0 for every id
-    but SLIPPAX, the one that smooths."""
+    but SLIPPAX, the one that smooths; and a record every ``log_every``
+    rounds (unset: R // 20, at least 1)."""
     algo, D = cfg.algorithm, cfg.gap["D"]
     eta, delta, gamma, H = algo["eta"], algo["delta"], algo["gamma"], algo["H"]
     blame = "algorithm.eta"  # the field a bad derived gamma is reported at
@@ -404,10 +414,11 @@ def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
                 f"eta {eta:g} is too large: the derived inner step gamma is 0")
     z0 = cfg.initial_point(op.dim)
     reach = D + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
+    rounds = cfg.log_every or max(1, spec["R"] // 20)
     return RunConfig(M=spec["M"], K=spec["K"], R=spec["R"], eta=eta,
                      gamma=gamma, H=H,
                      delta=(delta or 0.0) if algo["id"] == "slippax" else 0.0,
-                     log_every=cfg.log_every,
+                     record_every=rounds * spec["K"],
                      master_seed=_run_master_seed(**spec), z0=z0, reach=reach)
 
 

@@ -179,6 +179,10 @@ def affine_operator(A: np.ndarray, b: np.ndarray, kind: str = "affine",
     d = A.shape[0]
     if A.shape != (d, d) or b.shape != (d,):
         raise ValueError("A must be square and b of matching length")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(A + A.T).all() and np.isfinite(b).all()
+    if not finite:  # A + A^T is finite only where A is
+        raise ValueError("an entry of A, A + A^T or b is not finite")
     payload: dict[str, Any] = {"A": _frozen(A), "b": _frozen(b)}
     if solution is None and d and np.linalg.matrix_rank(A) == d:
         solution = np.linalg.solve(A, -b)
@@ -369,6 +373,8 @@ def load_affine_text(path) -> OperatorSpec:
     if not tokens:
         raise ValueError(f"{path}: empty matrix file")
     d = int(tokens[0])
+    if d < 1:
+        raise ValueError(f"{path}: dimension {d} is below 1")
     need = 1 + d * d + d
     if len(tokens) != need:
         raise ValueError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,18 +103,16 @@ def draw_rows(oracle: OracleSpec, keys: Sequence[int],
     return Draws(shift, noise)
 
 
-def sample_oracle(oracle: OracleSpec, z: np.ndarray,
-                  keys: int | Iterable[int] | None = None,
+def sample_oracle(oracle: OracleSpec, z: np.ndarray, key: int | None = None,
                   draws: Draws | None = None) -> np.ndarray:
     """Oracle draws V(z + shift) + noise, one per query point.
 
     ``z`` is one point (d,) or an (M, d) client stack.  ``draws`` holds
     the query's rows that :func:`draw_rows` made ahead, the only way a
-    smoothing shift reaches a query.  Without it, a stochastic oracle
-    draws its noise here from ``keys``: one path key
-    (:meth:`RngStream.at`) for a point, or the M keys that ``keys``
-    yields for a stack, row m from the m-th.  An exact oracle needs
-    neither.
+    smoothing shift reaches a query and the only way a stochastic
+    oracle queries a stack.  Without it, a stochastic oracle draws one
+    point's noise here from ``key``, a path key
+    (:meth:`RngStream.at`).  An exact oracle needs neither.
     """
     base = oracle.base
     z = np.asarray(z, dtype=float)
@@ -124,8 +122,13 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray,
     if draws is None:
         if not oracle.is_stochastic():
             return _eval_rows(base, z)
-        draws = draw_rows(oracle, _query_keys(z, keys))
-    elif keys is not None:
+        if key is None:
+            raise ValueError("stochastic oracle query requires a path key")
+        if z.ndim != 1 or not isinstance(key, (int, np.integer)):
+            raise ValueError("a path key draws one point (d,); a stack "
+                             "takes pre-drawn rows")
+        draws = draw_rows(oracle, [key])
+    elif key is not None:
         raise ValueError("pre-drawn rows replace keys")
     shift, noise = draws
     for rows in draws:
@@ -136,18 +139,3 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray,
     if noise is not None:
         value += noise.reshape(z.shape)  # value is a fresh array
     return value
-
-
-def _query_keys(z: np.ndarray, keys) -> list[int]:
-    """One path key per query row, checked against the query's shape."""
-    if keys is None:
-        raise ValueError("stochastic oracle query requires a path key")
-    stacked = z.ndim == 2
-    if stacked == isinstance(keys, (int, np.integer)):
-        raise ValueError("a point (d,) takes one key and an (M, d) stack "
-                         "an iterable of M keys")
-    keys = list(keys) if stacked else [keys]
-    if stacked and len(keys) != len(z):
-        raise ValueError(f"a stack of {len(z)} query points needs "
-                         f"{len(z)} keys, got {len(keys)}")
-    return keys

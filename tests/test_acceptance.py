@@ -183,7 +183,7 @@ class TestAcceptance:
         per_t = []
         for rep in range(reps):
             cfg = RunConfig(M=M, K=K, R=3, eta=eta, master_seed=5000 + rep,
-                            log_steps=True)
+                            record_every=1)
             traj = run_lesgd(oracle, cfg)
             per_t.append([4.0 * r.drift_z for r in traj.records])  # M = 2
         mean_drift = np.mean(per_t, axis=0)
@@ -209,7 +209,7 @@ class TestAcceptance:
         plan = step_size("T7", constants_of(op, G_override=G),
                          {"M": 1, "K": 8, "R": 500, "sigma": 0.0, "D": D})
         reg = RegularizerSpec(kind="l1", lam=0.05)
-        cfg = RunConfig(M=1, K=8, R=500, eta=plan.eta, log_every=1,
+        cfg = RunConfig(M=1, K=8, R=500, eta=plan.eta, record_every=8,
                         master_seed=1)
         traj = run_lda(OracleSpec(base=op), reg, cfg)
         err_1 = composite_gap(op, reg, traj.records[0].output_avg, center, D)
@@ -254,7 +254,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         op = make_test_problem("skew", 2)
         cfg = RunConfig(M=1, K=1, R=100, eta=0.5, z0=np.array([1.0, 0.0]),
-                        log_every=1)
+                        record_every=1)
         traj = run_lsgd(OracleSpec(base=op), cfg)
         factor = math.sqrt(1.25)
         norms = [1.0] + [float(np.linalg.norm(r.mean_iterate))

@@ -131,7 +131,7 @@ class TestRunLesgd:
     def test_scalar_hand_simulation(self):
         """V(z)=z, eta=0.5, z0=1: x1 = 0.5, z1 = 0.75, x2 = 0.375."""
         cfg = RunConfig(M=1, K=1, R=2, eta=0.5, z0=np.array([1.0]),
-                        log_every=1)
+                        record_every=1)
         traj = run_lesgd(scalar_op(), cfg)
         assert traj.records[0].mean_iterate[0] == 0.5
         assert traj.records[1].mean_iterate[0] == 0.375  # = 0.75 * (1 - 0.5)
@@ -140,7 +140,7 @@ class TestRunLesgd:
 
     def test_identical_clients_have_zero_drift(self):
         op = make_test_problem("affine", 3, seed=0)
-        cfg = RunConfig(M=5, K=2, R=3, eta=0.1, log_steps=True)
+        cfg = RunConfig(M=5, K=2, R=3, eta=0.1, record_every=1)
         traj = run_lesgd(OracleSpec(base=op), cfg)
         assert all(r.drift_z == 0.0 for r in traj.records)
 
@@ -159,7 +159,7 @@ class TestRunLesgd:
         oracle = OracleSpec(base=make_test_problem("affine", 4, seed=2),
                             sigma=1.0)
         cfg = RunConfig(M=3, K=3, R=4, eta=0.05, master_seed=9,
-                        log_steps=True)
+                        record_every=1)
         given, returned = [], []
 
         def step(t, z, sync, draws):
@@ -179,7 +179,7 @@ class TestRunLesgd:
     def test_deterministic_replay(self):
         op = make_test_problem("affine", 3, seed=4)
         oracle = OracleSpec(base=op, sigma=1.0)
-        cfg = RunConfig(M=3, K=2, R=5, eta=0.1, master_seed=11, log_every=1)
+        cfg = RunConfig(M=3, K=2, R=5, eta=0.1, master_seed=11, record_every=2)
         a, b = run_lesgd(oracle, cfg), run_lesgd(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
@@ -187,7 +187,7 @@ class TestRunLesgd:
 
     def test_output_recomputable_from_full_log(self):
         op = make_test_problem("affine", 3, seed=4)
-        cfg = RunConfig(M=2, K=2, R=4, eta=0.1, log_steps=True)
+        cfg = RunConfig(M=2, K=2, R=4, eta=0.1, record_every=1)
         traj = run_lesgd(OracleSpec(base=op), cfg)
         recomputed = np.mean([r.mean_iterate for r in traj.records], axis=0)
         np.testing.assert_allclose(traj.records[-1].output_avg, recomputed,
@@ -198,8 +198,8 @@ class TestRunLesgd:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run_lesgd(OracleSpec(base=op, sigma=1.0),
-                             RunConfig(M=2, K=2, R=4, eta=0.1, log_every=1))
-        assert traj.status == "ok" and traj.diverged_at is None
+                             RunConfig(M=2, K=2, R=4, eta=0.1, record_every=2))
+        assert traj.diverged_at is None
 
     def test_overflow_marks_the_first_non_finite_record(self):
         """V(z) = z with eta = 1e6 grows ~1e12 per step.
@@ -209,12 +209,12 @@ class TestRunLesgd:
         26; the first record with a non-finite norm marks the run.
         """
         cfg = RunConfig(M=2, K=1, R=40, eta=1e6, z0=np.array([1.0]),
-                        log_every=1)
+                        record_every=1)
         with np.errstate(all="ignore"), \
                 pytest.warns(RuntimeWarning) as caught:
             traj = run_lesgd(scalar_op(), cfg)
         finite = [bool(np.isfinite(r.output_avg).all()) for r in traj.records]
-        assert traj.status == "diverged" and traj.diverged_at == 13
+        assert traj.diverged_at == 13
         assert finite == [True] * 26 + [False] * 14
         assert [str(w.message) for w in caught] == [
             "lesgd run (master_seed 0, M=2, K=1, R=40) diverged: iterate "
@@ -228,7 +228,7 @@ class TestRunLesgd:
         Without a reach the same run stays ok.
         """
         cfg = RunConfig(M=1, K=1, R=40, eta=3.0, z0=np.array([1.0]),
-                        log_every=1, reach=1.0)
+                        record_every=1, reach=1.0)
         with pytest.warns(RuntimeWarning) as caught:
             traj = run_lesgd(scalar_op(), cfg)
         assert traj.diverged_at == 8
@@ -238,7 +238,7 @@ class TestRunLesgd:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_lesgd(scalar_op(), replace(cfg, reach=math.inf)
-                             ).status == "ok"
+                             ).diverged_at is None
 
     def test_growth_limit_adds_the_noise_walk(self):
         cfg = RunConfig(M=1, K=4, R=25, eta=0.5, reach=2.0)
@@ -321,7 +321,7 @@ class TestLippaxFamily:
     def test_zero_operator_keeps_state(self):
         zero = affine_operator(np.zeros((2, 2)), np.zeros(2))
         cfg = RunConfig(M=2, K=1, R=3, eta=0.5, H=1, gamma=0.2,
-                        z0=np.array([1.0, 2.0]), log_every=1)
+                        z0=np.array([1.0, 2.0]), record_every=1)
         traj = run_lippax(OracleSpec(base=zero), cfg)
         for rec in traj.records:
             np.testing.assert_array_equal(rec.mean_iterate, [1.0, 2.0])
@@ -330,7 +330,7 @@ class TestLippaxFamily:
         op = make_test_problem("affine", 4, seed=6)
         eta = 1.0 / op.L
         z0 = np.array([1.0, -1.0, 0.5, 2.0])
-        cfg = RunConfig(M=1, K=1, R=1, eta=eta, H=60, z0=z0, log_every=1)
+        cfg = RunConfig(M=1, K=1, R=1, eta=eta, H=60, z0=z0, record_every=1)
         traj = run_lippax(OracleSpec(base=op), cfg)
         x_star = exact_prox_point(op, z0, eta)
         np.testing.assert_allclose(traj.records[0].mean_iterate, x_star,
@@ -340,7 +340,7 @@ class TestLippaxFamily:
         op = make_test_problem("affine", 3, seed=7)
         oracle = OracleSpec(base=op, sigma=0.8)
         cfg = RunConfig(M=3, K=2, R=4, eta=0.2, H=4, master_seed=21,
-                        log_every=1)
+                        record_every=2)
         a, b = run_lippax(oracle, cfg), run_slippax(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.mean_iterate, rb.mean_iterate)
@@ -378,7 +378,7 @@ class TestRunLsgd:
     def test_one_step_convergence_at_eta_equals_inverse_beta(self):
         op = affine_operator(np.eye(2), np.zeros(2))  # beta = 1
         cfg = RunConfig(M=1, K=1, R=1, eta=1.0, z0=np.array([3.0, -2.0]),
-                        log_every=1)
+                        record_every=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             traj = run_lsgd(OracleSpec(base=op), cfg)
@@ -388,7 +388,7 @@ class TestRunLsgd:
         op = make_test_problem("quadratic-gradient", 4,
                                {"eig_range": [0.2, 1.0]}, seed=10)
         cfg = RunConfig(M=1, K=1, R=30, eta=1.0 / op.beta,
-                        z0=np.ones(4) * 2, log_every=1)
+                        z0=np.ones(4) * 2, record_every=1)
         traj = run_lsgd(OracleSpec(base=op), cfg)
         dists = [np.linalg.norm(r.mean_iterate - op.solution)
                  for r in traj.records]
@@ -398,7 +398,7 @@ class TestRunLsgd:
         """Plain descent on a rotation grows by sqrt(1 + eta^2) per step."""
         op = make_test_problem("skew", 2)
         cfg = RunConfig(M=1, K=1, R=100, eta=0.5, z0=np.array([1.0, 0.0]),
-                        log_every=1)
+                        record_every=1)
         with pytest.warns(RuntimeWarning, match="co-coercivity"):
             # skew is not co-coercive
             traj = run_lsgd(OracleSpec(base=op), cfg)
@@ -418,7 +418,7 @@ class TestRunLda:
     def test_zero_regularizer_equals_lesgd_bitwise(self):
         op = make_test_problem("affine", 4, seed=11)
         oracle = OracleSpec(base=op, sigma=0.7)
-        cfg = RunConfig(M=3, K=2, R=5, eta=0.1, master_seed=13, log_every=1)
+        cfg = RunConfig(M=3, K=2, R=5, eta=0.1, master_seed=13, record_every=2)
         a = run_lda(oracle, ZERO_REG, cfg)
         b = run_lesgd(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
@@ -432,7 +432,7 @@ class TestRunLda:
         reg = RegularizerSpec(kind="l1", lam=1.0)
         eta, z0 = 0.4, 2.0
         cfg = RunConfig(M=1, K=1, R=2, eta=eta, z0=np.array([z0]),
-                        log_every=1)
+                        record_every=1)
         traj = run_lda(scalar_op(), reg, cfg)
         # independent scalar recursion: V(z) = z, mirror = soft-threshold
         z = z0
@@ -453,7 +453,7 @@ class TestRunLesgdHetero:
     def test_identical_clients_equal_lesgd_bitwise(self):
         op = make_test_problem("affine", 3, seed=12)
         oracle = OracleSpec(base=op, sigma=0.5)
-        cfg = RunConfig(M=4, K=2, R=3, eta=0.1, master_seed=17, log_every=1)
+        cfg = RunConfig(M=4, K=2, R=3, eta=0.1, master_seed=17, record_every=2)
         a = run_lesgd_hetero(oracle, np.zeros((4, 3)), cfg)
         b = run_lesgd(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
@@ -467,7 +467,7 @@ class TestRunLesgdHetero:
         offsets = [0.5, -0.5]
         eta, z0 = 0.25, 1.0
         cfg = RunConfig(M=2, K=2, R=1, eta=eta, z0=np.array([z0]),
-                        log_steps=True)
+                        record_every=1)
         traj = run_lesgd_hetero(OracleSpec(base=op), np.array([offsets]).T,
                                 cfg)
 
@@ -503,7 +503,7 @@ class TestRunLesgdHetero:
 class TestRunConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(M=0), dict(K=0), dict(R=0), dict(eta=0.0), dict(eta=-1.0),
-        dict(gamma=0.0), dict(H=0), dict(delta=-0.1), dict(log_every=0),
+        dict(gamma=0.0), dict(H=0), dict(delta=-0.1), dict(record_every=0),
         dict(reach=0.0), dict(reach=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
@@ -513,14 +513,14 @@ class TestRunConfigValidation:
     def test_total_steps(self):
         assert RunConfig(M=1, K=7, R=9, eta=0.1).T == 63
 
-    def test_record_cadence(self):
-        """log_every rounds, R // 20 rounds (at least 1) when unset, or
-        every step with log_steps."""
-        base = dict(M=1, K=3, R=45, eta=0.1)
-        assert RunConfig(**base, log_every=4).record_cadence() == 12
-        assert RunConfig(**base).record_cadence() == 6
-        assert RunConfig(**dict(base, R=10)).record_cadence() == 3
-        assert RunConfig(**base, log_steps=True).record_cadence() == 1
+    def test_record_every_counts_steps_and_keeps_the_last(self):
+        """Every step by default; record_every=5 over 12 steps records
+        t = 5, 10 and the last step, 12."""
+        base = dict(M=1, K=3, R=4, eta=0.1)
+        for extra, steps in (({}, list(range(1, 13))),
+                             (dict(record_every=5), [5, 10, 12])):
+            traj = run_lesgd(scalar_op(), RunConfig(**base, **extra))
+            assert [r.t for r in traj.records] == steps
 
     def test_bad_z0_shape_rejected(self):
         cfg = RunConfig(M=1, K=1, R=1, eta=0.1, z0=np.zeros(3))
@@ -539,7 +539,7 @@ class TestClientDriftBound:
         per_t = []
         for rep in range(40):
             cfg = RunConfig(M=2, K=K, R=1, eta=eta, master_seed=1000 + rep,
-                            log_steps=True)
+                            record_every=1)
             traj = run_lesgd(oracle, cfg)
             per_t.append([4.0 * r.drift_z for r in traj.records])  # M=2
         mean_drift = np.mean(per_t, axis=0)
@@ -634,7 +634,7 @@ class TestRoundDraws:
         oracle = OracleSpec(base=make_test_problem(kind, 5, seed=9),
                             noise_model=model, sigma=sigma)
         cfg = RunConfig(M=M, K=K, R=3, eta=0.15, H=3, delta=delta,
-                        master_seed=31, log_steps=True,
+                        master_seed=31, record_every=1,
                         z0=np.linspace(-1.0, 1.0, 5))
         return oracle, cfg
 

@@ -18,7 +18,7 @@ from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
 from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
-                           build_problem, fit_rate, rows_to_csv,
+                           _run_config, build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
 from fedvi.operators import PARAMS
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
@@ -74,6 +74,16 @@ PROBES = [
         algorithm={"id": "lda", "eta": 0.1},
         regularizer={"kind": "box-indicator", "lo": 1.0, "hi": -1.0}),
      "regularizer"),
+    # read only to draw lesgd-hetero's offsets when a file gives V
+    ("file-seed", lambda t: t.update(
+        problem={"kind": "affine", "file": "matrix.txt", "seed": 7}),
+     "problem.seed"),
+    # a repeated value would run the same runs twice
+    ("seeds-repeated", lambda t: t.update(seeds=[0, 1, 0]), "seeds"),
+    ("sweep-M-repeated", lambda t: t.update(sweep={"M": [2, 2]}), "sweep.M"),
+    ("sweep-sigma-repeated", lambda t: t.update(
+        noise={"sigma": 0.0}, sweep={"sigma": [1, 0.5, 1.0]}),
+     "sweep.sigma"),
 ]
 
 
@@ -302,6 +312,17 @@ class TestRunExperiment:
         assert all(a >= b - 1e-12 for a, b in zip(gaps[2:], gaps[3:]))
         assert all(r.gap_certified for r in rows)
 
+    @pytest.mark.parametrize("log_every,R,steps", [
+        (4, 45, 12), (None, 45, 6), (None, 10, 3)])
+    def test_run_records_every_log_every_rounds(self, log_every, R, steps):
+        """log_every rounds of K = 3 steps, or R // 20 rounds (at least 1)
+        when unset."""
+        cfg = ExperimentConfig.from_dict(minimal_config(
+            log_every=log_every, federation={"M": 1, "K": 3, "R": R}))
+        run_cfg = _run_config(cfg, build_problem(cfg), cfg.expand_runs()[0],
+                              None)
+        assert run_cfg.record_every == steps
+
     def test_z0_is_the_start_and_the_default_gap_center(self):
         """One rule: z0 as floats, or zeros of the problem's dimension."""
         cfg = ExperimentConfig.from_dict(minimal_config())
@@ -379,6 +400,18 @@ class TestRunExperiment:
         tree["problem"]["hetero"] = {"offset_scale": 0.5}
         rows = run_experiment(tree)
         assert len(rows) == 4
+        assert all(np.isfinite(r.gap_value) for r in rows)
+
+    def test_hetero_reads_the_seed_with_a_problem_file(self, tmp_path):
+        """problem.seed draws the offsets, also when a file gives V."""
+        tree = minimal_config(
+            problem=dict(TestCli._matrix_file(tmp_path, "2\n1 0\n0 1\n0 0\n"),
+                         seed=7),
+            algorithm={"id": "lesgd-hetero", "eta": 0.05},
+            federation={"M": 3, "K": 2, "R": 4})
+        rows = run_experiment(tree)
+        tree["problem"]["seed"] = 8
+        assert rows_to_csv(rows) != rows_to_csv(run_experiment(tree))
         assert all(np.isfinite(r.gap_value) for r in rows)
 
     def test_hetero_runs_on_a_nonlinear_problem(self):
@@ -810,6 +843,10 @@ class TestCli:
         (lambda t, tmp: t.update(problem={"kind": "affine", "file": None}),
          "problem.file"),
         (lambda t, tmp: t.update(
+            problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\ninf 0\n")),
+         "problem.file"),
+        (lambda t, tmp: t["problem"]["params"].update(L=1e308), "problem"),
+        (lambda t, tmp: t.update(
             problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
             gap={"D": 1.0, "center": [0, 0, 0]}), "gap.center"),
         (lambda t, tmp: t.update(TestCli._file_lda(tmp, lo=[-1, -1, -1])),
@@ -880,7 +917,8 @@ class TestCli:
         for c in BAD_PROBLEM_PARAMS],
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
-             "file-not-a-path", "file-center-length", "file-box-lo-length",
+             "file-not-a-path", "file-b-inf", "affine-L-1e308",
+             "file-center-length", "file-box-lo-length",
              "schedule-overflow", "schedule-gamma-overflow",
              "eta-gamma-overflow", "eta-gamma-underflow",
              "schedule-with-eta", "schedule-with-gamma",

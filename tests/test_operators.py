@@ -217,6 +217,26 @@ class TestVerifyProperties:
         with pytest.raises(ValueError, match="monotone"):
             affine_operator(-np.eye(2), np.zeros(2))
 
+    @pytest.mark.parametrize("A,b", [
+        ([[1.0, 0.0], [0.0, math.nan]], [0.0, 0.0]),
+        ([[math.inf, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [math.inf, 0.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.0, math.nan]),
+        # finite entries whose symmetric sum overflows
+        ([[1e308, 1e308], [1e308, 1e308]], [0.0, 0.0]),
+    ], ids=["nan-A", "inf-A", "inf-b", "nan-b", "A-plus-AT-overflows"])
+    def test_non_finite_input_rejected(self, A, b):
+        with pytest.raises(ValueError, match="not finite"):
+            affine_operator(np.array(A), np.array(b))
+
+    @pytest.mark.parametrize("kind,params", [
+        ("affine", {"L": 1e308}),
+        ("quadratic-gradient", {"eig_range": [0, 1e308]})])
+    def test_zoo_matrix_past_the_float_range_rejected(self, kind, params):
+        with pytest.raises(ValueError, match="not finite"), \
+                np.errstate(over="ignore"):
+            make_test_problem(kind, 4, params)
+
     def test_kind_decides_affinity(self):
         """A spec built by hand is affine exactly when its kind is."""
         A, b = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.array([0.5, 0.0])
@@ -259,4 +279,11 @@ class TestMatrixFile:
         path = tmp_path / "bad.txt"
         path.write_text("2\n1.0 0.5\n-0.5\n")
         with pytest.raises(ValueError, match="expected"):
+            load_affine_text(path)
+
+    @pytest.mark.parametrize("d", [-1, 0])
+    def test_dimension_below_one_rejected(self, tmp_path, d):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{d}\n")
+        with pytest.raises(ValueError, match=f"dimension {d} is below 1"):
             load_affine_text(path)
