@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec
+from .operators import OperatorSpec, operator_bound_on_ball
 from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
@@ -377,7 +377,6 @@ def derived_gamma(eta: float, L: float) -> float:
 class StepSizePlan:
     """Theorem schedule: eta as the min over branches, plus delta."""
 
-    theorem_id: str
     eta: float
     delta: float
     active_branch: int
@@ -510,12 +509,18 @@ def step_size(theorem_id: str, constants: dict, shape: dict,
         d = float(constants["d"])
         root = math.sqrt(d) if delta_rule == "sqrt-d" else d ** 0.25
         delta = eta * sigma / root
-    return StepSizePlan(theorem_id=theorem_id, eta=eta, delta=delta,
-                        active_branch=active, branches=tuple(branches))
+    return StepSizePlan(eta=eta, delta=delta, active_branch=active,
+                        branches=tuple(branches))
 
 
-def constants_of(op: OperatorSpec, xi: float | None = None,
-                 G_override: float | None = None) -> dict:
-    """Constants dict for step_size, read off an operator's declarations."""
-    return {"L": op.L, "G": G_override if G_override is not None else op.G,
-            "beta": op.beta, "Lambda": op.Lambda, "d": op.dim, "xi": xi}
+def constants_of(op: OperatorSpec, z0: np.ndarray, D: float,
+                 offsets: np.ndarray | None = None) -> dict:
+    """Constants dict for step_size: the operator's declarations, G on the
+    ball of radius 10 D around z0, and xi, the largest client offset
+    norm (None without offsets).  A G or xi that overflows is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = operator_bound_on_ball(op, z0, 10.0 * D)
+        xi = (None if offsets is None
+              else float(np.linalg.norm(offsets, axis=1).max()))
+    return {"L": op.L, "G": G, "beta": op.beta, "Lambda": op.Lambda,
+            "d": op.dim, "xi": xi}

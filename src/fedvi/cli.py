@@ -14,18 +14,15 @@ from .harness import (SCHEMA, ConfigError, ExperimentConfig, fit_rate,
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_file(args.config)
-        if args.seed_override is not None:
-            if not SCHEMA["seeds"][1]([args.seed_override]):
-                raise ConfigError("--seed-override", "must be an integer >= 0")
-            cfg.seeds = [args.seed_override]
-        rows = run_experiment(cfg, out_path=args.out)
-    except ConfigError as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return 2
-    dest = args.out or cfg.output or "<not written>"
-    print(f"{len(rows)} rows from {len(cfg.expand_runs())} runs -> {dest}")
+    cfg = ExperimentConfig.from_file(args.config)
+    if args.seed_override is not None:
+        if not SCHEMA["seeds"][1]([args.seed_override]):
+            raise ConfigError("--seed-override", "must be an integer >= 0")
+        cfg.seeds = [args.seed_override]
+    cfg.output = args.out or cfg.output
+    rows = run_experiment(cfg)
+    print(f"{len(rows)} rows from {len(cfg.expand_runs())} runs -> "
+          f"{cfg.output or '<not written>'}")
     return 0
 
 
@@ -46,12 +43,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_file(args.config)
-        failures = verify_problem(cfg)
-    except ConfigError as exc:
-        print(f"config rejected: {exc}", file=sys.stderr)
-        return 2
+    failures = verify_problem(ExperimentConfig.from_file(args.config))
     if failures:
         for f in failures:
             print(f"FAIL {f}")
@@ -68,7 +60,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a config's sweep to CSV")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="CSV output path")
+    p_run.add_argument("--out", default=None, help="CSV path; sets output")
     p_run.add_argument("--seed-override", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)
 
@@ -84,7 +76,11 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config rejected: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

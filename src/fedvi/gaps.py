@@ -2,24 +2,22 @@
 
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
-equation on the KKT multiplier) and tagged ``exact-concave``.  The
-multiplier is the float a bisection on the ball radius ends at; Newton
-steps bracket it to a few ulps, and the bisection replays its path,
-evaluating the radius only inside the bracket (``_exact_concave_max``
-gives the monotonicity that makes this the same float).  The
-composite gap adds a convex phi, so on affine operators its objective
-is still concave: one proximal-ascent start runs until a duality
-certificate (the concavity bound at the current point) closes to
-1e-7 (1 + |value|), and is tagged ``certified-ascent``.  Both gaps are
-certified by that one bound.  Each ascent step (the exact prox of phi
-plus the ball) and the certificate's inner maximum are one exact solve
-on the piecewise-linear path t -> prox(phi, c + t a, t s), with no
-iteration.  Nonlinear operators run a multistart proximal ascent
-(``ASCENT_STARTS`` starts drawn from
-``ASCENT_SEED``, each stopped once one step moves it by at most
-``ASCENT_TOL`` (D + ||center||), or after ``ASCENT_STEPS`` steps) and
-report the best objective value recomputed at a feasible point: a true
-lower bound of the sup, tagged as not certified.
+equation on the KKT multiplier).  The multiplier is the float a
+bisection on the ball radius ends at; Newton steps bracket it to a few
+ulps, and the bisection replays its path, evaluating the radius only
+inside the bracket (``_exact_concave_max`` gives the monotonicity that
+makes this the same float).  The composite gap adds a convex phi, so on
+affine operators its objective is still concave: one proximal-ascent
+start runs until a duality certificate (the concavity bound at the
+current point) closes to 1e-7 (1 + |value|).  Both gaps are certified
+by that one bound.  Each ascent step (the exact prox of phi plus the
+ball) and the certificate's inner maximum are one exact solve on the
+piecewise-linear path t -> prox(phi, c + t a, t s), with no iteration.
+Nonlinear operators run a multistart proximal ascent (``ASCENT_STARTS``
+starts drawn from ``ASCENT_SEED``, each stopped once one step moves it
+by at most ``ASCENT_TOL`` (D + ||center||), or after ``ASCENT_STEPS``
+steps) and report the best objective value recomputed at a feasible
+point: a true lower bound of the sup, never certified.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ class GapEstimate:
     """Restricted-gap value, its maximizer, and certification status."""
 
     value: float
-    method: str
     certified: bool
     maximizer: np.ndarray
 
@@ -327,14 +324,14 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
             values = values + reg_value(reg, v_o) - np.array(
                 [reg_value(reg, z) for z in Z])
         k = int(np.argmax(values))
-        return GapEstimate(value=float(values[k]), method="multistart-ascent",
-                           certified=False, maximizer=Z[k])
+        return GapEstimate(value=float(values[k]), certified=False,
+                           maximizer=Z[k])
     if reg.kind == "zero":
         z_star = _exact_concave_max(op, v_o, center, D)
         value = float(eval_operator(op, z_star) @ (v_o - z_star))
         bound, _ = _certificate(op, reg, v_o, center, D, z_star)
-        return GapEstimate(value=value, method="exact-concave",
-                           certified=_closes(bound, value), maximizer=z_star)
+        return GapEstimate(value=value, certified=_closes(bound, value),
+                           maximizer=z_star)
 
     phi_vo = reg_value(reg, v_o)
 
@@ -354,6 +351,6 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
         value, best = max((h(z), z), (h(y), y), key=lambda vz: vz[0])
         if _closes(bound, value):
             break
-    return GapEstimate(value=value, method="certified-ascent",
-                       certified=_closes(bound, value), maximizer=best)
+    return GapEstimate(value=value, certified=_closes(bound, value),
+                       maximizer=best)
 

@@ -28,8 +28,7 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
                          run_lippax, run_lsgd, run_slippax, step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
-                        make_test_problem, operator_bound_on_ball,
-                        verify_properties)
+                        make_test_problem, verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, draw_rows, sample_oracle
 from .regularizers import REG_KINDS, RegularizerSpec
 from .rng import RngStream
@@ -74,7 +73,6 @@ class RateFit:
 
     pairs: list[tuple[float, float]]
     slope: float
-    intercept: float
     r2: float
     n_excluded: int = 0
 
@@ -373,18 +371,21 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
 
 
 def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
-                    M: int) -> tuple[np.ndarray, float]:
-    """Per-client offsets (summing to zero): client m queries V + offsets[m],
-    so the largest offset norm is the exact heterogeneity bound xi."""
-    hetero = cfg.problem["hetero"]
+                    M: int) -> np.ndarray:
+    """Per-client offsets (summing to zero): client m queries V + offsets[m].
+    A scale that leaves an offset not finite is rejected."""
+    scale = cfg.problem["hetero"]["offset_scale"]
     rng = np.random.default_rng((cfg.problem["seed"], 0x4E7E))
-    offsets = rng.standard_normal((M, op.dim)) * float(hetero["offset_scale"])
-    offsets -= offsets.mean(axis=0)
-    return offsets, float(np.linalg.norm(offsets, axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = rng.standard_normal((M, op.dim)) * float(scale)
+        offsets -= offsets.mean(axis=0)
+    _expect(np.isfinite(offsets).all(), "problem.hetero.offset_scale",
+            f"{scale!r} leaves a client offset that is not finite")
+    return offsets
 
 
 def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
-                xi: float | None) -> RunConfig:
+                offsets: np.ndarray | None) -> RunConfig:
     """The run's full parameter set, as the runner uses it and the CSV
     reports it: eta and delta as configured or scheduled; for LIPPAX and
     SLIPPAX only, gamma as configured or derived from eta, and H as
@@ -393,11 +394,12 @@ def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
     rounds (unset: R // 20, at least 1)."""
     algo, D = cfg.algorithm, cfg.gap["D"]
     eta, delta, gamma, H = algo["eta"], algo["delta"], algo["gamma"], algo["H"]
+    z0 = cfg.initial_point(op.dim)
     blame = "algorithm.eta"  # the field a bad derived gamma is reported at
     if algo["schedule"] is not None:
-        G = operator_bound_on_ball(op, cfg.initial_point(op.dim), 10.0 * D)
         try:
-            plan = step_size(algo["schedule"], constants_of(op, xi, G),
+            plan = step_size(algo["schedule"],
+                             constants_of(op, z0, D, offsets),
                              dict(spec, D=D), delta_rule=algo["delta_rule"])
         except (ArithmeticError, ValueError) as exc:
             raise ConfigError("algorithm.schedule",
@@ -412,7 +414,6 @@ def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
                               "inner step gamma overflows") from exc
         _expect(gamma > 0, blame,
                 f"eta {eta:g} is too large: the derived inner step gamma is 0")
-    z0 = cfg.initial_point(op.dim)
     reach = D + float(np.linalg.norm(cfg.gap_center(op.dim) - z0))
     rounds = cfg.log_every or max(1, spec["R"] // 20)
     return RunConfig(M=spec["M"], K=spec["K"], R=spec["R"], eta=eta,
@@ -432,10 +433,10 @@ def _run_once(cfg: ExperimentConfig, spec: dict
     op = build_problem(cfg)
     algo_id = cfg.algorithm["id"]
 
-    offsets = xi = None
+    offsets = None
     if algo_id == "lesgd-hetero":
-        offsets, xi = _hetero_offsets(op, cfg, spec["M"])
-    run_cfg = _run_config(cfg, op, spec, xi)
+        offsets = _hetero_offsets(op, cfg, spec["M"])
+    run_cfg = _run_config(cfg, op, spec, offsets)
     oracle = OracleSpec(base=op, noise_model=cfg.noise["model"],
                         sigma=spec["sigma"])
 
@@ -483,15 +484,15 @@ def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
     return rows
 
 
-def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
-                   out_path: str | None = None) -> list[ResultRow]:
+def run_experiment(config: ExperimentConfig | dict,
+                   workers: int = 1) -> list[ResultRow]:
     """Execute all (sweep point x seed) runs in enumeration order on the
-    calling thread; write CSV when a path is set (`out_path` overrides
-    the config's `output`). `workers` changes nothing: the benchmark in
-    `perfbench/` is its only caller, and ROADMAP item 8 deletes it."""
+    calling thread; write the CSV when the config's `output` is set.
+    `workers` changes nothing: `perfbench/` and the tests pass it, and
+    ROADMAP item 8 deletes it."""
     cfg = (config if isinstance(config, ExperimentConfig)
            else ExperimentConfig.from_dict(config))
-    path = out_path or cfg.output
+    path = cfg.output
     created = bool(path) and not os.path.exists(path)
     if path:
         # reject an unwritable path before the sweep, not after it; append
@@ -509,7 +510,8 @@ def run_experiment(config: ExperimentConfig | dict, workers: int = 1,
             os.remove(path)
         raise
     if path:
-        write_csv(rows, path)
+        with open(path, "w", newline="") as fh:
+            fh.write(rows_to_csv(rows))
     return rows
 
 
@@ -532,11 +534,6 @@ def rows_to_csv(rows: Sequence[ResultRow]) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows: Sequence[ResultRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
-
-
 def _row_get(row, name: str):
     try:
         return row[name] if isinstance(row, dict) else getattr(row, name)
@@ -548,11 +545,11 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
              x_name: str) -> dict[tuple, RateFit]:
     """Least squares on (log x, log gap) over final-round rows, per group.
 
-    Rows whose x is not positive, or whose gap is not positive, NaN or
-    empty (a diverged run), have no logarithm; they are excluded and
-    counted.  A group with fewer than 4 distinct usable x values, every
-    final row excluded included, raises a ValueError naming it and its
-    excluded count; so do rows with no final round at all, as group ().
+    Rows whose x or gap is not a positive finite number, or whose gap is
+    empty (a diverged run), have no finite logarithm; they are excluded
+    and counted.  A group with fewer than 4 distinct usable x values,
+    every final row excluded included, raises a ValueError naming it
+    and its excluded count; so do rows with no final round, as ().
     """
     final: dict[tuple, list[tuple[float, float]]] = {}
     excluded: dict[tuple, int] = {}
@@ -565,7 +562,7 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         gap = _row_get(row, "gap_value")
         # an empty gap is a diverged run's
         gap = math.nan if gap in (None, "") else float(gap)
-        if not (x > 0 and gap > 0):
+        if not (0 < x < math.inf and 0 < gap < math.inf):
             excluded[key] = excluded.get(key, 0) + 1
             continue
         pairs.append((x, gap))
@@ -583,8 +580,7 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         ss_res = float(((ly - pred) ** 2).sum())
         ss_tot = float(((ly - ly.mean()) ** 2).sum())
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        fits[key] = RateFit(pairs=sorted(pairs), slope=float(slope),
-                            intercept=float(intercept), r2=r2,
+        fits[key] = RateFit(pairs=sorted(pairs), slope=float(slope), r2=r2,
                             n_excluded=excluded.get(key, 0))
     return fits
 
@@ -593,12 +589,12 @@ def verify_problem(cfg: ExperimentConfig) -> list[str]:
     """Property/invariant suite for the configured problem; returns failures."""
     op = build_problem(cfg)
     failures = []
-    radius = 10.0 * cfg.gap["D"]
-    report = verify_properties(op, n_pairs=10_000, domain_radius=radius,
+    radius, n_pairs = 10.0 * cfg.gap["D"], 10_000
+    report = verify_properties(op, n_pairs=n_pairs, domain_radius=radius,
                                seed=0)
     if report.monotone_violations > 0:
         failures.append(f"monotonicity: {report.monotone_violations} "
-                        f"violating pairs out of {report.pairs_tested}")
+                        f"violating pairs out of {n_pairs}")
     if report.measured_L > op.L * (1 + 1e-6):
         failures.append(f"smoothness: measured L {report.measured_L:g} "
                         f"exceeds declared {op.L:g}")

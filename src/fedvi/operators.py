@@ -37,6 +37,10 @@ KINDS = tuple(PARAMS)
 _TANH_CURVATURE = 2.0 / (3.0 * math.sqrt(3.0))
 
 
+class _NonFinite(ValueError):
+    """An operator entry that is not finite."""
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -94,7 +98,6 @@ class PropertyReport:
     measured_L: float
     measured_beta: float
     measured_G: float
-    pairs_tested: int
 
 
 def _check_point(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
@@ -182,7 +185,7 @@ def affine_operator(A: np.ndarray, b: np.ndarray, kind: str = "affine",
     with np.errstate(over="ignore", invalid="ignore"):
         finite = np.isfinite(A + A.T).all() and np.isfinite(b).all()
     if not finite:  # A + A^T is finite only where A is
-        raise ValueError("an entry of A, A + A^T or b is not finite")
+        raise _NonFinite("an entry of A, A + A^T or b is not finite")
     payload: dict[str, Any] = {"A": _frozen(A), "b": _frozen(b)}
     if solution is None and d and np.linalg.matrix_rank(A) == d:
         solution = np.linalg.solve(A, -b)
@@ -242,6 +245,9 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
     defaults there, and a bad one raises a ValueError naming it before
     anything is built.  affine's mu, its least symmetric eigenvalue
     before scaling to L, needs 0 <= mu <= L, and mu > 0 at dim 1.
+    Params near the float maximum may overflow the build: an operator
+    entry that is not finite raises a ValueError naming the params, and
+    a declared bound that overflows is inf.
     """
     if kind not in PARAMS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -255,9 +261,19 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
         check, need = _CHECKS.get(name, (_is_number, "a finite number"))
         if not check(v):
             raise ValueError(f"{name} must be {need}, got {v!r}")
-    p = {**PARAMS[kind], **params}
-    rng = np.random.default_rng(seed)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _build(kind, dim, {**PARAMS[kind], **params},
+                          np.random.default_rng(seed))
+    except _NonFinite:
+        given = ", ".join(f"{name}={v!r}" for name, v in params.items())
+        raise ValueError(f"an operator entry is not finite with {given}"
+                         ) from None
 
+
+def _build(kind: str, dim: int, p: dict[str, Any],
+           rng: np.random.Generator) -> OperatorSpec:
+    """The zoo operator of make_test_problem, from checked params p."""
     if kind == "affine":
         L = p["L"]
         mu = 0.1 * L if p["mu"] is None else p["mu"]
@@ -315,6 +331,8 @@ def make_test_problem(kind: str, dim: int, params: dict[str, Any] | None = None,
     C = rng.standard_normal((n_terms, dim))
     C *= math.sqrt(p["L"]) / np.linalg.norm(C, 2)
     b0 = p["bias_scale"] * rng.standard_normal(n_terms)
+    if not np.isfinite(b0).all():  # C has norm sqrt(L), never overflows
+        raise _NonFinite("an entry of b0 is not finite")
     row_norms = np.linalg.norm(C, axis=1)
     G = float(row_norms.sum())
     Lam = float(_TANH_CURVATURE * (row_norms ** 3).sum())
@@ -362,8 +380,7 @@ def verify_properties(op: OperatorSpec, n_pairs: int = 10_000,
     return PropertyReport(monotone_violations=violations,
                           measured_L=measured_L,
                           measured_beta=measured_beta,
-                          measured_G=measured_G,
-                          pairs_tested=n_pairs)
+                          measured_G=measured_G)
 
 
 def load_affine_text(path) -> OperatorSpec:

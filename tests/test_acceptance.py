@@ -16,8 +16,7 @@ from fedvi.algorithms import (RunConfig, constants_of, derived_gamma, run_lda,
 from fedvi.gaps import composite_gap, restricted_gap
 from fedvi.harness import (ExperimentConfig, fit_rate, rows_to_csv,
                            run_experiment)
-from fedvi.operators import (affine_operator, eval_operator,
-                             make_test_problem, operator_bound_on_ball)
+from fedvi.operators import affine_operator, eval_operator, make_test_problem
 from fedvi.oracles import OracleSpec
 from fedvi.regularizers import RegularizerSpec
 from fedvi.algorithms import run_lsgd
@@ -205,8 +204,7 @@ class TestAcceptance:
                              kind="bilinear-saddle")
         D = 2.0 * float(np.linalg.norm(op.solution))
         center = np.zeros(8)
-        G = operator_bound_on_ball(op, center, 10.0 * D)
-        plan = step_size("T7", constants_of(op, G_override=G),
+        plan = step_size("T7", constants_of(op, center, D),
                          {"M": 1, "K": 8, "R": 500, "sigma": 0.0, "D": D})
         reg = RegularizerSpec(kind="l1", lam=0.05)
         cfg = RunConfig(M=1, K=8, R=500, eta=plan.eta, record_every=8,

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from fedvi import algorithms
-from fedvi.algorithms import (ALGO_IDS, RunConfig, default_inner_steps,
-                              derived_gamma, dispersion, run_lda, run_lesgd,
-                              run_lesgd_hetero, run_lippax, run_lsgd,
-                              run_slippax, solve_inner_prox, step_size)
+from fedvi.algorithms import (ALGO_IDS, RunConfig, constants_of,
+                              default_inner_steps, derived_gamma, dispersion,
+                              run_lda, run_lesgd, run_lesgd_hetero,
+                              run_lippax, run_lsgd, run_slippax,
+                              solve_inner_prox, step_size)
 from fedvi.operators import (affine_operator, eval_operator,
-                             make_test_problem)
+                             make_test_problem, operator_bound_on_ball)
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from fedvi.regularizers import (RegularizerSpec, ZERO_REG, MirrorState,
                                 mirror_map, prox)
@@ -121,6 +122,37 @@ class TestStepSize:
         plan = step_size("T6", {"L": 1.0, "beta": 4.0}, shape)
         assert plan.branches[0] == plan.branches[1] == 0.25
         assert plan.active_branch == 0
+
+
+class TestConstantsOf:
+    """constants_of is the one place a schedule's G and xi come from."""
+
+    def test_affine_G_is_the_bound_on_the_10D_ball_around_z0(self):
+        op = make_test_problem("affine", 4, {"b_scale": 2.0}, seed=5)
+        z0 = np.array([1.0, -2.0, 0.5, 3.0])
+        c = constants_of(op, z0, 0.7)
+        assert c["G"] == operator_bound_on_ball(op, z0, 7.0)
+        assert c["G"] != constants_of(op, np.zeros(4), 0.7)["G"]
+        assert (c["L"], c["beta"], c["Lambda"], c["d"]) == (
+            op.L, op.beta, op.Lambda, 4)
+        assert c["xi"] is None
+
+    def test_nonlinear_G_is_the_declared_bound(self):
+        op = make_test_problem("bounded-nonlinear", 3, seed=1)
+        assert constants_of(op, np.full(3, 50.0), 9.0)["G"] == op.G
+
+    def test_xi_is_the_largest_offset_row_norm(self):
+        op = make_test_problem("affine", 2, seed=3)
+        offsets = np.array([[3.0, 4.0], [-1.0, 0.0], [-2.0, -4.0]])
+        assert constants_of(op, np.zeros(2), 1.0, offsets)["xi"] == 5.0
+
+    def test_overflowing_xi_is_inf_without_numpy_warnings(self):
+        op = make_test_problem("affine", 2, seed=3)
+        offsets = np.array([[1e200, 0.0], [-1e200, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi = constants_of(op, np.zeros(2), 1.0, offsets)["xi"]
+        assert xi == math.inf
 
 
 def scalar_op() -> OracleSpec:

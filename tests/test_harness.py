@@ -637,6 +637,21 @@ class TestFitRate:
                            r">= 4 distinct R values, got 0 \(4 excluded\)"):
             fit_rate(rows, ["algo"], "R")
 
+    def test_infinite_gaps_and_x_excluded_and_counted(self):
+        """inf has no finite logarithm: an inf gap or x is skipped like
+        a NaN one, not fitted."""
+        rows = [{"sigma": sigma, "R": 10, "round": 10,
+                 "gap_value": 3.0 * sigma ** 2}
+                for sigma in (0.5, 1, 2, 4, 8, 16)]
+        rows[1]["gap_value"] = "inf"
+        rows[4]["sigma"] = "inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_rate(rows, [], "sigma")[()]
+        assert fit.n_excluded == 2
+        assert [x for x, _ in fit.pairs] == [0.5, 2, 4, 16]
+        assert abs(fit.slope - 2.0) < 1e-9
+
     def test_non_final_rounds_ignored(self):
         rows = self._rows(lambda R: 100.0 / R)
         rows.append({"algo": "lesgd", "sigma": 0.0, "R": 400, "round": 100,
@@ -759,6 +774,18 @@ class TestCli:
             cli_main(["run", cfg_path, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_out_replaces_the_config_output(self, tmp_path, capsys):
+        """--out is the config's output for this run: the CSV goes to it
+        alone."""
+        config_out, out = tmp_path / "config.csv", tmp_path / "flag.csv"
+        cfg_path = self._write(tmp_path, minimal_config(
+            output=str(config_out)))
+        assert cli_main(["run", cfg_path, "--out", str(out)]) == 0
+        assert out.read_text() == rows_to_csv(run_experiment(
+            minimal_config()))
+        assert not config_out.exists()
+        assert capsys.readouterr().out.endswith(f"-> {out}\n")
 
     def test_seed_override(self, tmp_path):
         cfg_path = self._write(tmp_path, minimal_config(seeds=[0, 1, 2]))
@@ -952,6 +979,50 @@ class TestCli:
         assert f"config rejected: problem: {message}" in \
             capsys.readouterr().err
         assert not caught
+
+    @pytest.mark.parametrize("problem,algorithm,M,code,rejected", [
+        ({"kind": "affine", "params": {"b_scale": 1e308}}, None, 1, 2,
+         "problem: an operator entry is not finite with b_scale=1e+308"),
+        ({"kind": "quadratic-gradient", "params": {"eig_range": [0, 1e308]}},
+         None, 1, 2, "problem: an operator entry is not finite with "
+         "eig_range=[0, 1e+308]"),
+        ({"kind": "bounded-nonlinear", "params": {"bias_scale": 1e308}},
+         None, 1, 2, "problem: an operator entry is not finite with "
+         "bias_scale=1e+308"),
+        # a finite operator whose declared Lambda overflows keeps inf: it
+        # runs, and the schedule that reads Lambda rejects it
+        ({"kind": "bounded-nonlinear", "params": {"L": 1e308}},
+         {"id": "lesgd", "eta": 1e-300}, 1, 0, None),
+        ({"kind": "bounded-nonlinear", "params": {"L": 1e308}},
+         {"id": "lesgd", "schedule": "T4"}, 1, 2,
+         "algorithm.schedule: no step size for this run: T4 requires a "
+         "finite Lambda"),
+        ({"kind": "affine", "hetero": {"offset_scale": 1e308}},
+         {"id": "lesgd-hetero", "schedule": "T8"}, 3, 2,
+         "problem.hetero.offset_scale: 1e+308 leaves a client offset "
+         "that is not finite"),
+        # finite offsets whose norm overflows: xi is inf
+        ({"kind": "affine", "hetero": {"offset_scale": 1e308}},
+         {"id": "lesgd-hetero", "schedule": "T8"}, 2, 2,
+         "algorithm.schedule: no step size for this run: T8 requires a "
+         "finite xi"),
+    ], ids=["affine-b-scale", "quadratic-eig-range", "nonlinear-bias-scale",
+            "nonlinear-L-eta", "nonlinear-L-T4", "hetero-offsets",
+            "hetero-xi"])
+    def test_float_range_params_warn_nothing(self, tmp_path, capsys,
+                                             problem, algorithm, M, code,
+                                             rejected):
+        """A param near the float maximum is rejected at its field, or
+        kept as an inf bound, and numpy warns nothing on the way."""
+        tree = minimal_config(problem=dict(problem, dim=2, seed=3),
+                              federation={"M": M, "K": 1, "R": 10})
+        if algorithm is not None:
+            tree["algorithm"] = algorithm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", self._write(tmp_path, tree)]) == code
+        assert capsys.readouterr().err == (
+            "" if rejected is None else f"config rejected: {rejected}\n")
 
     def test_verify_missing_config_exits_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2

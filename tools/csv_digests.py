@@ -4,10 +4,12 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 15 CSVs are the three ``configs/*.json`` (their ``output`` field
-dropped, so nothing is written) and every workload of
-``perfbench/workloads.py`` at seeds 1-3, each the ``rows_to_csv`` text
-of one ``run_experiment`` call.  fedvi is imported from SRC, by default
+The 24 CSVs are the three ``configs/*.json`` (their ``output`` field
+dropped, so nothing is written), every workload of
+``perfbench/workloads.py`` at seeds 1-3, and the nine small ``EXTRA``
+configs below, which reach the algorithms, schedules, noise models and
+points those leave out; each is the ``rows_to_csv`` text of one
+``run_experiment`` call.  fedvi is imported from SRC, by default
 this checkout's ``src/``; the configs and workloads are always read from
 this checkout.  Running it on two trees and diffing the outputs shows
 whether a change keeps every CSV byte.
@@ -22,6 +24,48 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+
+
+def _extra(problem: dict, algorithm: dict, M: int, K: int, R: int,
+           sigma: float, model: str = "gaussian-isotropic",
+           **fields) -> dict:
+    return dict({"problem": problem, "algorithm": algorithm,
+                 "federation": {"M": M, "K": K, "R": R},
+                 "noise": {"sigma": sigma, "model": model},
+                 "seeds": [0, 1]}, **fields)
+
+
+_HETERO = {"kind": "affine", "dim": 4, "seed": 5,
+           "hetero": {"offset_scale": 0.3}}
+_NONLINEAR = {"kind": "bounded-nonlinear", "dim": 4, "seed": 2}
+EXTRA = {
+    "lesgd-hetero-T8": _extra(_HETERO, {"id": "lesgd-hetero",
+                                        "schedule": "T8"}, 3, 4, 10, 0.5),
+    "lesgd-hetero-eta": _extra(_HETERO, {"id": "lesgd-hetero", "eta": 0.05},
+                               3, 4, 10, 0.5),
+    "slippax-T5-sqrt-d": _extra(_NONLINEAR, {
+        "id": "slippax", "schedule": "T5", "delta_rule": "sqrt-d"},
+        2, 3, 8, 1.0, log_every=4),
+    "slippax-T5-fourth-root-d": _extra(_NONLINEAR, {
+        "id": "slippax", "schedule": "T5", "delta_rule": "fourth-root-d"},
+        2, 3, 8, 1.0, log_every=4),
+    "lippax-T4": _extra(_NONLINEAR, {"id": "lippax", "schedule": "T4"},
+                        2, 2, 6, 0.5, log_every=3),
+    "lippax-T3-affine": _extra(
+        {"kind": "affine", "dim": 5, "seed": 7},
+        {"id": "lippax", "schedule": "T3"}, 2, 4, 10, 0.3),
+    "lsgd-T6-uniform": _extra(
+        {"kind": "quadratic-gradient", "dim": 4, "seed": 1},
+        {"id": "lsgd", "schedule": "T6"}, 4, 4, 10, 1.0, "bounded-uniform"),
+    "lda-T7-box": _extra(
+        {"kind": "bilinear-saddle", "dim": 4, "seed": 9},
+        {"id": "lda", "schedule": "T7"}, 2, 4, 10, 0.2, gap={"D": 2.0},
+        regularizer={"kind": "box-indicator", "lo": -1.0, "hi": 1.0}),
+    "lesgd-T2-z0-center": _extra(
+        {"kind": "affine", "dim": 3, "seed": 6},
+        {"id": "lesgd", "schedule": "T2"}, 2, 4, 10, 0.5,
+        z0=[0.5, -0.5, 1.0], gap={"D": 1.0, "center": [1.0, 0.0, 0.0]}),
+}
 
 
 def load_fedvi(src: Path):
@@ -47,7 +91,7 @@ def configs() -> list[tuple[str, dict]]:
     from workloads import WORKLOADS
     for name, workload in WORKLOADS.items():
         named += [(f"{name}@{seed}", workload.config(seed)) for seed in SEEDS]
-    return named
+    return named + list(EXTRA.items())
 
 
 def main(argv: list[str]) -> int:
