@@ -200,8 +200,8 @@ def dispersion(points: np.ndarray) -> float:
     # identical floats is not bit-exact in general
     if (points == points[0]).all():
         return 0.0
-    center = points.mean(axis=0)
-    return float(((points - center) ** 2).sum(axis=1).mean())
+    center = _client_mean(points)
+    return float(_client_mean(((points - center) ** 2).sum(axis=1)))
 
 
 def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
@@ -344,10 +344,10 @@ def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
 
 def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
                       algo: str) -> Trajectory:
-    eta = cfg.eta
-    # defaults for direct callers; the harness passes both resolved
-    H = cfg.H or default_inner_steps(cfg.K, cfg.R)
-    gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
+    eta, H, gamma = cfg.eta, cfg.H, cfg.gamma
+    if H is None or gamma is None:
+        missing = "H" if H is None else "gamma"
+        raise ValueError(f"{algo} needs RunConfig.{missing}; none is derived")
 
     def step(t, z, sync, draws):
         x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])

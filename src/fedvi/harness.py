@@ -115,6 +115,11 @@ _NONNEGATIVE = "must be a nonnegative number"
 _BOUND = (None, lambda v: _is_number(v) or _is_point(v),
           "must be a finite number or a list of them")
 REQUIRED = object()  # the default of a field every config must give
+MAX_RUNS = 4096  # cap on a config's sweep points times seeds
+# Largest gap.D, and largest distance from z0 to gap.center: squared
+# distances overflow just above 1e154, and this leaves the gap
+# evaluators room for the operator's constants.
+MAX_GAP_RADIUS = 1e150
 
 # Every field a config may hold, each declared once.  A block is a dict
 # of its fields; a plain field is (default, check, message).  A given
@@ -148,7 +153,8 @@ SCHEMA = {
                   f"must be one of {NOISE_MODELS}"),
     },
     "gap": {
-        "D": (1.0, _positive, _POSITIVE),
+        "D": (1.0, lambda v: _positive(v) and v <= MAX_GAP_RADIUS,
+              f"must be a positive number at most {MAX_GAP_RADIUS:g}"),
         "center": ("z0", lambda v: v == "z0" or _is_point(v),
                    'must be "z0" or a list of finite numbers'),
     },
@@ -171,7 +177,6 @@ SCHEMA = {
     "log_every": (None, _or_null(_count), _COUNT),
     "z0": (None, _or_null(_is_point), "must be a list of finite numbers"),
     "output": (None, _or_null(lambda v: isinstance(v, str)), "must be a path"),
-    "max_runs": (4096, _count, _COUNT),
 }
 
 # Fields only these ids read; on another id the CSV would show unused values
@@ -230,7 +235,6 @@ class ExperimentConfig:
     log_every: int | None
     z0: list[float] | None
     output: str | None
-    max_runs: int
 
     @staticmethod
     def from_dict(tree: dict) -> "ExperimentConfig":
@@ -291,11 +295,11 @@ class ExperimentConfig:
         cfg = ExperimentConfig(**dict(c, regularizer=regularizer, sweep=sweep,
                                       seeds=list(c["seeds"])))
         if problem["file"] is None:
-            cfg.check_dimension(problem["dim"])
+            cfg.check_points(problem["dim"])
         n_runs = math.prod(map(len, sweep.values())) * len(cfg.seeds)
-        _expect(n_runs <= cfg.max_runs, "sweep",
+        _expect(n_runs <= MAX_RUNS, "sweep",
                 f"sweep cross-product yields {n_runs} runs, over the cap "
-                f"of {cfg.max_runs}")
+                f"of {MAX_RUNS}")
         return cfg
 
     @staticmethod
@@ -307,14 +311,20 @@ class ExperimentConfig:
             raise ConfigError("<file>", f"cannot load {path}: {exc}") from exc
         return ExperimentConfig.from_dict(tree)
 
-    def check_dimension(self, dim: int) -> None:
-        """Every point the config gives has dim entries."""
+    def check_points(self, dim: int) -> None:
+        """Every point the config gives has dim entries, and gap.center
+        lies within MAX_GAP_RADIUS of z0."""
         for path, point in (("z0", self.z0),
                             ("gap.center", self.gap["center"]),
                             ("regularizer.lo", self.regularizer.lo),
                             ("regularizer.hi", self.regularizer.hi)):
             _expect(not isinstance(point, list) or len(point) == dim, path,
                     f"must have {dim} entries, the problem's dimension")
+        with np.errstate(over="ignore"):  # an overflow is an inf distance
+            offset = np.linalg.norm(self.gap_center(dim)
+                                    - self.initial_point(dim))
+        _expect(offset <= MAX_GAP_RADIUS, "gap.center",
+                f"must lie within {MAX_GAP_RADIUS:g} of z0")
 
     def initial_point(self, dim: int) -> np.ndarray:
         """z0, or zeros of the problem's dimension."""
@@ -354,7 +364,7 @@ def build_problem(cfg: ExperimentConfig) -> OperatorSpec:
         # from_dict cannot check points before the file gives the dimension
         _expect(problem["dim"] in (None, op.dim), "problem.dim",
                 f"must be {op.dim}, the dimension of problem.file")
-        cfg.check_dimension(op.dim)
+        cfg.check_points(op.dim)
     else:
         try:
             op = make_test_problem(problem["kind"], problem["dim"],

@@ -17,7 +17,6 @@ pseudorandom number generators", OOPSLA'14).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -103,25 +102,18 @@ class RngStream:
         return _mix(stem, phase)
 
 
-@lru_cache(maxsize=64)
-def _counters(n: int, tag: int) -> np.ndarray:
-    """((tag << 32) + j + 1) * golden for j < n, modulo 2**64 (read-only)."""
-    c = np.arange((tag << 32) + 1, (tag << 32) + n + 1, dtype=np.uint64)
-    c *= np.uint64(_GOLDEN)
-    c.flags.writeable = False
-    return c
-
-
 def uniforms(keys: Sequence[int], n: int, tag: int) -> np.ndarray:
     """Uniform draws in (0, 1): row m holds n values from keys[m].
 
     Cell j of a row is the SplitMix64 finalizer h of the key plus the
-    j-th counter of ``tag``, turned into the odd 53-bit fraction
-    ((h >> 11) | 1) / 2**53, the centre of one of 2**52 equal cells:
-    exact in float64, never 0 or 1.  Every step is elementwise, so a
-    row's bits do not depend on the other rows.
+    counter ((tag << 32) + j + 1) * _GOLDEN modulo 2**64, turned into
+    the odd 53-bit fraction ((h >> 11) | 1) / 2**53, the centre of one
+    of 2**52 equal cells: exact in float64, never 0 or 1.  Every step
+    is elementwise, so a row's bits do not depend on the other rows.
     """
-    x = np.array(keys, dtype=np.uint64).reshape(-1, 1) + _counters(n, tag)
+    c = np.arange((tag << 32) + 1, (tag << 32) + n + 1, dtype=np.uint64)
+    c *= np.uint64(_GOLDEN)
+    x = np.array(keys, dtype=np.uint64).reshape(-1, 1) + c
     t = x >> np.uint64(30)
     x ^= t
     x *= np.uint64(_MIX1)

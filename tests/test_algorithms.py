@@ -362,7 +362,8 @@ class TestLippaxFamily:
         op = make_test_problem("affine", 4, seed=6)
         eta = 1.0 / op.L
         z0 = np.array([1.0, -1.0, 0.5, 2.0])
-        cfg = RunConfig(M=1, K=1, R=1, eta=eta, H=60, z0=z0, record_every=1)
+        cfg = RunConfig(M=1, K=1, R=1, eta=eta, H=60,
+                        gamma=derived_gamma(eta, op.L), z0=z0, record_every=1)
         traj = run_lippax(OracleSpec(base=op), cfg)
         x_star = exact_prox_point(op, z0, eta)
         np.testing.assert_allclose(traj.records[0].mean_iterate, x_star,
@@ -371,7 +372,8 @@ class TestLippaxFamily:
     def test_slippax_delta_zero_is_lippax_bitwise(self):
         op = make_test_problem("affine", 3, seed=7)
         oracle = OracleSpec(base=op, sigma=0.8)
-        cfg = RunConfig(M=3, K=2, R=4, eta=0.2, H=4, master_seed=21,
+        cfg = RunConfig(M=3, K=2, R=4, eta=0.2, H=4,
+                        gamma=derived_gamma(0.2, op.L), master_seed=21,
                         record_every=2)
         a, b = run_lippax(oracle, cfg), run_slippax(oracle, cfg)
         for ra, rb in zip(a.records, b.records):
@@ -379,12 +381,24 @@ class TestLippaxFamily:
         assert np.array_equal(a.records[-1].output_avg,
                               b.records[-1].output_avg)
 
+    @pytest.mark.parametrize("missing", ["H", "gamma"])
+    @pytest.mark.parametrize("runner", [run_lippax, run_slippax])
+    def test_inner_loop_parameters_are_required(self, runner, missing):
+        """H and gamma come from the caller; a run without either fails
+        before its first step, naming the field."""
+        op = make_test_problem("affine", 3, seed=7)
+        given = {"H": 2, "gamma": 0.1}
+        del given[missing]
+        cfg = RunConfig(M=2, K=2, R=2, eta=0.2, **given)
+        with pytest.raises(ValueError, match=rf"RunConfig\.{missing}\b"):
+            runner(OracleSpec(base=op), cfg)
+
     def test_slippax_delta_positive_differs(self):
         op = make_test_problem("affine", 3, seed=7)
         oracle = OracleSpec(base=op, sigma=0.8)
-        base = RunConfig(M=2, K=2, R=2, eta=0.2, H=3, master_seed=21)
-        smoothed = RunConfig(M=2, K=2, R=2, eta=0.2, H=3, delta=0.1,
-                             master_seed=21)
+        base = RunConfig(M=2, K=2, R=2, eta=0.2, H=3,
+                         gamma=derived_gamma(0.2, op.L), master_seed=21)
+        smoothed = replace(base, delta=0.1)
         a, b = run_lippax(oracle, base), run_slippax(oracle, smoothed)
         assert not np.array_equal(a.records[-1].output_avg,
                                   b.records[-1].output_avg)
@@ -396,7 +410,8 @@ class TestLippaxFamily:
         oracle = OracleSpec(base=op, sigma=0.3)
         diffs = []
         for seed in range(2000, 2200):
-            cfg = dict(M=1, K=1, R=2, eta=0.2, H=2, master_seed=seed,
+            cfg = dict(M=1, K=1, R=2, eta=0.2, H=2,
+                       gamma=derived_gamma(0.2, op.L), master_seed=seed,
                        z0=np.array([1.0, -1.0]))
             a = run_lippax(oracle, RunConfig(**cfg))
             b = run_slippax(oracle, RunConfig(**cfg, delta=0.2))
@@ -586,9 +601,7 @@ def reference_run(algo, oracle, cfg, reg=ZERO_REG, offsets=None):
     ahead; the runners must match it bit for bit.
     """
     stream = RngStream(cfg.master_seed)
-    eta = cfg.eta
-    H = cfg.H or default_inner_steps(cfg.K, cfg.R)
-    gamma = cfg.gamma or derived_gamma(eta, oracle.base.L)
+    eta, H, gamma = cfg.eta, cfg.H, cfg.gamma
     delta = cfg.delta if algo == "slippax" else 0.0
 
     def query(points, t, phase, inner=0, radius=0.0):
@@ -665,7 +678,8 @@ class TestRoundDraws:
     def _case(kind, model, sigma, M, K, delta=0.3):
         oracle = OracleSpec(base=make_test_problem(kind, 5, seed=9),
                             noise_model=model, sigma=sigma)
-        cfg = RunConfig(M=M, K=K, R=3, eta=0.15, H=3, delta=delta,
+        cfg = RunConfig(M=M, K=K, R=3, eta=0.15, H=3,
+                        gamma=derived_gamma(0.15, oracle.base.L), delta=delta,
                         master_seed=31, record_every=1,
                         z0=np.linspace(-1.0, 1.0, 5))
         return oracle, cfg
@@ -798,3 +812,9 @@ class TestDispersion:
     def test_three_scalar_clients(self):
         assert dispersion(np.array([[0.0], [1.0], [2.0]])) == pytest.approx(
             2.0 / 3.0)
+
+    @pytest.mark.parametrize("M", [2, 3, 16])
+    def test_equals_numpy_means_bitwise(self, M):
+        p = np.random.default_rng(M).standard_normal((M, 7)) * 1e3
+        assert dispersion(p) == float(
+            ((p - p.mean(axis=0)) ** 2).sum(axis=1).mean())

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
-from fedvi.harness import (REQUIRED, SCHEMA, ConfigError, ExperimentConfig,
-                           _run_config, build_problem, fit_rate, rows_to_csv,
+from fedvi.harness import (MAX_GAP_RADIUS, MAX_RUNS, REQUIRED, SCHEMA,
+                           ConfigError, ExperimentConfig, _run_config,
+                           build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
 from fedvi.operators import PARAMS
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
@@ -213,10 +214,13 @@ class TestConfigValidation:
         assert cfg.sweep == {"R": [50, 100, 200, 400, 800]}
 
     def test_sweep_cap_enforced(self):
-        tree = minimal_config(max_runs=3, sweep={"M": [1, 2], "K": [1, 2]},
-                              seeds=[0])
-        with pytest.raises(ConfigError, match="cap"):
-            ExperimentConfig.from_dict(tree)
+        """MAX_RUNS seeds are accepted, and one more is rejected."""
+        seeds = list(range(MAX_RUNS + 1))
+        assert ExperimentConfig.from_dict(minimal_config(seeds=seeds[:-1]))
+        with pytest.raises(ConfigError, match=f"yields {MAX_RUNS + 1} runs, "
+                           f"over the cap of {MAX_RUNS}") as err:
+            ExperimentConfig.from_dict(minimal_config(seeds=seeds))
+        assert err.value.path == "sweep"
 
     def test_sweep_is_sized_without_building_it(self, monkeypatch):
         """A 10^9-run sweep is rejected from its axis lengths alone."""
@@ -752,6 +756,10 @@ class TestVerifyProblem:
         assert np.array_equal(stacked, looped)
 
 
+_L1 = {"algorithm": {"id": "lda", "eta": 0.1},
+       "regularizer": {"kind": "l1", "lam": 0.1}}
+
+
 class TestCli:
     def _write(self, tmp_path, tree):
         path = tmp_path / "config.json"
@@ -876,6 +884,9 @@ class TestCli:
         (lambda t, tmp: t.update(
             problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
             gap={"D": 1.0, "center": [0, 0, 0]}), "gap.center"),
+        (lambda t, tmp: t.update(
+            problem=TestCli._matrix_file(tmp, "2\n1 0\n0 1\n0 0\n"),
+            gap={"D": 1.0, "center": [1e155, 0]}), "gap.center"),
         (lambda t, tmp: t.update(TestCli._file_lda(tmp, lo=[-1, -1, -1])),
          "regularizer.lo"),
         (lambda t, tmp: TestCli._nonlinear(t, id="slippax", schedule="T5")
@@ -945,7 +956,7 @@ class TestCli:
         ids=["gap-method", "sigma-string", "eta-negative", "z0-length",
              "file-z0-length", "file-malformed", "file-missing",
              "file-not-a-path", "file-b-inf", "affine-L-1e308",
-             "file-center-length", "file-box-lo-length",
+             "file-center-length", "file-center-far", "file-box-lo-length",
              "schedule-overflow", "schedule-gamma-overflow",
              "eta-gamma-overflow", "eta-gamma-underflow",
              "schedule-with-eta", "schedule-with-gamma",
@@ -1023,6 +1034,40 @@ class TestCli:
             assert cli_main(["run", self._write(tmp_path, tree)]) == code
         assert capsys.readouterr().err == (
             "" if rejected is None else f"config rejected: {rejected}\n")
+
+    @pytest.mark.parametrize("command,kind,changes,rejected", [
+        ("run", "affine", dict(_L1, gap={"D": 1e154}), "gap.D: must be a "
+         "positive number at most 1e+150"),
+        ("run", "bounded-nonlinear", dict(_L1, gap={"D": 1e155}),
+         "gap.D: must be a positive number at most 1e+150"),
+        ("run", "affine", {"gap": {"center": [1e155, 0.0]}},
+         "gap.center: must lie within 1e+150 of z0"),
+        ("verify", "affine", {"gap": {"D": 1e160}}, "gap.D: must be a "
+         "positive number at most 1e+150"),
+    ], ids=["lda-affine-D", "lda-nonlinear-D", "lesgd-center", "verify-D"])
+    def test_gap_ball_beyond_float_range_is_rejected(
+            self, tmp_path, capsys, command, kind, changes, rejected):
+        """Squared distances overflow above about 1e154: such a ball
+        gave nan or -inf gaps on rows marked ok, and numpy warnings."""
+        tree = minimal_config(**changes)
+        tree["problem"] = {"kind": kind, "dim": 2, "seed": 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main([command, self._write(tmp_path, tree)]) == 2
+        assert capsys.readouterr().err == f"config rejected: {rejected}\n"
+
+    @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
+    @pytest.mark.parametrize("changes", [{}, _L1], ids=["lesgd", "lda-l1"])
+    def test_gap_ball_at_the_bound_gives_finite_gaps(self, changes, kind):
+        tree = minimal_config(gap={"D": MAX_GAP_RADIUS,
+                                   "center": [MAX_GAP_RADIUS, 0.0]},
+                              **changes)
+        tree["problem"] = {"kind": kind, "dim": 2, "seed": 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_experiment(tree)
+        assert all(r.status == "ok" and math.isfinite(r.gap_value)
+                   for r in rows)
 
     def test_verify_missing_config_exits_2(self, tmp_path, capsys):
         assert cli_main(["verify", str(tmp_path / "nope.json")]) == 2

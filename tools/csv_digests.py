@@ -4,15 +4,17 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 24 CSVs are the three ``configs/*.json`` (their ``output`` field
+The 31 CSVs are the three ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
-``perfbench/workloads.py`` at seeds 1-3, and the nine small ``EXTRA``
-configs below, which reach the algorithms, schedules, noise models and
-points those leave out; each is the ``rows_to_csv`` text of one
-``run_experiment`` call.  fedvi is imported from SRC, by default
-this checkout's ``src/``; the configs and workloads are always read from
-this checkout.  Running it on two trees and diffing the outputs shows
-whether a change keeps every CSV byte.
+``perfbench/workloads.py`` at seeds 1-3, and the sixteen small ``EXTRA``
+configs below, which reach the algorithms, schedules, noise models,
+operators, sweeps, configured step sizes and gap branches those leave
+out (``affine3.txt`` is the ``problem.file`` one reads); each is the
+``rows_to_csv`` text of one ``run_experiment`` call.  fedvi is imported
+from SRC, by default this checkout's ``src/``; the configs, workloads
+and matrix file are always read from this checkout.  Running it on two
+trees and diffing the outputs shows whether a change keeps every CSV
+byte.
 """
 
 from __future__ import annotations
@@ -65,6 +67,27 @@ EXTRA = {
         {"kind": "affine", "dim": 3, "seed": 6},
         {"id": "lesgd", "schedule": "T2"}, 2, 4, 10, 0.5,
         z0=[0.5, -0.5, 1.0], gap={"D": 1.0, "center": [1.0, 0.0, 0.0]}),
+    "lesgd-T1-skew": _extra({"kind": "skew", "dim": 4, "seed": 3},
+                            {"id": "lesgd", "schedule": "T1"}, 2, 4, 10, 0.5),
+    "lesgd-T2-file": _extra(
+        {"kind": "affine", "file": str(ROOT / "tools" / "affine3.txt")},
+        {"id": "lesgd", "schedule": "T2"}, 2, 4, 10, 0.5, gap={"D": 2.0}),
+    "lesgd-T1-sweep-sigma": _extra(
+        {"kind": "affine", "dim": 3, "seed": 4},
+        {"id": "lesgd", "schedule": "T1"}, 2, 4, 10, 0.0,
+        sweep={"sigma": [0.0, 0.3, 1.0]}),
+    "lippax-eta-H-gamma": _extra(
+        _NONLINEAR, {"id": "lippax", "eta": 0.2, "H": 3, "gamma": 0.1},
+        2, 3, 6, 0.5, log_every=2),
+    "slippax-eta-delta": _extra(
+        _NONLINEAR, {"id": "slippax", "eta": 0.2, "delta": 0.05},
+        2, 3, 6, 0.5, log_every=2),
+    "lda-l1-nonlinear": _extra(
+        _NONLINEAR, {"id": "lda", "eta": 0.1}, 2, 4, 6, 0.3,
+        regularizer={"kind": "l1", "lam": 0.2}, log_every=2),
+    "lesgd-quadratic-interior": _extra(
+        {"kind": "quadratic-gradient", "dim": 4, "seed": 1},
+        {"id": "lesgd", "eta": 0.1}, 2, 4, 10, 0.5, gap={"D": 50.0}),
 }
 
 
