@@ -151,8 +151,8 @@ def _draw_steps(oracle: OracleSpec, stream: RngStream, steps: Sequence[int],
     """
     live = [query for query in queries if oracle.is_stochastic(query[2])]
     at = stream.at
-    keys = [at(m, t, inner, phase)
-            for t in steps for inner, phase, _ in live for m in range(M)]
+    keys = [at(m, t, inner, phase) for t in steps
+            for inner, phase, _ in live for m in range(M)] if live else []
     radii = [delta for _, _, delta in live]
     # draw_rows returns the noise rows in (step, query, m) order and the
     # shift rows in that order for the smoothed queries alone, so each
@@ -214,12 +214,16 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     the points whose client mean is the step's output.  The loop runs
     T = K R steps, averages z_next across clients when ``sync`` (mod(t,
     K) = 0), and keeps the running mean of the outputs.  Every
-    ``cfg.record_every`` steps and at t = T it records drift_z, the
-    dispersion of z_next before the sync; the first record where the
-    client stack or the output lies farther from z0 than
-    ``cfg.growth_limit`` (Euclidean norm, a non-finite one included)
-    marks the run diverged and warns, naming the run; numpy's overflow
-    and invalid-value warnings are off inside the loop.
+    ``cfg.record_every`` steps and at t = T it records the client mean of
+    p, the output and drift_z, the dispersion of z_next before the sync.
+    The client mean of p is taken after the sync: on every step at M > 1,
+    where the running mean needs it, and on record steps only at M = 1,
+    where the running mean reads p's one row instead (the mean would turn
+    its -0.0 entries into +0.0, which add into the output alike).  The
+    first record where the client stack or the output lies farther from
+    z0 than ``cfg.growth_limit`` (Euclidean norm, a non-finite one
+    included) marks the run diverged and warns, naming the run; numpy's
+    overflow and invalid-value warnings are off inside the loop.
     """
     dim = oracle.dim
     z0 = cfg.initial_point(dim)
@@ -229,6 +233,7 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     records: list[TrajectoryRecord] = []
     diverged_at = None
     cadence, K, T = cfg.record_every, cfg.K, cfg.T
+    one_client = cfg.M == 1
     draws = _step_draws(oracle, cfg, queries)
     # a diverging run reports itself below, not through numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -239,8 +244,8 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
             drift = dispersion(z) if record else None
             if sync:
                 z[:] = _client_mean(z)
-            round_mean = _client_mean(p)
-            output += (round_mean - output) / t
+            mean = p[0] if one_client else _client_mean(p)
+            output += (mean - output) / t
             if not record:
                 continue
             far = [np.linalg.norm(a - z0) for a in (z, output)]
@@ -253,8 +258,8 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
                     f"K={cfg.K}, R={cfg.R}) diverged: iterate norm {what} "
                     f"at step {t}", RuntimeWarning)
             records.append(TrajectoryRecord(
-                t=t, mean_iterate=round_mean, output_avg=output.copy(),
-                drift_z=drift))
+                t=t, mean_iterate=_client_mean(p) if one_client else mean,
+                output_avg=output.copy(), drift_z=drift))
     return Trajectory(records=records, diverged_at=diverged_at)
 
 

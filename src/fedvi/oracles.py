@@ -57,8 +57,10 @@ def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     evaluated as a 1-D point, which gives the same bits.  ``z`` is a
     float point or stack that :func:`sample_oracle` has checked.
     """
-    if z.ndim == 1 or len(z) == 1:
-        return _apply(op, z.reshape(-1)).reshape(z.shape)
+    if z.ndim == 1:
+        return _apply(op, z)
+    if len(z) == 1:
+        return _apply(op, z[0])[None]
     return _apply(op, z[:, None, :]).reshape(z.shape)
 
 
@@ -131,11 +133,15 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray, key: int | None = None,
     elif key is not None:
         raise ValueError("pre-drawn rows replace keys")
     shift, noise = draws
-    for rows in draws:
-        if rows is not None and rows.size != z.size:
-            raise ValueError(f"{len(rows)} pre-drawn rows for a query "
-                             f"of shape {z.shape}")
-    value = _eval_rows(base, z if shift is None else z + shift.reshape(z.shape))
+    value = _eval_rows(base, z if shift is None else z + _as_query(shift, z))
     if noise is not None:
-        value += noise.reshape(z.shape)  # value is a fresh array
+        value += _as_query(noise, z)  # value is a fresh array
     return value
+
+
+def _as_query(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Pre-drawn rows in the shape of the query z, one row per point."""
+    if rows.size != z.size:
+        raise ValueError(f"{len(rows)} pre-drawn rows for a query "
+                         f"of shape {z.shape}")
+    return rows.reshape(z.shape)

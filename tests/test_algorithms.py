@@ -657,13 +657,22 @@ def _run(algo, oracle, cfg):
     return runner(oracle, cfg), {}
 
 
-def _assert_same_bits(traj, ref):
-    assert len(traj.records) == len(ref)
-    for rec, (mean, output, drift_z) in zip(traj.records, ref):
-        assert np.array_equal(rec.mean_iterate, mean)
-        assert np.array_equal(rec.output_avg, output)
-        assert rec.drift_z == drift_z
-    assert np.array_equal(traj.records[-1].output_avg, ref[-1][1])
+def _bits(a):
+    """An array's or float's bytes: unlike ==, they tell -0.0 from +0.0."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _assert_same_bits(traj, ref, record_every=1):
+    """The runner's records equal the reference's steps at the recorded
+    t (every record_every steps and t = T), byte for byte."""
+    T = len(ref)
+    steps = [t for t in range(1, T + 1) if t % record_every == 0 or t == T]
+    assert [rec.t for rec in traj.records] == steps
+    for rec, t in zip(traj.records, steps):
+        mean, output, drift_z = ref[t - 1]
+        assert _bits(rec.mean_iterate) == _bits(mean)
+        assert _bits(rec.output_avg) == _bits(output)
+        assert _bits(rec.drift_z) == _bits(drift_z)
 
 
 def _trajectory_bits(traj):
@@ -711,6 +720,35 @@ class TestRoundDraws:
         oracle, cfg = self._case(kind, "gaussian-isotropic", 0.0, M, 4)
         traj = run_slippax(oracle, cfg)
         _assert_same_bits(traj, reference_run("slippax", oracle, cfg))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_recorded_steps_equal_reference_bitwise(self, algo, M, sigma):
+        """record_every 5 over T = 12: the client mean of p, formed on
+        record steps only at M = 1, and the output at t = 5, 10, 12."""
+        oracle, cfg = self._case("bounded-nonlinear", "gaussian-isotropic",
+                                 sigma, M, 4)
+        cfg = replace(cfg, record_every=5)
+        traj, extra = _run(algo, oracle, cfg)
+        _assert_same_bits(traj, reference_run(algo, oracle, cfg, **extra), 5)
+
+    @pytest.mark.filterwarnings("ignore:operator does not declare")
+    @pytest.mark.parametrize("record_every", [1, 5])
+    @pytest.mark.parametrize("M", [1, 3])
+    @pytest.mark.parametrize("algo", ALGO_IDS)
+    def test_signed_zeros_equal_reference_bitwise(self, algo, M,
+                                                  record_every):
+        """From z0 = -0.0 on the skew operator every point is a zero whose
+        sign the means decide: the records must keep the reference's."""
+        oracle = OracleSpec(base=make_test_problem("skew", 4),
+                            noise_model="none")
+        cfg = RunConfig(M=M, K=4, R=3, eta=0.15, H=3,
+                        gamma=derived_gamma(0.15, oracle.base.L),
+                        z0=np.full(4, -0.0), record_every=record_every)
+        traj, extra = _run(algo, oracle, cfg)
+        _assert_same_bits(traj, reference_run(algo, oracle, cfg, **extra),
+                          record_every)
 
     @pytest.mark.parametrize("budget", [1, 150])
     @pytest.mark.parametrize("algo", ALGO_IDS)

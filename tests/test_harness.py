@@ -1118,6 +1118,16 @@ class TestCli:
         path.write_text("{not json")
         assert cli_main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("D", [1000, 1e6, 1e150])
+    def test_verify_skew_problem_on_a_large_ball_exits_0(self, tmp_path,
+                                                         capsys, D):
+        """The monotonicity check scales its tolerance with the ball, so
+        a bilinear saddle's rounding noise is no violation."""
+        tree = minimal_config(gap={"D": D})
+        tree["problem"] = {"kind": "bilinear-saddle", "dim": 3, "seed": 1}
+        assert cli_main(["verify", self._write(tmp_path, tree)]) == 0
+        assert "all property checks passed" in capsys.readouterr().out
+
     def test_verify_ok_exits_0(self, tmp_path, capsys):
         cfg_path = self._write(tmp_path, minimal_config())
         assert cli_main(["verify", cfg_path]) == 0

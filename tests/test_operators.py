@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from fedvi import operators
 from fedvi.operators import (KINDS, PARAMS, OperatorSpec, affine_operator,
                              eval_operator, load_affine_text,
                              make_test_problem, op_jacobian, op_value_vjp,
                              operator_bound_on_ball, verify_properties)
+from fedvi.oracles import OracleSpec, sample_oracle
 
 # One bad value per case; each must be rejected naming its param.
 BAD_PARAMS = [
@@ -92,6 +94,72 @@ class TestOpValueVjp:
         op = make_test_problem("bounded-nonlinear", 3, seed=0)
         with pytest.raises(ValueError, match="dimension"):
             op_value_vjp(op, np.zeros(4), np.zeros(3))
+
+
+def _payload_value(op, z):
+    """V(z) straight from the payload, the formulas of the zoo kinds."""
+    if op.kind == "bounded-nonlinear":
+        C, b0 = op.payload["C"], op.payload["b0"]
+        return np.tanh(z @ C.T + b0) @ C
+    return z @ op.payload["A"].T + op.payload["b"]
+
+
+def _payload_vjp(op, z, w):
+    """J(z)^T w straight from the payload."""
+    if op.kind == "bounded-nonlinear":
+        C, b0 = op.payload["C"], op.payload["b0"]
+        return ((w @ C.T) / np.cosh(z @ C.T + b0) ** 2) @ C
+    return w @ op.payload["A"]
+
+
+class TestEvalParts:
+    """Evaluations read each operator's parts once, with the payload
+    formulas' bits on every input shape."""
+
+    SHAPES = [(5,), (1, 5), (4, 5), (3, 1, 5)]
+
+    @staticmethod
+    def _point(shape, seed):
+        return np.random.default_rng(seed).standard_normal(shape) * 3.0
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_eval_and_vjp_equal_the_payload_formulas_bitwise(self, kind,
+                                                             shape):
+        op = make_test_problem(kind, 5, seed=4)
+        z, w = self._point(shape, 1), self._point(shape, 2)
+        want = _payload_value(op, z)
+        for got in (eval_operator(op, z), op_value_vjp(op, z, w)[0]):
+            assert got.shape == want.shape == shape
+            assert got.tobytes() == want.tobytes()
+        assert op_value_vjp(op, z, w)[1].tobytes() == \
+            _payload_vjp(op, z, w).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES[:3], ids=str)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_exact_oracle_equals_the_payload_formula_bitwise(self, kind,
+                                                             shape):
+        """sample_oracle evaluates a point as it is, one row as a point,
+        and a stack row by row as (1, d) products."""
+        op = make_test_problem(kind, 5, seed=4)
+        z = self._point(shape, 3)
+        if len(shape) == 1:
+            want = _payload_value(op, z)
+        elif shape[0] == 1:
+            want = _payload_value(op, z[0])[None]
+        else:
+            want = _payload_value(op, z[:, None, :]).reshape(shape)
+        got = sample_oracle(OracleSpec(base=op, noise_model="none"), z)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_parts_are_read_once(self):
+        op = make_test_problem("bounded-nonlinear", 3, seed=0)
+        assert op.eval_parts is op.eval_parts
+        Ct, b0, C = op.eval_parts
+        assert Ct.base is op.payload["C"] and C is op.payload["C"]
+        assert b0 is op.payload["b0"]
+        assert make_test_problem("skew", 2).eval_parts[2] is None
 
 
 class TestMakeTestProblem:
@@ -205,6 +273,33 @@ class TestVerifyProperties:
         assert np.linalg.norm(dv) ** 2 == 1.0
         report = verify_properties(op, n_pairs=1000, domain_radius=5.0, seed=0)
         assert report.measured_beta == np.inf
+
+    @pytest.mark.parametrize("radius", [1e4, 1e7, 1e151])
+    def test_skew_rounding_on_a_large_ball_is_no_violation(self, radius):
+        """A bilinear saddle's inner products are rounding noise of size
+        eps |V| |x - y|, which grows with the ball."""
+        op = make_test_problem("bilinear-saddle", 3, seed=1)
+        report = verify_properties(op, n_pairs=10_000, domain_radius=radius,
+                                   seed=0)
+        assert report.monotone_violations == 0
+
+    def test_measured_G_is_the_largest_sampled_norm(self):
+        op = make_test_problem("bounded-nonlinear", 4, seed=5)
+        report = verify_properties(op, n_pairs=500, domain_radius=3.0, seed=1)
+        rng = np.random.default_rng(1)
+        norms = [np.linalg.norm(eval_operator(
+            op, operators._sample_ball(rng, 500, 4, 3.0)), axis=1)
+            for _ in range(2)]
+        assert report.measured_G == max(n.max() for n in norms)
+
+    @pytest.mark.parametrize("radius", [1e-3, 10.0, 1e151])
+    def test_negated_identity_violates_every_pair(self, radius, monkeypatch):
+        """V(z) = -z: every pair is a violation, however large the ball."""
+        monkeypatch.setattr(operators, "eval_operator", lambda op, z: -z)
+        op = make_test_problem("affine", 4, seed=0)
+        report = verify_properties(op, n_pairs=2000, domain_radius=radius,
+                                   seed=3)
+        assert report.monotone_violations == 2000
 
     def test_affine_monotone_zero_violations(self):
         op = make_test_problem("affine", 8, {"L": 1.0, "mu": 0.0}, seed=9)
