@@ -107,10 +107,17 @@ class RunConfig:
 
 @dataclass
 class TrajectoryRecord:
+    """The run at step t.  ``beyond`` flags a record whose client states
+    or output lie beyond ``RunConfig.growth_limit`` from z0 (Euclidean
+    norm, a non-finite one included): None within it, else how the
+    run's divergence warning words it, ``"not finite"`` or ``"beyond
+    <limit> from z0"``."""
+
     t: int
     mean_iterate: np.ndarray
     output_avg: np.ndarray
     drift_z: float
+    beyond: str | None = None
 
 
 @dataclass
@@ -118,13 +125,34 @@ class Trajectory:
     """Per-round log of a run; the last record, at t = T, holds the
     run's final running-average output.
 
-    ``diverged_at`` is the step of the first record where the client
-    states or the output lie beyond ``RunConfig.growth_limit`` from z0;
-    that record and every later one are diverged.
+    ``diverged_at`` is the step of the first record flagged ``beyond``;
+    that record and every later one are diverged.  A run's trajectory
+    may also be read from a longer run of the same steps
+    (:func:`read_run`).
     """
 
     records: list[TrajectoryRecord]
     diverged_at: int | None = None
+
+
+def read_run(shared: Trajectory, cfg: RunConfig, algo: str) -> Trajectory:
+    """The trajectory of a run of cfg, read from ``shared``: a run of the
+    same steps, at least cfg.T of them, recorded wherever cfg records.
+
+    It keeps the records at t <= T with mod(t, record_every) = 0 or t =
+    T, is diverged from the first of them flagged ``beyond``, and then
+    warns once, naming the run."""
+    T, every = cfg.T, cfg.record_every
+    records = [rec for rec in shared.records
+               if rec.t <= T and (rec.t % every == 0 or rec.t == T)]
+    first = next((rec for rec in records if rec.beyond), None)
+    if first is None:
+        return Trajectory(records=records)
+    warnings.warn(
+        f"{algo} run (master_seed {cfg.master_seed}, M={cfg.M}, K={cfg.K}, "
+        f"R={cfg.R}) diverged: iterate norm {first.beyond} at step "
+        f"{first.t}", RuntimeWarning)
+    return Trajectory(records=records, diverged_at=first.t)
 
 
 # Cells (query rows x d, both draw tags) one pre-drawn block may hold.  A
@@ -220,10 +248,10 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     where the running mean needs it, and on record steps only at M = 1,
     where the running mean reads p's one row instead (the mean would turn
     its -0.0 entries into +0.0, which add into the output alike).  The
-    first record where the client stack or the output lies farther from
-    z0 than ``cfg.growth_limit`` (Euclidean norm, a non-finite one
-    included) marks the run diverged and warns, naming the run; numpy's
-    overflow and invalid-value warnings are off inside the loop.
+    record flags whether the client stack or the output lies farther
+    from z0 than ``cfg.growth_limit``, and :func:`read_run` marks the run
+    diverged from the first flagged record and warns, naming the run;
+    numpy's overflow and invalid-value warnings are off inside the loop.
     """
     dim = oracle.dim
     z0 = cfg.initial_point(dim)
@@ -231,7 +259,6 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
     z = np.tile(z0, (cfg.M, 1))
     output = np.zeros(dim)
     records: list[TrajectoryRecord] = []
-    diverged_at = None
     cadence, K, T = cfg.record_every, cfg.K, cfg.T
     one_client = cfg.M == 1
     draws = _step_draws(oracle, cfg, queries)
@@ -249,18 +276,14 @@ def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
             if not record:
                 continue
             far = [np.linalg.norm(a - z0) for a in (z, output)]
-            if diverged_at is None and not all(n <= limit for n in far):
-                diverged_at = t
-                what = ("not finite" if not np.isfinite(far).all()
-                        else f"beyond {limit:.3g} from z0")
-                warnings.warn(
-                    f"{algo} run (master_seed {cfg.master_seed}, M={cfg.M}, "
-                    f"K={cfg.K}, R={cfg.R}) diverged: iterate norm {what} "
-                    f"at step {t}", RuntimeWarning)
+            beyond = None
+            if not all(n <= limit for n in far):
+                beyond = ("not finite" if not np.isfinite(far).all()
+                          else f"beyond {limit:.3g} from z0")
             records.append(TrajectoryRecord(
                 t=t, mean_iterate=_client_mean(p) if one_client else mean,
-                output_avg=output.copy(), drift_z=drift))
-    return Trajectory(records=records, diverged_at=diverged_at)
+                output_avg=output.copy(), drift_z=drift, beyond=beyond))
+    return read_run(Trajectory(records=records), cfg, algo)
 
 
 def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,

@@ -5,7 +5,11 @@ gap blocks plus optional sweep lists.  Output is deterministic: the
 per-run seed is derived from the run's own parameters (seed entry and
 sweep values), so reordering sweep lists never changes any run's rows.
 Runs execute serially on the calling thread, and rows are written in
-enumeration order.
+enumeration order.  A run that draws nothing (sigma 0, delta 0) does
+not read its seed, and its first t steps do not depend on R, so
+run_experiment simulates each distinct such trajectory once, at its
+longest R, and every run on it reads its own records from it; each
+diverging run still warns once, as it does alone.
 """
 
 from __future__ import annotations
@@ -17,15 +21,17 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, fields
-from typing import Sequence
+import warnings
+from dataclasses import dataclass, fields, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
                          Trajectory, constants_of, default_inner_steps,
-                         derived_gamma, run_lda, run_lesgd, run_lesgd_hetero,
-                         run_lippax, run_lsgd, run_slippax, step_size)
+                         derived_gamma, read_run, run_lda, run_lesgd,
+                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
+                         step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
                         make_test_problem, verify_properties)
@@ -433,37 +439,84 @@ def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
                      master_seed=_run_master_seed(**spec), z0=z0, reach=reach)
 
 
-def _run_once(cfg: ExperimentConfig, spec: dict
-              ) -> tuple[Trajectory, OperatorSpec, RunConfig]:
-    """Build and run one (sweep point, seed) run of the configured algorithm.
+def _oracle(cfg: ExperimentConfig, op: OperatorSpec,
+            spec: dict) -> OracleSpec:
+    """The run's oracle: the configured noise on op."""
+    return OracleSpec(base=op, noise_model=cfg.noise["model"],
+                      sigma=spec["sigma"])
 
-    Returns the trajectory, the operator its gaps are measured on (also
-    for heterogeneous clients, whose offsets sum to zero), and its
-    parameters."""
-    op = build_problem(cfg)
+
+def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
+              offsets: np.ndarray | None,
+              plans: Sequence[RunConfig]) -> Trajectory:
+    """One runner call that every plan of a group can read its run from
+    (:func:`read_run`): at the longest plan, recording at the gcd of the
+    plans' record_every and of the shorter plans' T.  Its own divergence
+    warning would name the longest plan at that cadence, so it is
+    dropped; each plan's reading warns for itself."""
+    longest = max(plans, key=lambda plan: plan.T)
+    every = math.gcd(*(plan.record_every for plan in plans),
+                     *(plan.T for plan in plans if plan.T < longest.T))
+    run_cfg = replace(longest, record_every=every)
     algo_id = cfg.algorithm["id"]
-
-    offsets = None
-    if algo_id == "lesgd-hetero":
-        offsets = _hetero_offsets(op, cfg, spec["M"])
-    run_cfg = _run_config(cfg, op, spec, offsets)
-    oracle = OracleSpec(base=op, noise_model=cfg.noise["model"],
-                        sigma=spec["sigma"])
-
-    if algo_id == "lesgd-hetero":
-        traj = run_lesgd_hetero(oracle, offsets, run_cfg)
-    elif algo_id == "lda":
-        traj = run_lda(oracle, cfg.regularizer, run_cfg)
-    else:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".* diverged: iterate norm ",
+                                RuntimeWarning)
+        if algo_id == "lesgd-hetero":
+            return run_lesgd_hetero(oracle, offsets, run_cfg)
+        if algo_id == "lda":
+            return run_lda(oracle, cfg.regularizer, run_cfg)
         runner = {"lesgd": run_lesgd, "lippax": run_lippax,
                   "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
-        traj = runner(oracle, run_cfg)
-    return traj, op, run_cfg
+        return runner(oracle, run_cfg)
 
 
-def _execute_run(cfg: ExperimentConfig, spec: dict) -> list[ResultRow]:
-    traj, gap_op, run_cfg = _run_once(cfg, spec)
+def _runs(cfg: ExperimentConfig) -> Iterator[
+        tuple[dict, OperatorSpec, RunConfig, Trajectory]]:
+    """Every (sweep point, seed) run of the configured algorithm, in
+    enumeration order, as its spec, the operator its gaps are measured
+    on (also for heterogeneous clients, whose offsets sum to zero), its
+    parameters and its trajectory.
 
+    A run that draws nothing (sigma 0, delta 0) takes steps that depend
+    on the config and its (M, K, eta, gamma, H, delta) alone, so the
+    runs with one such key are one group, simulated once
+    (:func:`_simulate`); a run that draws is a group of its own.  Every
+    run is planned from the first run's operator before any runner
+    call.  build_problem still runs once per run, a group's runner call
+    right after its first run's, and a group's trajectory is dropped
+    once its last run has read it.
+    """
+    specs = cfg.expand_runs()
+    op = build_problem(cfg)
+    offsets = [_hetero_offsets(op, cfg, spec["M"])
+               if cfg.algorithm["id"] == "lesgd-hetero" else None
+               for spec in specs]
+    plans = [_run_config(cfg, op, spec, offs)
+             for spec, offs in zip(specs, offsets)]
+    keys = [i if _oracle(cfg, op, spec).is_stochastic(plan.delta)
+            else (plan.M, plan.K, plan.eta, plan.gamma, plan.H, plan.delta)
+            for i, (spec, plan) in enumerate(zip(specs, plans))]
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    shared: dict = {}
+    for i, (spec, plan, key) in enumerate(zip(specs, plans, keys)):
+        if i:
+            op = build_problem(cfg)
+        members = groups[key]
+        if i == members[0]:
+            shared[key] = _simulate(cfg, _oracle(cfg, op, spec), offsets[i],
+                                    [plans[j] for j in members])
+        traj = read_run(shared[key], plan, cfg.algorithm["id"])
+        if i == members[-1]:
+            del shared[key]
+        yield spec, op, plan, traj
+
+
+def _execute_run(cfg: ExperimentConfig, spec: dict, gap_op: OperatorSpec,
+                 run_cfg: RunConfig, traj: Trajectory) -> list[ResultRow]:
+    """One run's rows: a gap, drift and distance per ok record."""
     center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution
     algo_id = cfg.algorithm["id"]
@@ -498,6 +551,8 @@ def run_experiment(config: ExperimentConfig | dict,
                    workers: int = 1) -> list[ResultRow]:
     """Execute all (sweep point x seed) runs in enumeration order on the
     calling thread; write the CSV when the config's `output` is set.
+    Runs that draw nothing and share their steps are simulated once
+    (:func:`_runs`), and each writes the rows of its own records.
     `workers` changes nothing: `perfbench/` and the tests pass it, and
     ROADMAP item 8 deletes it."""
     cfg = (config if isinstance(config, ExperimentConfig)
@@ -513,8 +568,7 @@ def run_experiment(config: ExperimentConfig | dict,
             raise ConfigError("output", f"cannot write {path}: "
                               f"{exc.strerror}") from None
     try:
-        rows = [row for spec in cfg.expand_runs()
-                for row in _execute_run(cfg, spec)]
+        rows = [row for run in _runs(cfg) for row in _execute_run(cfg, *run)]
     except BaseException:
         if created:  # the probe's empty file, not a result
             os.remove(path)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 
 from fedvi.algorithms import Trajectory
-from fedvi.harness import ExperimentConfig, _run_once
+from fedvi.harness import ExperimentConfig, _runs
 from fedvi.regularizers import ZERO_REG
 
 
@@ -45,4 +45,4 @@ def run_single(cfg: ExperimentConfig) -> Trajectory:
     the raw trajectory rather than CSV rows."""
     if cfg.sweep:
         raise ValueError("run_single expects a config without sweep axes")
-    return _run_once(cfg, cfg.expand_runs()[0])[0]
+    return next(_runs(cfg))[3]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fedvi import harness
 from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
@@ -547,6 +548,113 @@ class TestRunExperiment:
         tree["algorithm"] = {"id": "lsgd", "eta": 0.1}
         with pytest.warns(RuntimeWarning, match="co-coercivity"):
             run_experiment(tree)
+
+
+RUNNERS = ("run_lesgd", "run_lippax", "run_slippax", "run_lsgd", "run_lda",
+           "run_lesgd_hetero")
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def _runner_calls(monkeypatch) -> list[int]:
+    """The R of every public runner call the harness makes from now on."""
+    calls = []
+    for name in RUNNERS:
+        def counting(*args, _runner=getattr(harness, name)):
+            calls.append(args[-1].R)
+            return _runner(*args)
+        monkeypatch.setattr(harness, name, counting)
+    return calls
+
+
+def _alone(tree: dict, spec: dict) -> dict:
+    """tree narrowed to the one run of spec."""
+    tree = json.loads(json.dumps(tree))
+    tree.pop("sweep", None)
+    tree["federation"] = {name: spec[name] for name in "MKR"}
+    tree["noise"] = dict(tree.get("noise", {}), sigma=spec["sigma"])
+    tree["seeds"] = [spec["seed"]]
+    return tree
+
+
+def _csv_of_runs_alone(tree: dict) -> str:
+    """The CSV of every run of tree, each run by a config of its own."""
+    texts = [rows_to_csv(run_experiment(_alone(tree, spec)))
+             for spec in ExperimentConfig.from_dict(tree).expand_runs()]
+    return texts[0] + "".join(t.split("\n", 1)[1] for t in texts[1:])
+
+
+def _rate_sweep() -> dict:
+    tree = json.loads((CONFIGS / "lesgd_rate_sweep.json").read_text())
+    tree.pop("output", None)
+    return tree
+
+
+class TestSharedTrajectories:
+    """Runs that draw nothing and share (M, K, eta, gamma, H, delta) are
+    simulated once, at the longest of them, and each reads its rows."""
+
+    @pytest.mark.parametrize("tree,calls", [
+        (minimal_config(seeds=[0, 1, 2]), [10]),
+        (_rate_sweep(), [800]),
+        # T7's eta depends on R
+        (minimal_config(
+            problem={"kind": "bilinear-saddle", "dim": 4, "seed": 9},
+            algorithm={"id": "lda", "schedule": "T7"},
+            federation={"M": 2, "K": 4, "R": 4}, gap={"D": 2.0},
+            regularizer={"kind": "box-indicator", "lo": -1.0, "hi": 1.0},
+            sweep={"R": [4, 8, 16]}, seeds=[0, 1]), [4, 8, 16]),
+        # the default H is 3, 4 and 5
+        (minimal_config(
+            problem={"kind": "bounded-nonlinear", "dim": 4, "seed": 2},
+            algorithm={"id": "lippax", "eta": 0.2},
+            federation={"M": 2, "K": 2, "R": 2},
+            sweep={"R": [2, 8, 32]}), [2, 8, 32]),
+        (minimal_config(noise={"sigma": 0.5, "model": "gaussian-isotropic"},
+                        seeds=[0, 1, 2]), [10, 10, 10]),
+    ], ids=["seeds", "rate-sweep", "lda-T7-R", "lippax-default-H",
+            "stochastic"])
+    def test_one_runner_call_per_distinct_trajectory(self, monkeypatch,
+                                                     tree, calls):
+        """One runner call per distinct trajectory, at its longest R; and
+        every CSV byte is the one each run writes alone."""
+        made = _runner_calls(monkeypatch)
+        text = rows_to_csv(run_experiment(tree))
+        assert sorted(made) == sorted(calls)
+        assert text == _csv_of_runs_alone(tree)
+
+    def test_prefix_runs_diverge_as_alone(self):
+        """R = 20 and R = 40 read one trajectory, recording every step
+        and every second step; each diverges, warns and writes its cells
+        as it does alone, at steps 11 and 12, and R = 10 stays ok."""
+        tree = minimal_config(sweep={"R": [10, 20, 40]}, seeds=[0, 1])
+        tree["algorithm"]["eta"] = 3.0
+
+        def run(config):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rows = run_experiment(config)
+            return rows, [str(w.message) for w in caught]
+
+        rows, messages = run(tree)
+        alone = [run(_alone(tree, spec))
+                 for spec in ExperimentConfig.from_dict(tree).expand_runs()]
+        assert messages == [m for _, ms in alone for m in ms]
+        assert [len(ms) for _, ms in alone] == [0, 0, 1, 1, 1, 1]
+        assert [re.search(r"at step (\d+)$", ms[0])[1]
+                for _, ms in alone[2:]] == ["11", "11", "12", "12"]
+        cells = ("round", "status", "gap_value", "gap_certified", "drift_z",
+                 "dist_to_solution")
+        assert [[getattr(r, c) for c in cells] for r in rows] == [
+            [getattr(r, c) for c in cells] for rs, _ in alone for r in rs]
+
+    def test_lsgd_warns_once_per_shared_trajectory(self):
+        tree = minimal_config(problem={"kind": "skew", "dim": 2, "seed": 0},
+                              algorithm={"id": "lsgd", "eta": 0.1},
+                              seeds=[0, 1, 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(tree)
+        assert ["co-coercivity" in str(w.message) for w in caught] == [True]
 
 
 def _stochastic(algorithm, M, **problem):

@@ -4,12 +4,13 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 31 CSVs are the three ``configs/*.json`` (their ``output`` field
+The 33 CSVs are the three ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
-``perfbench/workloads.py`` at seeds 1-3, and the sixteen small ``EXTRA``
-configs below, which reach the algorithms, schedules, noise models,
-operators, sweeps, configured step sizes and gap branches those leave
-out (``affine3.txt`` is the ``problem.file`` one reads); each is the
+``perfbench/workloads.py`` at seeds 1-3, and the eighteen small
+``EXTRA`` configs below, which reach the algorithms, schedules, noise
+models, operators, sweeps, configured step sizes, gap branches and
+shared draw-free trajectories those leave out (``affine3.txt`` is the
+``problem.file`` one reads); each is the
 ``rows_to_csv`` text of one ``run_experiment`` call.  fedvi is imported
 from SRC, by default this checkout's ``src/``; the configs, workloads
 and matrix file are always read from this checkout.  Running it on two
@@ -88,6 +89,15 @@ EXTRA = {
     "lesgd-quadratic-interior": _extra(
         {"kind": "quadratic-gradient", "dim": 4, "seed": 1},
         {"id": "lesgd", "eta": 0.1}, 2, 4, 10, 0.5, gap={"D": 50.0}),
+    # draw-free R sweeps whose runs record at different steps: R = 20
+    # and R = 40 diverge, at steps 22 and 24
+    "lesgd-R-sweep-diverging": _extra(
+        {"kind": "affine", "dim": 2, "seed": 3, "params": {"L": 1.0}},
+        {"id": "lesgd", "eta": 2.5}, 2, 2, 5, 0.0,
+        sweep={"R": [5, 20, 40]}),
+    "lippax-R-sweep-H-gamma": _extra(
+        _NONLINEAR, {"id": "lippax", "eta": 0.2, "H": 3, "gamma": 0.1},
+        2, 3, 3, 0.0, sweep={"R": [3, 8, 40]}),
 }
 
 
