@@ -29,7 +29,7 @@ import numpy as np
 
 from .operators import OperatorSpec, operator_bound_on_ball
 from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
-from .regularizers import RegularizerSpec, ZERO_REG, MirrorState, mirror_map
+from .regularizers import RegularizerSpec, ZERO_REG, prox
 from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
 
 # How many times its problem's scale a run may stray from z0 before it
@@ -65,14 +65,15 @@ class RunConfig:
     def __post_init__(self):
         if self.M < 1 or self.K < 1 or self.R < 1:
             raise ValueError("M, K, R must all be >= 1")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be positive when given")
+        # NaN fails every comparison, so these reject it too
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite when given")
         if self.H is not None and self.H < 1:
             raise ValueError("H must be >= 1")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not 0 <= self.delta < math.inf:
+            raise ValueError("delta must be nonnegative and finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if not self.reach > 0:
@@ -211,6 +212,13 @@ def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
         yield from _draw_steps(oracle, stream, steps, queries, cfg.M)
 
 
+def _operand(c: float) -> np.ndarray:
+    """A step size as a 0-d float64 array.  In a ufunc call on the
+    runners' small stacks it costs less than the Python float, and
+    against a float64 array it is the same operand, so the same bits."""
+    return np.array(c, dtype=float)
+
+
 def _client_mean(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=0)``'s bits, in a fresh array: numpy's mean is this
     sum over the rows divided by their count, behind a wrapper that costs
@@ -291,20 +299,24 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
                        offsets: np.ndarray | None = None) -> Trajectory:
     """Two-query extra-gradient family in the dual space (Eq. (5)/(7) shape).
 
-    With ``offsets``, client m queries V(z) + offsets[m].
+    The round-t mirror map is ``prox(reg, z, t * eta)`` for t >= 1 and
+    the identity at t = 0 (and for a zero regularizer), the same map
+    that :func:`mirror_map` is as a public call.  With ``offsets``,
+    client m queries V(z) + offsets[m].
     """
     eta = cfg.eta
+    eta_op = _operand(eta)
     mirror = reg.kind != "zero"  # else the mirror map is the identity
 
     def step(t, z, sync, draws):
-        u = mirror_map(MirrorState(t - 1, eta), reg, z) if mirror else z
+        u = prox(reg, z, (t - 1) * eta) if mirror and t > 1 else z
         q = sample_oracle(oracle, u, draws=draws[0])
-        x = z - eta * (q if offsets is None else q + offsets)
+        x = z - eta_op * (q if offsets is None else q + offsets)
         if sync:
             x[:] = _client_mean(x)
-        v = mirror_map(MirrorState(t, eta), reg, x) if mirror else x
+        v = prox(reg, x, t * eta) if mirror else x
         q = sample_oracle(oracle, v, draws=draws[1])
-        return z - eta * (q if offsets is None else q + offsets), v
+        return z - eta_op * (q if offsets is None else q + offsets), v
     return _round_loop(cfg, oracle, step, algo,
                        ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))
 
@@ -344,8 +356,10 @@ def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
                       "constant; plain local SGD has no guarantee on this "
                       "problem", RuntimeWarning)
 
+    eta_op = _operand(cfg.eta)
+
     def step(t, x, sync, draws):
-        x = x - cfg.eta * sample_oracle(oracle, x, draws=draws[0])
+        x = x - eta_op * sample_oracle(oracle, x, draws=draws[0])
         return x, x
     return _round_loop(cfg, oracle, step, "lsgd",
                        ((0, PHASE_EXTRAPOLATE, 0.0),))
@@ -363,6 +377,7 @@ def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
     shift rows.  Without ``draws`` the oracle must be exact.
     """
     draws = draws or [None] * H
+    eta, gamma = _operand(eta), _operand(gamma)
     x = z
     for ell in range(H):
         q = sample_oracle(oracle, x, draws=draws[ell])
@@ -377,10 +392,12 @@ def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
         missing = "H" if H is None else "gamma"
         raise ValueError(f"{algo} needs RunConfig.{missing}; none is derived")
 
+    eta_op = _operand(eta)
+
     def step(t, z, sync, draws):
         x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])
         # outer extra step: fresh, unsmoothed draw at x_t^m
-        return z - eta * sample_oracle(oracle, x, draws=draws[H]), x
+        return z - eta_op * sample_oracle(oracle, x, draws=draws[H]), x
     inner = [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
     return _round_loop(cfg, oracle, step, algo,
                        inner + [(0, PHASE_UPDATE, 0.0)])

@@ -24,6 +24,7 @@ from .operators import OperatorSpec, _apply
 from .rng import TAG_NOISE, TAG_SMOOTHING, normals, uniforms
 
 NOISE_MODELS = ("gaussian-isotropic", "bounded-uniform", "none")
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -47,21 +48,6 @@ class OracleSpec:
     def is_stochastic(self, delta: float = 0.0) -> bool:
         """Whether a query with smoothing radius delta draws randomness."""
         return delta > 0 or (self.sigma > 0 and self.noise_model != "none")
-
-
-def _eval_rows(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
-    """V at each row of z as its own (1, d) product.
-
-    A 2-D GEMM over the rows sums in a different order, so a row's bits
-    would depend on how many rows share the call.  A single row is
-    evaluated as a 1-D point, which gives the same bits.  ``z`` is a
-    float point or stack that :func:`sample_oracle` has checked.
-    """
-    if z.ndim == 1:
-        return _apply(op, z)
-    if len(z) == 1:
-        return _apply(op, z[0])[None]
-    return _apply(op, z[:, None, :]).reshape(z.shape)
 
 
 class Draws(NamedTuple):
@@ -117,23 +103,36 @@ def sample_oracle(oracle: OracleSpec, z: np.ndarray, key: int | None = None,
     (:meth:`RngStream.at`).  An exact oracle needs neither.
     """
     base = oracle.base
-    z = np.asarray(z, dtype=float)
+    if type(z) is not np.ndarray or z.dtype is not _FLOAT:
+        z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != base.dim:
         raise ValueError(f"query of shape {z.shape} does not match the "
                          f"oracle's dimension {base.dim}")
-    if draws is None:
-        if not oracle.is_stochastic():
-            return _eval_rows(base, z)
+    if draws is not None:
+        if key is not None:
+            raise ValueError("pre-drawn rows replace keys")
+        shift, noise = draws
+        if shift is not None:
+            z = z + _as_query(shift, z)
+    elif oracle.is_stochastic():
         if key is None:
             raise ValueError("stochastic oracle query requires a path key")
         if z.ndim != 1 or not isinstance(key, (int, np.integer)):
             raise ValueError("a path key draws one point (d,); a stack "
                              "takes pre-drawn rows")
-        draws = draw_rows(oracle, [key])
-    elif key is not None:
-        raise ValueError("pre-drawn rows replace keys")
-    shift, noise = draws
-    value = _eval_rows(base, z if shift is None else z + _as_query(shift, z))
+        noise = draw_rows(oracle, [key]).noise
+    else:
+        noise = None
+    # V at each row as its own (1, d) product: a 2-D GEMM over the rows
+    # sums in a different order, so a row's bits would depend on how
+    # many rows share the call.  A single row is evaluated as a 1-D
+    # point, which gives the same bits.
+    if z.ndim == 1:
+        value = _apply(base, z)
+    elif len(z) == 1:
+        value = _apply(base, z[0])[None]
+    else:
+        value = _apply(base, z[:, None, :]).reshape(z.shape)
     if noise is not None:
         value += _as_query(noise, z)  # value is a fresh array
     return value

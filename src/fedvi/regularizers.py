@@ -15,6 +15,11 @@ from typing import Any
 import numpy as np
 
 REG_KINDS = ("zero", "l1", "box-indicator")
+_FLOAT = np.dtype(float)  # the one float64 dtype of native-order arrays
+# 0.0 as a 0-d float64 array: cheaper in a ufunc call than the Python
+# float, and the same operand once numpy has converted that
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,21 @@ def reg_value(reg: RegularizerSpec, u: np.ndarray) -> float:
 def prox(reg: RegularizerSpec, u: np.ndarray,
          weight: float | np.ndarray) -> np.ndarray:
     """argmin_v (1/2)||v - u||^2 + weight * phi(v); an array weight is
-    broadcast against u and, unlike a float, not checked for sign."""
-    if not isinstance(weight, np.ndarray) and weight < 0:
+    broadcast against u and, unlike a float, not checked for sign.
+
+    The runners call it once or twice per step, so the common case, a
+    float weight and a float64 array u, takes the cheapest tests."""
+    if (weight < 0 if type(weight) is float
+            else not isinstance(weight, np.ndarray) and weight < 0):
         raise ValueError("prox weight must be nonnegative")
-    u = np.asarray(u, dtype=float)
-    if reg.kind == "zero":
-        return u.copy()
-    if reg.kind == "l1":
+    if type(u) is not np.ndarray or u.dtype is not _FLOAT:
+        u = np.asarray(u, dtype=float)
+    kind = reg.kind
+    if kind == "l1":
         t = weight * reg.lam
-        return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+        return np.sign(u) * np.maximum(np.abs(u) - t, _ZERO)
+    if kind == "zero":
+        return u.copy()
     return np.clip(u, reg.lo, reg.hi)
 
 

@@ -557,6 +557,15 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError):
             RunConfig(**{**dict(M=1, K=1, R=1, eta=0.1), **kwargs})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["eta", "gamma", "delta"])
+    def test_non_finite_step_sizes_rejected(self, name, value):
+        """A NaN step size fails no ordering test, so it needs its own:
+        a NaN-eta run would write only diverged records."""
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            RunConfig(**{**dict(M=1, K=1, R=1, eta=0.1), name: value})
+
     def test_total_steps(self):
         assert RunConfig(M=1, K=7, R=9, eta=0.1).T == 63
 
@@ -642,11 +651,20 @@ def reference_run(algo, oracle, cfg, reg=ZERO_REG, offsets=None):
     return out
 
 
+# The runner ids of the per-query references: every algorithm id, LDA
+# with an l1 phi as ``lda``, plus ``lda-box``, LDA with a box phi, so
+# that both prox kinds meet the runner's mirror map
+RUN_IDS = ALGO_IDS + ("lda-box",)
+LDA_REGS = {"lda": RegularizerSpec(kind="l1", lam=0.3),
+            "lda-box": RegularizerSpec(kind="box-indicator", lo=-0.5, hi=0.5)}
+
+
 def _run(algo, oracle, cfg):
-    """The runner for ``algo`` plus the regularizer/offsets it was given."""
+    """The runner for ``algo`` (a RUN_IDS entry) plus the regularizer or
+    offsets it was given."""
     M, d = cfg.M, oracle.dim
-    if algo == "lda":
-        reg = RegularizerSpec(kind="l1", lam=0.3)
+    if algo in LDA_REGS:
+        reg = LDA_REGS[algo]
         return run_lda(oracle, reg, cfg), dict(reg=reg)
     if algo == "lesgd-hetero":
         offsets = np.random.default_rng(M).standard_normal((M, d))
@@ -696,7 +714,7 @@ class TestRoundDraws:
     @pytest.mark.parametrize("K", [1, 4])
     @pytest.mark.parametrize("M", [1, 3, 16])
     @pytest.mark.parametrize("model", ["gaussian-isotropic", "bounded-uniform"])
-    @pytest.mark.parametrize("algo", ALGO_IDS)
+    @pytest.mark.parametrize("algo", RUN_IDS)
     def test_runs_equal_per_query_reference_bitwise(self, algo, model, M, K):
         oracle, cfg = self._case("bounded-nonlinear", model, 0.8, M, K)
         traj, extra = _run(algo, oracle, cfg)
@@ -705,7 +723,7 @@ class TestRoundDraws:
     @pytest.mark.parametrize("K", [1, 4])
     @pytest.mark.parametrize("M", [1, 3])
     @pytest.mark.parametrize("kind", ["affine", "bounded-nonlinear"])
-    @pytest.mark.parametrize("algo", ALGO_IDS)
+    @pytest.mark.parametrize("algo", RUN_IDS)
     def test_deterministic_runs_equal_per_query_reference_bitwise(
             self, algo, kind, M, K):
         """Without noise: the sync and output means, and LESGD's identity
@@ -723,7 +741,7 @@ class TestRoundDraws:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.8])
     @pytest.mark.parametrize("M", [1, 3])
-    @pytest.mark.parametrize("algo", ALGO_IDS)
+    @pytest.mark.parametrize("algo", RUN_IDS)
     def test_recorded_steps_equal_reference_bitwise(self, algo, M, sigma):
         """record_every 5 over T = 12: the client mean of p, formed on
         record steps only at M = 1, and the output at t = 5, 10, 12."""
@@ -736,7 +754,7 @@ class TestRoundDraws:
     @pytest.mark.filterwarnings("ignore:operator does not declare")
     @pytest.mark.parametrize("record_every", [1, 5])
     @pytest.mark.parametrize("M", [1, 3])
-    @pytest.mark.parametrize("algo", ALGO_IDS)
+    @pytest.mark.parametrize("algo", RUN_IDS)
     def test_signed_zeros_equal_reference_bitwise(self, algo, M,
                                                   record_every):
         """From z0 = -0.0 on the skew operator every point is a zero whose
@@ -751,7 +769,7 @@ class TestRoundDraws:
                           record_every)
 
     @pytest.mark.parametrize("budget", [1, 150])
-    @pytest.mark.parametrize("algo", ALGO_IDS)
+    @pytest.mark.parametrize("algo", RUN_IDS)
     def test_block_split_keeps_the_bits(self, algo, budget, monkeypatch):
         """One-step blocks, and blocks of 2, 2, 1 steps for K = 5."""
         oracle, cfg = self._case("affine", "gaussian-isotropic", 0.8, 3, 5)

@@ -47,6 +47,22 @@ class TestSampleOracle:
         with pytest.raises(ValueError, match="dimension"):
             sample_oracle(oracle, np.zeros(2))
 
+    @pytest.mark.parametrize("form", [list, lambda z: z.astype(">f8"),
+                                      lambda z: z.astype(np.float32),
+                                      lambda z: np.round(z).astype(int)],
+                             ids=["list", "big-endian", "float32", "int"])
+    def test_other_inputs_are_their_float64_array(self, form):
+        """A query that is not a native float64 array is converted first:
+        its values are the converted array's, bit for bit."""
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=0))
+        for z in (np.array([0.3, -1.0, 2.0]), np.array([[0.3, -1.0, 2.0],
+                                                         [-0.0, 4.5, 1.0]])):
+            given = form(z)
+            want = sample_oracle(oracle, np.asarray(given, dtype=float))
+            got = sample_oracle(oracle, given)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("model", ["gaussian-isotropic", "bounded-uniform"])
     def test_unbiased_mean(self, model):
         """Per-coordinate Monte Carlo mean stays within 5 sigma / sqrt(N)."""

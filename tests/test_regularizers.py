@@ -96,6 +96,46 @@ class TestProx:
         d_out = np.linalg.norm(pu - pv, axis=1)
         assert np.all(d_out <= d_in + 1e-12)
 
+    @staticmethod
+    def _plain_prox(reg, u, weight):
+        """prox as three plain expressions, with no fast path."""
+        u = np.asarray(u, dtype=float)
+        if reg.kind == "zero":
+            return u.copy()
+        if reg.kind == "l1":
+            t = weight * reg.lam
+            return np.sign(u) * np.maximum(np.abs(u) - t, 0.0)
+        return np.clip(u, reg.lo, reg.hi)
+
+    @staticmethod
+    def _edges(t):
+        """Signed zeros, +-t, negatives inside [-t, 0), infinities, NaNs
+        of both signs, subnormals and ordinary values."""
+        return [0.0, -0.0, t, -t, -0.5 * t, -t / 3, np.nextafter(-t, 0.0),
+                np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1.0, -2.5]
+
+    @pytest.mark.parametrize("weight", [
+        0.0, 0.5, 2, np.float64(0.5), np.array([[0.0], [0.5], [3.0]])],
+        ids=["zero", "float", "int", "float64", "array"])
+    @pytest.mark.parametrize("reg", [
+        ZERO_REG, RegularizerSpec(kind="l1", lam=0.3),
+        RegularizerSpec(kind="box-indicator", lo=-0.15, hi=0.15),
+        RegularizerSpec(kind="box-indicator", lo=-0.0, hi=0.0)],
+        ids=["zero", "l1", "box", "box-zero"])
+    def test_same_bits_as_the_plain_expressions(self, reg, weight):
+        """Byte for byte, on a one-point and a stacked u, and on list and
+        integer inputs, which take the asarray path."""
+        lam = reg.lam or 1.0
+        ts = np.broadcast_to(weight, (3, 1))[:, 0] * lam
+        stack = np.array([self._edges(t) for t in ts])
+        for u in (stack[1], stack, list(stack[2]), [3, -1, 0],
+                  np.arange(-2, 3)):
+            if np.ndim(weight) and np.ndim(u) == 1:
+                continue  # an array weight is one weight per stack row
+            got, want = prox(reg, u, weight), self._plain_prox(reg, u, weight)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_l1_norm_nonincreasing_in_weight(self):
         rng = np.random.default_rng(2)
         u = rng.standard_normal(8) * 2

@@ -4,13 +4,13 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 33 CSVs are the three ``configs/*.json`` (their ``output`` field
+The 35 CSVs are the three ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
-``perfbench/workloads.py`` at seeds 1-3, and the eighteen small
+``perfbench/workloads.py`` at seeds 1-3, and the twenty small
 ``EXTRA`` configs below, which reach the algorithms, schedules, noise
-models, operators, sweeps, configured step sizes, gap branches and
-shared draw-free trajectories those leave out (``affine3.txt`` is the
-``problem.file`` one reads); each is the
+models, operators, sweeps, configured step sizes, gap branches,
+shared draw-free trajectories and signed zeros those leave out
+(``affine3.txt`` is the ``problem.file`` one reads); each is the
 ``rows_to_csv`` text of one ``run_experiment`` call.  fedvi is imported
 from SRC, by default this checkout's ``src/``; the configs, workloads
 and matrix file are always read from this checkout.  Running it on two
@@ -41,6 +41,8 @@ def _extra(problem: dict, algorithm: dict, M: int, K: int, R: int,
 _HETERO = {"kind": "affine", "dim": 4, "seed": 5,
            "hetero": {"offset_scale": 0.3}}
 _NONLINEAR = {"kind": "bounded-nonlinear", "dim": 4, "seed": 2}
+_BILINEAR = {"kind": "bilinear-saddle", "dim": 4, "seed": 9}
+_SIGNED_ZEROS = [-0.0, 0.4, -0.0, -0.3]
 EXTRA = {
     "lesgd-hetero-T8": _extra(_HETERO, {"id": "lesgd-hetero",
                                         "schedule": "T8"}, 3, 4, 10, 0.5),
@@ -98,6 +100,17 @@ EXTRA = {
     "lippax-R-sweep-H-gamma": _extra(
         _NONLINEAR, {"id": "lippax", "eta": 0.2, "H": 3, "gamma": 0.1},
         2, 3, 3, 0.0, sweep={"R": [3, 8, 40]}),
+    # draw-free LDA from a z0 with -0.0 entries: the identity mirror map
+    # at t = 1, the sync means over three clients and the signs of zeros
+    # that each prox kind leaves
+    "lda-l1-signed-zeros": _extra(
+        _BILINEAR, {"id": "lda", "eta": 0.2}, 3, 4, 6, 0.0,
+        regularizer={"kind": "l1", "lam": 0.3}, z0=_SIGNED_ZEROS,
+        log_every=1),
+    "lda-box-signed-zeros": _extra(
+        _BILINEAR, {"id": "lda", "eta": 0.2}, 3, 4, 6, 0.0,
+        regularizer={"kind": "box-indicator", "lo": -0.25, "hi": 0.25},
+        z0=_SIGNED_ZEROS, log_every=1),
 }
 
 
