@@ -9,7 +9,9 @@ enumeration order.  A run that draws nothing (sigma 0, delta 0) does
 not read its seed, and its first t steps do not depend on R, so
 run_experiment simulates each distinct such trajectory once, at its
 longest R, and every run on it reads its own records from it; each
-diverging run still warns once, as it does alone.
+diverging run still warns once, as it does alone.  The group's records
+are evaluated once too: a record's gap and distance cells, computed for
+the first run that writes it, are read by every later run of the group.
 """
 
 from __future__ import annotations
@@ -472,11 +474,11 @@ def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
 
 
 def _runs(cfg: ExperimentConfig) -> Iterator[
-        tuple[dict, OperatorSpec, RunConfig, Trajectory]]:
+        tuple[dict, OperatorSpec, RunConfig, Trajectory, dict]]:
     """Every (sweep point, seed) run of the configured algorithm, in
     enumeration order, as its spec, the operator its gaps are measured
     on (also for heterogeneous clients, whose offsets sum to zero), its
-    parameters and its trajectory.
+    parameters, its trajectory and its group's gap cells.
 
     A run that draws nothing (sigma 0, delta 0) takes steps that depend
     on the config and its (M, K, eta, gamma, H, delta) alone, so the
@@ -486,6 +488,12 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
     call.  build_problem still runs once per run, a group's runner call
     right after its first run's, and a group's trajectory is dropped
     once its last run has read it.
+
+    The gap cells map a step t to the (GapEstimate, dist_to_solution)
+    of the group's record at t, filled by :func:`_execute_run`.  A gap's
+    inputs (the config's operator, regularizer, centre and D) are the
+    same for every run, so each record is evaluated once per group; the
+    cells are dropped with the trajectory.
     """
     specs = cfg.expand_runs()
     op = build_problem(cfg)
@@ -507,16 +515,20 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
         members = groups[key]
         if i == members[0]:
             shared[key] = _simulate(cfg, _oracle(cfg, op, spec), offsets[i],
-                                    [plans[j] for j in members])
-        traj = read_run(shared[key], plan, cfg.algorithm["id"])
+                                    [plans[j] for j in members]), {}
+        group, cells = shared[key]
+        traj = read_run(group, plan, cfg.algorithm["id"])
         if i == members[-1]:
             del shared[key]
-        yield spec, op, plan, traj
+        yield spec, op, plan, traj, cells
 
 
 def _execute_run(cfg: ExperimentConfig, spec: dict, gap_op: OperatorSpec,
-                 run_cfg: RunConfig, traj: Trajectory) -> list[ResultRow]:
-    """One run's rows: a gap, drift and distance per ok record."""
+                 run_cfg: RunConfig, traj: Trajectory,
+                 cells: dict) -> list[ResultRow]:
+    """One run's rows: a gap, drift and distance per ok record; a
+    record's gap and distance are computed only when its group's cells
+    (:func:`_runs`) do not hold them yet."""
     center = cfg.gap_center(gap_op.dim)
     solution = gap_op.solution
     algo_id = cfg.algorithm["id"]
@@ -527,14 +539,17 @@ def _execute_run(cfg: ExperimentConfig, spec: dict, gap_op: OperatorSpec,
         diverged = traj.diverged_at is not None and rec.t >= traj.diverged_at
         gap = certified = drift = dist = None
         if not diverged:
-            # with the zero regularizer this is the restricted gap; an
-            # overflow here is the run's own, which _round_loop reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                est = composite_gap(gap_op, cfg.regularizer,
-                                    rec.output_avg, center, cfg.gap["D"])
+            if rec.t not in cells:
+                # with the zero regularizer this is the restricted gap; an
+                # overflow here is the run's own, which _round_loop reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    est = composite_gap(gap_op, cfg.regularizer,
+                                        rec.output_avg, center, cfg.gap["D"])
+                cells[rec.t] = est, (
+                    None if solution is None
+                    else float(np.linalg.norm(rec.output_avg - solution)))
+            est, dist = cells[rec.t]
             gap, certified, drift = est.value, est.certified, rec.drift_z
-            if solution is not None:
-                dist = float(np.linalg.norm(rec.output_avg - solution))
         rows.append(ResultRow(
             algo=algo_id, theorem_id=cfg.algorithm["schedule"],
             d=gap_op.dim, M=run_cfg.M, K=run_cfg.K, R=run_cfg.R,
@@ -552,7 +567,8 @@ def run_experiment(config: ExperimentConfig | dict,
     """Execute all (sweep point x seed) runs in enumeration order on the
     calling thread; write the CSV when the config's `output` is set.
     Runs that draw nothing and share their steps are simulated once
-    (:func:`_runs`), and each writes the rows of its own records.
+    (:func:`_runs`), each record of the shared trajectory is evaluated
+    once, and each run writes the rows of its own records.
     `workers` changes nothing: `perfbench/` and the tests pass it, and
     ROADMAP item 8 deletes it."""
     cfg = (config if isinstance(config, ExperimentConfig)

@@ -566,6 +566,17 @@ def _runner_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def _gap_calls(monkeypatch) -> list[int]:
+    """One entry per composite_gap call the harness makes from now on."""
+    calls = []
+
+    def counting(*args, _gap=harness.composite_gap):
+        calls.append(1)
+        return _gap(*args)
+    monkeypatch.setattr(harness, "composite_gap", counting)
+    return calls
+
+
 def _alone(tree: dict, spec: dict) -> dict:
     """tree narrowed to the one run of spec."""
     tree = json.loads(json.dumps(tree))
@@ -591,41 +602,48 @@ def _rate_sweep() -> dict:
 
 class TestSharedTrajectories:
     """Runs that draw nothing and share (M, K, eta, gamma, H, delta) are
-    simulated once, at the longest of them, and each reads its rows."""
+    simulated once, at the longest of them, each of its records is
+    evaluated once, and each run reads its rows."""
 
-    @pytest.mark.parametrize("tree,calls", [
-        (minimal_config(seeds=[0, 1, 2]), [10]),
-        (_rate_sweep(), [800]),
+    @pytest.mark.parametrize("tree,calls,gaps", [
+        (minimal_config(seeds=[0, 1, 2]), [10], 10),
+        (_rate_sweep(), [800], 70),
         # T7's eta depends on R
         (minimal_config(
             problem={"kind": "bilinear-saddle", "dim": 4, "seed": 9},
             algorithm={"id": "lda", "schedule": "T7"},
             federation={"M": 2, "K": 4, "R": 4}, gap={"D": 2.0},
             regularizer={"kind": "box-indicator", "lo": -1.0, "hi": 1.0},
-            sweep={"R": [4, 8, 16]}, seeds=[0, 1]), [4, 8, 16]),
+            sweep={"R": [4, 8, 16]}, seeds=[0, 1]), [4, 8, 16], 28),
         # the default H is 3, 4 and 5
         (minimal_config(
             problem={"kind": "bounded-nonlinear", "dim": 4, "seed": 2},
             algorithm={"id": "lippax", "eta": 0.2},
             federation={"M": 2, "K": 2, "R": 2},
-            sweep={"R": [2, 8, 32]}), [2, 8, 32]),
+            sweep={"R": [2, 8, 32]}), [2, 8, 32], 42),
+        # a run that draws is a group of its own: one gap per row
         (minimal_config(noise={"sigma": 0.5, "model": "gaussian-isotropic"},
-                        seeds=[0, 1, 2]), [10, 10, 10]),
+                        seeds=[0, 1, 2]), [10, 10, 10], 30),
     ], ids=["seeds", "rate-sweep", "lda-T7-R", "lippax-default-H",
             "stochastic"])
     def test_one_runner_call_per_distinct_trajectory(self, monkeypatch,
-                                                     tree, calls):
-        """One runner call per distinct trajectory, at its longest R; and
-        every CSV byte is the one each run writes alone."""
+                                                     tree, calls, gaps):
+        """One runner call per distinct trajectory, at its longest R, and
+        one gap call per distinct record of it; and every CSV byte is the
+        one each run writes alone."""
         made = _runner_calls(monkeypatch)
+        evaluated = _gap_calls(monkeypatch)
         text = rows_to_csv(run_experiment(tree))
         assert sorted(made) == sorted(calls)
+        assert len(evaluated) == gaps
         assert text == _csv_of_runs_alone(tree)
 
-    def test_prefix_runs_diverge_as_alone(self):
+    def test_prefix_runs_diverge_as_alone(self, monkeypatch):
         """R = 20 and R = 40 read one trajectory, recording every step
         and every second step; each diverges, warns and writes its cells
-        as it does alone, at steps 11 and 12, and R = 10 stays ok."""
+        as it does alone, at steps 11 and 12, and R = 10 stays ok.  The
+        six runs evaluate each ok step of the trajectory once (K = 1, so
+        a round is a step), and no diverged record."""
         tree = minimal_config(sweep={"R": [10, 20, 40]}, seeds=[0, 1])
         tree["algorithm"]["eta"] = 3.0
 
@@ -635,7 +653,10 @@ class TestSharedTrajectories:
                 rows = run_experiment(config)
             return rows, [str(w.message) for w in caught]
 
+        evaluated = _gap_calls(monkeypatch)
         rows, messages = run(tree)
+        assert len(evaluated) == 10
+        assert {r.round for r in rows if r.status == "ok"} == set(range(1, 11))
         alone = [run(_alone(tree, spec))
                  for spec in ExperimentConfig.from_dict(tree).expand_runs()]
         assert messages == [m for _, ms in alone for m in ms]

@@ -120,8 +120,12 @@ class TestProx:
     @pytest.mark.parametrize("reg", [
         ZERO_REG, RegularizerSpec(kind="l1", lam=0.3),
         RegularizerSpec(kind="box-indicator", lo=-0.15, hi=0.15),
-        RegularizerSpec(kind="box-indicator", lo=-0.0, hi=0.0)],
-        ids=["zero", "l1", "box", "box-zero"])
+        RegularizerSpec(kind="box-indicator", lo=-0.0, hi=0.0),
+        # np.clip keeps u = -0.0 at lo = 0.0 (and 0.0 at hi = -0.0), where
+        # np.minimum(np.maximum(u, lo), hi) returns the bound
+        RegularizerSpec(kind="box-indicator", lo=0.0, hi=1.0),
+        RegularizerSpec(kind="box-indicator", lo=-1.0, hi=-0.0)],
+        ids=["zero", "l1", "box", "box-zero", "box-zero-lo", "box-zero-hi"])
     def test_same_bits_as_the_plain_expressions(self, reg, weight):
         """Byte for byte, on a one-point and a stacked u, and on list and
         integer inputs, which take the asarray path."""
