@@ -2,17 +2,14 @@
 
 For affine monotone operators the restricted gap maximizes a concave
 quadratic over a ball, which is solved exactly (eigenbasis + secular
-equation on the KKT multiplier).  The multiplier is the float a
-bisection on the ball radius ends at; Newton steps bracket it to a few
-ulps, and the bisection replays its path, evaluating the radius only
-inside the bracket (``_exact_concave_max`` gives the monotonicity that
-makes this the same float).  The composite gap adds a convex phi, so on
-affine operators its objective is still concave: one proximal-ascent
-start runs until a duality certificate (the concavity bound at the
-current point) closes to 1e-7 (1 + |value|).  Both gaps are certified
-by that one bound.  Each ascent step (the exact prox of phi plus the
-ball) and the certificate's inner maximum are one exact solve on the
-piecewise-linear path t -> prox(phi, c + t a, t s), with no iteration.
+equation on the KKT multiplier, bisected to float resolution).  The
+composite gap adds a convex phi, so on affine operators its objective
+is still concave: one proximal-ascent start runs until a duality
+certificate (the concavity bound at the current point) closes to 1e-7
+(1 + |value|).  Both gaps are certified by that one bound.  Each ascent
+step (the exact prox of phi plus the ball) and the certificate's inner
+maximum are one exact solve on the piecewise-linear path
+t -> prox(phi, c + t a, t s), with no iteration.
 Nonlinear operators run a multistart proximal ascent (``ASCENT_STARTS``
 starts drawn from ``ASCENT_SEED``, each stopped once one step moves it
 by at most ``ASCENT_TOL`` (D + ||center||), or after ``ASCENT_STEPS``
@@ -23,7 +20,6 @@ point: a true lower bound of the sup, never certified.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -37,10 +33,6 @@ ASCENT_STARTS = 16
 ASCENT_STEPS = 500
 ASCENT_TOL = 1e-12
 ASCENT_SEED = 0
-# The exact affine solve's Newton steps toward the ball multiplier, and
-# the half-width of the bracket around their result, in ulps.
-NEWTON_STEPS = 50
-BRACKET_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -117,13 +109,6 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     gt = U.T @ g
     two_lam = 2.0 * lam
 
-    def w_of(nu: float) -> np.ndarray:
-        return gt / (two_lam + nu)
-
-    def radius(nu: float) -> float:
-        w = w_of(nu)
-        return math.sqrt(w.dot(w))  # np.linalg.norm's own path, its bits
-
     # interior stationary point, when it exists
     free = lam > 1e-14 * max(lam.max(initial=0.0), 1.0)
     pinned = ~free
@@ -133,59 +118,21 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
         if np.linalg.norm(wt) <= D:
             return center + U @ wt
 
-    # boundary: bisect [0, hi] to float resolution for the least nu with
-    # ||w(nu)|| <= D, keeping the feasible end.  lam >= 0 gives ||w(nu)||
-    # <= ||gt|| / nu, so hi = 2 ||gt|| / D is feasible from the start.
-    # radius rounds 2 lam + nu, gt over it, the squares, their sums in a
-    # fixed order and the root, each monotone in its inputs, so it never
-    # increases with the float nu.  A midpoint at or below the bracket's
-    # infeasible end therefore goes to lo, and one at or above its
-    # feasible end to hi, as radius(mid) would decide; only midpoints
-    # inside the bracket evaluate it.  Without a bracket, every midpoint
-    # does.  The path, and so hi, is the full bisection's either way.
+    # boundary: bisect [0, hi] to float resolution (at most 200 halvings)
+    # for the least nu with ||w(nu)|| <= D, keeping the feasible end.
+    # lam >= 0 gives ||w(nu)|| <= ||gt|| / nu, so hi = 2 ||gt|| / D is
+    # feasible from the start.
     lo, hi = 0.0, 2.0 * np.linalg.norm(gt) / D
-    below, above = _nu_bracket(gt, two_lam, D, radius)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if mid <= below or (mid < above and radius(mid) > D):
+        w = gt / (two_lam + mid)
+        if math.sqrt(w.dot(w)) > D:  # np.linalg.norm's own path, its bits
             lo = mid
         else:
             hi = mid
-    return center + U @ w_of(hi)
-
-
-def _nu_bracket(gt: np.ndarray, two_lam: np.ndarray, D: float,
-                radius: Callable[[float], float]) -> tuple[float, float]:
-    """Floats a < b with radius(a) > D >= radius(b), BRACKET_ULPS ulps
-    either side of a Newton estimate of the root of ||w(nu)|| = D, or
-    (0, inf) when the two radius calls do not confirm them.
-
-    1/||w(nu)|| is concave and increasing on nu > 0, so Newton on
-    1/||w(nu)|| - 1/D climbs to the root from any point left of it
-    (Moré and Sorensen, "Computing a trust region step", 1983).  It
-    starts from a lower bound: ||w(nu)|| is at least |gt_i| / (2 lam_i +
-    nu) for each i and ||gt|| / (2 lam_max + nu).
-    """
-    nu = max(float(np.max(np.abs(gt) / D - two_lam)),
-             float(np.linalg.norm(gt)) / D - float(two_lam.max()),
-             sys.float_info.min)
-    for _ in range(NEWTON_STEPS):
-        den = two_lam + nu
-        w = gt / den
-        ww = w.dot(w)
-        step = (math.sqrt(ww) - D) / D * ww / (w / den).dot(w)
-        if not nu + step > nu:  # at the root to rounding, or not finite
-            break
-        nu += step
-        if step < 1e-9 * nu:  # quadratic convergence: the next is < 1 ulp
-            break
-    a = nu - BRACKET_ULPS * math.ulp(nu)
-    b = nu + BRACKET_ULPS * math.ulp(nu)
-    if a > 0 and radius(a) > D >= radius(b):
-        return a, b
-    return 0.0, math.inf
+    return center + U @ (gt / (two_lam + hi))
 
 
 def _certificate(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
@@ -223,9 +170,10 @@ def _closes(bound: float, value: float) -> bool:
 
 
 def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
-            n_starts: int, seed: int, reg: RegularizerSpec
+            n_starts: int, reg: RegularizerSpec
             ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Proximal ascent on <V(z), x_o - z> - phi(z) from n_starts points.
+    """Proximal ascent on <V(z), x_o - z> - phi(z) from n_starts points
+    drawn from ASCENT_SEED.
 
     Returns the starts, in the ball and dom phi, as an (n_starts, 1, d)
     stack of row vectors and the step map, which advances any row subset
@@ -240,7 +188,7 @@ def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
         return JtW - V
 
     # step 1/(2L), L the largest gradient-difference ratio of 20 probe pairs
-    rng = np.random.default_rng((seed, 0x11B5))
+    rng = np.random.default_rng((ASCENT_SEED, 0x11B5))
     P = center + D * rng.standard_normal((20, 2, 1, d)) / math.sqrt(d)
     G = grad(P)
     dz, dg = _rownorm(P[:, 0] - P[:, 1]), _rownorm(G[:, 0] - G[:, 1])
@@ -248,7 +196,7 @@ def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
     step = 1.0 / (2.0 * (dg[ok] / dz[ok]).max(initial=1e-12))
 
     # starts: the center, x_o projected, then points on the sphere
-    rng = np.random.default_rng((seed, 0xA5CE))
+    rng = np.random.default_rng((ASCENT_SEED, 0xA5CE))
     U = rng.standard_normal((max(n_starts - 2, 0), 1, d))
     Z = np.concatenate([center[None, None],
                         _prox_ball(ZERO_REG, x_o[None, None], 0.0, center, D),
@@ -262,20 +210,19 @@ def _ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray, D: float,
 
 
 def _multistart_ascent(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
-                       D: float, n_starts: int, n_iters: int, seed: int,
-                       reg: RegularizerSpec = ZERO_REG
+                       D: float, reg: RegularizerSpec
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """The final points (n_starts, d) of ``_ascent`` and their values of
-    <V(z), x_o - z>.
+    """The final points (ASCENT_STARTS, d) of ``_ascent`` and their
+    values of <V(z), x_o - z>.
 
     Each start runs until one step moves it by at most ASCENT_TOL
-    (D + ||center||), or for n_iters steps; only the starts still moving
-    are stepped, so each start's bits depend on that start alone.
+    (D + ||center||), or for ASCENT_STEPS steps; only the starts still
+    moving are stepped, so each start's bits depend on that start alone.
     """
-    Z, advance = _ascent(op, x_o, center, D, n_starts, seed, reg)
+    Z, advance = _ascent(op, x_o, center, D, ASCENT_STARTS, reg)
     tol = ASCENT_TOL * (D + float(np.linalg.norm(center)))
-    live = np.arange(n_starts)
-    for _ in range(n_iters):
+    live = np.arange(ASCENT_STARTS)
+    for _ in range(ASCENT_STEPS):
         if not live.size:
             break
         prev = Z[live]
@@ -318,8 +265,7 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
             raise ValueError("phi is infinite everywhere on the ball")
 
     if not op.is_affine:
-        Z, values = _multistart_ascent(
-            op, v_o, center, D, ASCENT_STARTS, ASCENT_STEPS, ASCENT_SEED, reg)
+        Z, values = _multistart_ascent(op, v_o, center, D, reg)
         if reg.kind != "zero":
             values = values + reg_value(reg, v_o) - np.array(
                 [reg_value(reg, z) for z in Z])
@@ -341,7 +287,7 @@ def composite_gap(op: OperatorSpec, reg: RegularizerSpec, v_o: np.ndarray,
 
     checks = {2 ** k for k in range(ASCENT_STEPS.bit_length())}
     checks.add(ASCENT_STEPS)
-    Z, advance = _ascent(op, v_o, center, D, 1, ASCENT_SEED, reg)
+    Z, advance = _ascent(op, v_o, center, D, 1, reg)
     for t in range(1, ASCENT_STEPS + 1):
         Z = advance(Z)
         if t not in checks:

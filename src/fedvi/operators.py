@@ -371,26 +371,30 @@ def verify_properties(op: OperatorSpec, n_pairs: int = 10_000,
     z1 = _sample_ball(rng, n_pairs, op.dim, domain_radius)
     z2 = _sample_ball(rng, n_pairs, op.dim, domain_radius)
     v1, v2 = eval_operator(op, z1), eval_operator(op, z2)
-    dz, dv = z1 - z2, v1 - v2
-    inner = np.einsum("ij,ij->i", dv, dz)
+    dz = z1 - z2
     nz = np.linalg.norm(dz, axis=1)
-    nv = np.linalg.norm(dv, axis=1)
-    norm1, norm2 = np.linalg.norm(v1, axis=1), np.linalg.norm(v2, axis=1)
+    # each pair is measured in units of a power of two s in (|dz|, 2 |dz|],
+    # so no square overflows on a wide ball, and every norm, product and
+    # ratio below is the unscaled one's float times a power of two
+    s = np.ldexp(1.0, np.frexp(nz)[1])
+    U = np.stack([dz, v1 - v2, v1, v2]) / s[:, None]
+    inner = np.einsum("ij,ij->i", U[1], U[0])
+    nu, nw, norm1, norm2 = np.linalg.norm(U, axis=2)
     # a monotone V's inner product can round below zero by about
     # eps |V| |x - y|: two evaluations, their difference, a d-term sum
-    tol = 4 * op.dim * np.finfo(float).eps * (norm1 + norm2) * nz
+    tol = 4 * op.dim * np.finfo(float).eps * (norm1 + norm2) * nu
     violations = int((inner < -tol).sum())
     ok = nz > 1e-12
-    measured_L = float((nv[ok] / nz[ok]).max(initial=0.0))
-    nv2 = nv ** 2
-    live = nv2 > 1e-14
-    if np.any(live & (inner <= 1e-12 * nv2)):
+    measured_L = float((nw[ok] / nu[ok]).max(initial=0.0))
+    nw2 = nw ** 2
+    live = nw2 > 1e-14 / (s * s)
+    if np.any(live & (inner <= 1e-12 * nw2)):
         measured_beta = INF
     elif live.any():
-        measured_beta = float((nv2[live] / inner[live]).max())
+        measured_beta = float((nw2[live] / inner[live]).max())
     else:
         measured_beta = 0.0
-    measured_G = float(max(norm1.max(initial=0.0), norm2.max(initial=0.0)))
+    measured_G = float((s * np.maximum(norm1, norm2)).max(initial=0.0))
     return PropertyReport(monotone_violations=violations,
                           measured_L=measured_L,
                           measured_beta=measured_beta,
