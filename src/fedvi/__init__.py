@@ -1,9 +1,10 @@
 """Simulation library and benchmark harness for federated stochastic
 variational-inequality algorithms over synthetic monotone operators."""
 
-from .algorithms import (RunConfig, StepSizePlan, Trajectory, constants_of,
-                         run_lda, run_lesgd, run_lesgd_hetero, run_lippax,
-                         run_lsgd, run_slippax, solve_inner_prox, step_size)
+from .algorithms import (DivergenceWarning, RunConfig, StepSizePlan,
+                         Trajectory, constants_of, run_lda, run_lesgd,
+                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
+                         solve_inner_prox, step_size)
 from .gaps import GapEstimate, composite_gap, restricted_gap
 from .harness import (ConfigError, ExperimentConfig, RateFit, ResultRow,
                       fit_rate, run_experiment)

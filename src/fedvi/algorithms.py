@@ -121,6 +121,10 @@ class TrajectoryRecord:
     beyond: str | None = None
 
 
+class DivergenceWarning(RuntimeWarning):
+    """A run went past its growth limit, as :func:`read_run` warns."""
+
+
 @dataclass
 class Trajectory:
     """Per-round log of a run; the last record, at t = T, holds the
@@ -142,7 +146,7 @@ def read_run(shared: Trajectory, cfg: RunConfig, algo: str) -> Trajectory:
 
     It keeps the records at t <= T with mod(t, record_every) = 0 or t =
     T, is diverged from the first of them flagged ``beyond``, and then
-    warns once, naming the run."""
+    warns once, naming the run, with a :class:`DivergenceWarning`."""
     T, every = cfg.T, cfg.record_every
     records = [rec for rec in shared.records
                if rec.t <= T and (rec.t % every == 0 or rec.t == T)]
@@ -152,7 +156,7 @@ def read_run(shared: Trajectory, cfg: RunConfig, algo: str) -> Trajectory:
     warnings.warn(
         f"{algo} run (master_seed {cfg.master_seed}, M={cfg.M}, K={cfg.K}, "
         f"R={cfg.R}) diverged: iterate norm {first.beyond} at step "
-        f"{first.t}", RuntimeWarning)
+        f"{first.t}", DivergenceWarning)
     return Trajectory(records=records, diverged_at=first.t)
 
 

@@ -29,11 +29,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS, RunConfig,
-                         Trajectory, constants_of, default_inner_steps,
-                         derived_gamma, read_run, run_lda, run_lesgd,
-                         run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
-                         step_size)
+from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS,
+                         DivergenceWarning, RunConfig, Trajectory,
+                         constants_of, default_inner_steps, derived_gamma,
+                         read_run, run_lda, run_lesgd, run_lesgd_hetero,
+                         run_lippax, run_lsgd, run_slippax, step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
                         make_test_problem, verify_properties)
@@ -453,17 +453,16 @@ def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
               plans: Sequence[RunConfig]) -> Trajectory:
     """One runner call that every plan of a group can read its run from
     (:func:`read_run`): at the longest plan, recording at the gcd of the
-    plans' record_every and of the shorter plans' T.  Its own divergence
-    warning would name the longest plan at that cadence, so it is
-    dropped; each plan's reading warns for itself."""
+    plans' record_every and of the shorter plans' T.  Its own
+    DivergenceWarning would name the longest plan at that cadence, so
+    it is dropped; each plan's reading warns for itself."""
     longest = max(plans, key=lambda plan: plan.T)
     every = math.gcd(*(plan.record_every for plan in plans),
                      *(plan.T for plan in plans if plan.T < longest.T))
     run_cfg = replace(longest, record_every=every)
     algo_id = cfg.algorithm["id"]
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r".* diverged: iterate norm ",
-                                RuntimeWarning)
+        warnings.simplefilter("ignore", DivergenceWarning)
         if algo_id == "lesgd-hetero":
             return run_lesgd_hetero(oracle, offsets, run_cfg)
         if algo_id == "lda":
@@ -485,15 +484,16 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
     runs with one such key are one group, simulated once
     (:func:`_simulate`); a run that draws is a group of its own.  Every
     run is planned from the first run's operator before any runner
-    call.  build_problem still runs once per run, a group's runner call
-    right after its first run's, and a group's trajectory is dropped
-    once its last run has read it.
+    call.  build_problem runs once per runner call, right before it:
+    the first group simulates on the planning operator, and each later
+    group on one it builds at its first run.  Every run of a group reads
+    the group's operator, trajectory and gap cells, which are dropped
+    once its last run has read them.
 
     The gap cells map a step t to the (GapEstimate, dist_to_solution)
     of the group's record at t, filled by :func:`_execute_run`.  A gap's
     inputs (the config's operator, regularizer, centre and D) are the
-    same for every run, so each record is evaluated once per group; the
-    cells are dropped with the trajectory.
+    same for every run, so each record is evaluated once per group.
     """
     specs = cfg.expand_runs()
     op = build_problem(cfg)
@@ -510,17 +510,17 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
         groups.setdefault(key, []).append(i)
     shared: dict = {}
     for i, (spec, plan, key) in enumerate(zip(specs, plans, keys)):
-        if i:
-            op = build_problem(cfg)
         members = groups[key]
         if i == members[0]:
-            shared[key] = _simulate(cfg, _oracle(cfg, op, spec), offsets[i],
-                                    [plans[j] for j in members]), {}
-        group, cells = shared[key]
+            op = build_problem(cfg) if i else op
+            shared[key] = op, _simulate(cfg, _oracle(cfg, op, spec),
+                                        offsets[i],
+                                        [plans[j] for j in members]), {}
+        group_op, group, cells = shared[key]
         traj = read_run(group, plan, cfg.algorithm["id"])
         if i == members[-1]:
             del shared[key]
-        yield spec, op, plan, traj, cells
+        yield spec, group_op, plan, traj, cells
 
 
 def _execute_run(cfg: ExperimentConfig, spec: dict, gap_op: OperatorSpec,

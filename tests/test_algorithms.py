@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from fedvi import algorithms
-from fedvi.algorithms import (ALGO_IDS, RunConfig, constants_of,
-                              default_inner_steps, derived_gamma, dispersion,
-                              run_lda, run_lesgd, run_lesgd_hetero,
-                              run_lippax, run_lsgd, run_slippax,
-                              solve_inner_prox, step_size)
+from fedvi.algorithms import (ALGO_IDS, DivergenceWarning, RunConfig,
+                              constants_of, default_inner_steps,
+                              derived_gamma, dispersion, run_lda, run_lesgd,
+                              run_lesgd_hetero, run_lippax, run_lsgd,
+                              run_slippax, solve_inner_prox, step_size)
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem, operator_bound_on_ball)
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
@@ -257,7 +257,8 @@ class TestRunLesgd:
 
         From z0 = 1 with reach 1 the limit is 1e6: 7^8 - 1 > 1e6 > 7^7 - 1,
         so step 8 is the first record past it, long before any overflow.
-        Without a reach the same run stays ok.
+        Without a reach the same run stays ok.  The one warning is a
+        DivergenceWarning, which a RuntimeWarning filter catches.
         """
         cfg = RunConfig(M=1, K=1, R=40, eta=3.0, z0=np.array([1.0]),
                         record_every=1, reach=1.0)
@@ -267,6 +268,7 @@ class TestRunLesgd:
         assert [str(w.message) for w in caught] == [
             "lesgd run (master_seed 0, M=1, K=1, R=40) diverged: iterate "
             "norm beyond 1e+06 from z0 at step 8"]
+        assert [w.category for w in caught] == [DivergenceWarning]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_lesgd(scalar_op(), replace(cfg, reach=math.inf)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fedvi import harness
+from fedvi import DivergenceWarning, harness
 from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
@@ -351,9 +351,9 @@ class TestRunExperiment:
 
     def test_unwritable_output_rejected_before_any_run(self, tmp_path,
                                                        monkeypatch):
-        def refuse(cfg, spec):
+        def refuse(*args):
             raise AssertionError("a run started")
-        monkeypatch.setattr("fedvi.harness._execute_run", refuse)
+        monkeypatch.setattr("fedvi.harness._simulate", refuse)
         out = str(tmp_path / "missing" / "x.csv")
         with pytest.raises(ConfigError, match="cannot write") as err:
             run_experiment(minimal_config(output=out))
@@ -566,14 +566,14 @@ def _runner_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def _gap_calls(monkeypatch) -> list[int]:
-    """One entry per composite_gap call the harness makes from now on."""
+def _calls(monkeypatch, name: str) -> list[int]:
+    """One entry per call the harness makes to its ``name`` from now on."""
     calls = []
 
-    def counting(*args, _gap=harness.composite_gap):
+    def counting(*args, _fn=getattr(harness, name)):
         calls.append(1)
-        return _gap(*args)
-    monkeypatch.setattr(harness, "composite_gap", counting)
+        return _fn(*args)
+    monkeypatch.setattr(harness, name, counting)
     return calls
 
 
@@ -602,40 +602,44 @@ def _rate_sweep() -> dict:
 
 class TestSharedTrajectories:
     """Runs that draw nothing and share (M, K, eta, gamma, H, delta) are
-    simulated once, at the longest of them, each of its records is
-    evaluated once, and each run reads its rows."""
+    simulated once, at the longest of them, on one operator build, each
+    of its records is evaluated once, and each run reads its rows."""
 
-    @pytest.mark.parametrize("tree,calls,gaps", [
-        (minimal_config(seeds=[0, 1, 2]), [10], 10),
-        (_rate_sweep(), [800], 70),
+    @pytest.mark.parametrize("tree,calls,gaps,builds", [
+        (minimal_config(seeds=[0, 1, 2]), [10], 10, 1),
+        (_rate_sweep(), [800], 70, 1),
         # T7's eta depends on R
         (minimal_config(
             problem={"kind": "bilinear-saddle", "dim": 4, "seed": 9},
             algorithm={"id": "lda", "schedule": "T7"},
             federation={"M": 2, "K": 4, "R": 4}, gap={"D": 2.0},
             regularizer={"kind": "box-indicator", "lo": -1.0, "hi": 1.0},
-            sweep={"R": [4, 8, 16]}, seeds=[0, 1]), [4, 8, 16], 28),
+            sweep={"R": [4, 8, 16]}, seeds=[0, 1]), [4, 8, 16], 28, 3),
         # the default H is 3, 4 and 5
         (minimal_config(
             problem={"kind": "bounded-nonlinear", "dim": 4, "seed": 2},
             algorithm={"id": "lippax", "eta": 0.2},
             federation={"M": 2, "K": 2, "R": 2},
-            sweep={"R": [2, 8, 32]}), [2, 8, 32], 42),
+            sweep={"R": [2, 8, 32]}), [2, 8, 32], 42, 3),
         # a run that draws is a group of its own: one gap per row
         (minimal_config(noise={"sigma": 0.5, "model": "gaussian-isotropic"},
-                        seeds=[0, 1, 2]), [10, 10, 10], 30),
+                        seeds=[0, 1, 2]), [10, 10, 10], 30, 3),
     ], ids=["seeds", "rate-sweep", "lda-T7-R", "lippax-default-H",
             "stochastic"])
     def test_one_runner_call_per_distinct_trajectory(self, monkeypatch,
-                                                     tree, calls, gaps):
-        """One runner call per distinct trajectory, at its longest R, and
-        one gap call per distinct record of it; and every CSV byte is the
-        one each run writes alone."""
+                                                     tree, calls, gaps,
+                                                     builds):
+        """One runner call per distinct trajectory, at its longest R, one
+        operator build per runner call and one gap call per distinct
+        record of it; and every CSV byte is the one each run writes
+        alone."""
         made = _runner_calls(monkeypatch)
-        evaluated = _gap_calls(monkeypatch)
+        evaluated = _calls(monkeypatch, "composite_gap")
+        built = _calls(monkeypatch, "build_problem")
         text = rows_to_csv(run_experiment(tree))
         assert sorted(made) == sorted(calls)
         assert len(evaluated) == gaps
+        assert len(built) == builds
         assert text == _csv_of_runs_alone(tree)
 
     def test_prefix_runs_diverge_as_alone(self, monkeypatch):
@@ -653,7 +657,7 @@ class TestSharedTrajectories:
                 rows = run_experiment(config)
             return rows, [str(w.message) for w in caught]
 
-        evaluated = _gap_calls(monkeypatch)
+        evaluated = _calls(monkeypatch, "composite_gap")
         rows, messages = run(tree)
         assert len(evaluated) == 10
         assert {r.round for r in rows if r.status == "ok"} == set(range(1, 11))
@@ -946,7 +950,7 @@ class TestCli:
         messages = [str(w.message) for w in caught]
         assert len(messages) == len(set(messages)) == 3
         for w in caught:
-            assert w.category is RuntimeWarning
+            assert w.category is DivergenceWarning
             assert re.fullmatch(r"lesgd run \(master_seed \d+, M=1, K=1, "
                                 r"R=40\) diverged: iterate norm beyond "
                                 r"1e\+06 from z0 at step 4", str(w.message))
