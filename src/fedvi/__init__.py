@@ -1,7 +1,7 @@
 """Simulation library and benchmark harness for federated stochastic
 variational-inequality algorithms over synthetic monotone operators."""
 
-from .algorithms import (DivergenceWarning, RunConfig, StepSizePlan,
+from .algorithms import (DivergenceWarning, RunConfig, RunStack, StepSizePlan,
                          Trajectory, constants_of, run_lda, run_lesgd,
                          run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
                          solve_inner_prox, step_size)

@@ -15,11 +15,20 @@ so the loop draws the run's randomness ahead, one :func:`draw_rows`
 pass per block of consecutive whole steps, blocks spanning rounds, and
 every oracle query of a step is one :func:`sample_oracle` call on the
 (M, d) client stack with its pre-drawn rows.
+
+Runs that share K, R, H and the record cadence may be simulated as one
+:class:`RunStack`: their client rows, run after run, are one stack that
+each step queries once, each row drawing from its own run's keys, and
+each run keeps its own M, step sizes, seed, sync mean, running output,
+records and divergence warning.  Every operation on a row is the one it
+meets alone, so each run's trajectory has the bits of its run alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -106,6 +115,37 @@ class RunConfig:
         return z0.copy()
 
 
+@dataclass(frozen=True)
+class RunStack:
+    """Runs simulated as one client stack: their M's rows, in run order.
+
+    The runs share K, R, H and record_every, which the stack exposes;
+    its ``M`` is the stack's rows, the sum of theirs.  A runner given a
+    stack returns one :class:`Trajectory` per run, in run order, each
+    with the bits that run has alone.
+    """
+
+    runs: tuple[RunConfig, ...]
+
+    def __post_init__(self):
+        if not self.runs:
+            raise ValueError("a stack needs at least one run")
+        for name in ("K", "R", "H", "record_every"):
+            if len({getattr(run, name) for run in self.runs}) > 1:
+                raise ValueError(f"a stack's runs must share {name}")
+
+    M = property(lambda self: sum(run.M for run in self.runs))
+    K = property(lambda self: self.runs[0].K)
+    R = property(lambda self: self.runs[0].R)
+    H = property(lambda self: self.runs[0].H)
+    T = property(lambda self: self.runs[0].T)
+    record_every = property(lambda self: self.runs[0].record_every)
+
+
+def _runs_of(cfg: RunConfig | RunStack) -> tuple[RunConfig, ...]:
+    return cfg.runs if isinstance(cfg, RunStack) else (cfg,)
+
+
 @dataclass
 class TrajectoryRecord:
     """The run at step t.  ``beyond`` flags a record whose client states
@@ -169,58 +209,80 @@ def read_run(shared: Trajectory, cfg: RunConfig, algo: str) -> Trajectory:
 # raised the process's peak RSS by about 0.1 MB and 1.2 MB.
 DRAW_BLOCK_CELLS = 1 << 12
 
-# The query slots of one local step: (inner step, phase, smoothing radius)
-Queries = Sequence[tuple[int, int, float]]
+# The query slots of one local step: (inner step, phase, smoothed).  A
+# smoothed query shifts each row by its own run's delta.
+Queries = Sequence[tuple[int, int, bool]]
 
 
-def _draw_steps(oracle: OracleSpec, stream: RngStream, steps: Sequence[int],
-                queries: Queries, M: int) -> Iterator[tuple]:
+def _draw_steps(oracle: OracleSpec, streams: Sequence[tuple[RngStream, int]],
+                steps: Sequence[int], queries: Queries,
+                radii: np.ndarray) -> Iterator[tuple]:
     """Pre-drawn rows of every query of the given steps, in one pass.
 
-    Row m of query j in step t is on path (m, t, inner_j, phase_j); each
-    row that draws takes one :meth:`RngStream.at` key, and all of them
-    are one :func:`draw_rows` call.  Returns one tuple per step whose
-    entry j is query j's (M, d) rows, or None when it draws nothing.
+    ``streams`` holds each run's (RngStream, M) in stack order, and
+    ``radii`` the smoothing radius of each of the stack's rows.  Row m
+    of a run in query j of step t is on that run's path (m, t, inner_j,
+    phase_j); each row that draws takes one :meth:`RngStream.at` key,
+    and all of them are one :func:`draw_rows` call.  Returns one tuple
+    per step whose entry j is query j's rows, one per stack row, or None
+    when it draws nothing.
     """
-    live = [query for query in queries if oracle.is_stochastic(query[2])]
-    at = stream.at
-    keys = [at(m, t, inner, phase) for t in steps
-            for inner, phase, _ in live for m in range(M)] if live else []
-    radii = [delta for _, _, delta in live]
-    # draw_rows returns the noise rows in (step, query, m) order and the
+    live = [query for query in queries if query[2] or oracle.is_stochastic()]
+    ats = [(stream.at, range(M)) for stream, M in streams]
+    keys = [at(m, t, inner, phase) for t in steps for inner, phase, _ in live
+            for at, clients in ats for m in clients] if live else []
+    n = len(radii)
+    step_radii = np.tile(np.concatenate(
+        [radii if smooth else np.zeros(n) for _, _, smooth in live]),
+        len(steps)) if any(smooth for _, _, smooth in live) else None
+    # draw_rows returns the noise rows in (step, query, row) order and the
     # shift rows in that order for the smoothed queries alone, so each
     # query's rows over the steps are the next column of one or both
     shifts, noises = (iter(() if rows is None else rows.reshape(
-        len(steps), -1, M, oracle.dim).swapaxes(0, 1))
-        for rows in draw_rows(oracle, keys, np.repeat(
-            np.tile(radii, len(steps)), M) if any(radii) else None))
+        len(steps), -1, n, oracle.dim).swapaxes(0, 1))
+        for rows in draw_rows(oracle, keys, step_radii))
     none = [None] * len(steps)
-    return zip(*[map(Draws, next(shifts) if delta > 0 else none,
+    return zip(*[map(Draws, next(shifts) if smooth else none,
                      next(noises, none))
-                 if oracle.is_stochastic(delta) else none
-                 for _, _, delta in queries])
+                 if smooth or oracle.is_stochastic() else none
+                 for _, _, smooth in queries])
 
 
-def _step_draws(oracle: OracleSpec, cfg: RunConfig, queries: Queries):
-    """Each step's pre-drawn query rows for t = 1..T.
+def _step_draws(oracle: OracleSpec, runs: Sequence[RunConfig],
+                queries: Queries):
+    """Each step's pre-drawn query rows for t = 1..T, over the stack of
+    the runs' client rows.
 
-    The run's T steps are drawn ahead in blocks of consecutive whole
-    steps of at most DRAW_BLOCK_CELLS cells, one step at least; a block
-    may span rounds, since a draw depends on its key alone.
+    The T steps are drawn ahead in blocks of consecutive whole steps of
+    at most DRAW_BLOCK_CELLS cells, one step at least; a block may span
+    rounds, since a draw depends on its key alone.
     """
-    stream = RngStream(cfg.master_seed)
+    streams = [(RngStream(run.master_seed), run.M) for run in runs]
+    radii = np.repeat([run.delta for run in runs], [run.M for run in runs])
+    T = runs[0].T
     per_block = max(1, DRAW_BLOCK_CELLS
-                    // (2 * len(queries) * cfg.M * oracle.dim))
-    for first in range(1, cfg.T + 1, per_block):
-        steps = range(first, min(first + per_block, cfg.T + 1))
-        yield from _draw_steps(oracle, stream, steps, queries, cfg.M)
+                    // (2 * len(queries) * len(radii) * oracle.dim))
+    for first in range(1, T + 1, per_block):
+        steps = range(first, min(first + per_block, T + 1))
+        yield from _draw_steps(oracle, streams, steps, queries, radii)
 
 
-def _operand(c: float) -> np.ndarray:
-    """A step size as a 0-d float64 array.  In a ufunc call on the
-    runners' small stacks it costs less than the Python float, and
-    against a float64 array it is the same operand, so the same bits."""
+def _operand(c: float | np.ndarray) -> np.ndarray:
+    """A step size as a 0-d float64 array, or a per-row column as a fresh
+    one.  In a ufunc call on the runners' small stacks the 0-d array
+    costs less than the Python float, and against a float64 array it is
+    the same operand, so the same bits."""
     return np.array(c, dtype=float)
+
+
+def _per_row(runs: Sequence[RunConfig], name: str) -> float | np.ndarray:
+    """The runs' value of a step size: the float when they share it, else
+    an (M, 1) column holding each stack row's run's value.  A row meets
+    its run's value either way, elementwise, so its bits are the same."""
+    values = [getattr(run, name) for run in runs]
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.repeat(values, [run.M for run in runs])[:, None]
 
 
 def _client_mean(a: np.ndarray) -> np.ndarray:
@@ -244,63 +306,126 @@ def dispersion(points: np.ndarray) -> float:
     return float(_client_mean(((points - center) ** 2).sum(axis=1)))
 
 
-def _round_loop(cfg: RunConfig, oracle: OracleSpec, step: Callable,
-                algo: str, queries: Queries) -> Trajectory:
+def _blocks(counts: Sequence[int]) -> list[tuple[slice, slice, int, int]]:
+    """A stack's maximal spans of consecutive runs with one M, each as
+    (its runs, its rows, n = its run count, M).  numpy's sum over axis
+    1 of the (n, M, d) rows of a span has the bits of each run's own
+    ``np.add.reduce`` over axis 0."""
+    blocks, run, row = [], 0, 0
+    for M, same in itertools.groupby(counts):
+        n = len(list(same))
+        blocks.append((slice(run, run + n), slice(row, row + n * M), n, M))
+        run, row = run + n, row + n * M
+    return blocks
+
+
+def _sync(blocks: list, dim: int) -> Callable[[np.ndarray], None]:
+    """The function that replaces each run's rows of a client stack, in
+    place, by their :func:`_client_mean`."""
+    if len(blocks) == 1 and blocks[0][2] == 1:
+        def sync(a):
+            a[:] = _client_mean(a)
+        return sync
+
+    def sync(a):
+        for _, rows, n, M in blocks:
+            if M == 1:
+                a[rows] += 0.0
+            else:
+                a[rows] = np.repeat(np.add.reduce(
+                    a[rows].reshape(n, M, dim), axis=1) / M, M, axis=0)
+    return sync
+
+
+def _output_means(blocks: list, dim: int) -> Callable:
+    """The function from a stack p to its runs' client means, (runs, d)
+    or (d,) for one run, whose rows the running outputs take in.  A run
+    with M = 1 gives its row as it is: its mean would turn -0.0 entries
+    into +0.0, which add into the output alike."""
+    if len(blocks) == 1 and blocks[0][2] == 1:
+        return operator.itemgetter(0) if blocks[0][3] == 1 else _client_mean
+    sums = np.empty((blocks[-1][0].stop, dim))
+    counts = np.concatenate([np.full((n, 1), float(M))
+                             for _, _, n, M in blocks])
+
+    def means(p):
+        for runs, rows, n, M in blocks:
+            if M == 1:
+                sums[runs] = p[rows]
+            else:
+                np.add.reduce(p[rows].reshape(n, M, dim), axis=1,
+                              out=sums[runs])
+        return sums / counts
+    return means
+
+
+def _round_loop(cfg: RunConfig | RunStack, oracle: OracleSpec,
+                step: Callable, algo: str, queries: Queries):
     """The round structure every runner shares.
 
-    ``step(t, z, sync, draws)`` updates all M client states z, given
-    ``draws[j]``, the pre-drawn rows of query ``queries[j]`` (None when
-    it draws nothing), and returns ``(z_next, p)``: the next states and
-    the points whose client mean is the step's output.  The loop runs
-    T = K R steps, averages z_next across clients when ``sync`` (mod(t,
-    K) = 0), and keeps the running mean of the outputs.  Every
-    ``cfg.record_every`` steps and at t = T it records the client mean of
-    p, the output and drift_z, the dispersion of z_next before the sync.
-    The client mean of p is taken after the sync: on every step at M > 1,
-    where the running mean needs it, and on record steps only at M = 1,
-    where the running mean reads p's one row instead (the mean would turn
-    its -0.0 entries into +0.0, which add into the output alike).  The
-    record flags whether the client stack or the output lies farther
-    from z0 than ``cfg.growth_limit``, and :func:`read_run` marks the run
-    diverged from the first flagged record and warns, naming the run;
-    numpy's overflow and invalid-value warnings are off inside the loop.
+    ``step(t, z, sync, draws)`` updates all client states z, the stacked
+    rows of ``cfg``'s runs, given ``draws[j]``, the pre-drawn rows of
+    query ``queries[j]`` (None when it draws nothing), and returns
+    ``(z_next, p)``: the next states and the points whose client mean is
+    the step's output.  ``sync`` is None, or, when mod(t, K) = 0, the
+    function that averages a stack's rows across each run's clients in
+    place.  The loop runs T = K R steps, syncs z_next when mod(t, K) =
+    0, and keeps each run's running mean of its outputs.  Every
+    ``record_every`` steps and at t = T it records, per run, the client
+    mean of p, the output and drift_z, the dispersion of z_next before
+    the sync.  The record flags whether the run's client rows or its
+    output lie farther from its z0 than its ``growth_limit``, and
+    :func:`read_run` marks the run diverged from the first flagged
+    record and warns, naming the run; numpy's overflow and invalid-value
+    warnings are off inside the loop.  Returns the run's Trajectory, or,
+    for a RunStack, one per run.
     """
+    runs = _runs_of(cfg)
     dim = oracle.dim
-    z0 = cfg.initial_point(dim)
-    limit = cfg.growth_limit(oracle.sigma)
-    z = np.tile(z0, (cfg.M, 1))
-    output = np.zeros(dim)
-    records: list[TrajectoryRecord] = []
+    counts = [run.M for run in runs]
+    blocks = _blocks(counts)
+    rows = [slice(end - M, end)
+            for end, M in zip(itertools.accumulate(counts), counts)]
+    z0s = [run.initial_point(dim) for run in runs]
+    limits = [run.growth_limit(oracle.sigma) for run in runs]
+    z = np.repeat(z0s, counts, axis=0)
+    output = np.zeros((len(runs), dim))
+    # the running outputs in the shape means(p) has: (d,) for one run
+    acc = output[0] if len(runs) == 1 else output
+    records: list[list[TrajectoryRecord]] = [[] for _ in runs]
     cadence, K, T = cfg.record_every, cfg.K, cfg.T
-    one_client = cfg.M == 1
-    draws = _step_draws(oracle, cfg, queries)
+    sync, means = _sync(blocks, dim), _output_means(blocks, dim)
+    draws = _step_draws(oracle, runs, queries)
     # a diverging run reports itself below, not through numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T + 1):
-            sync = t % K == 0
-            z, p = step(t, z, sync, next(draws))
+            synced = t % K == 0
+            z, p = step(t, z, sync if synced else None, next(draws))
             record = t % cadence == 0 or t == T
-            drift = dispersion(z) if record else None
-            if sync:
-                z[:] = _client_mean(z)
-            mean = p[0] if one_client else _client_mean(p)
-            output += (mean - output) / t
+            drifts = [dispersion(z[r]) for r in rows] if record else None
+            if synced:
+                sync(z)
+            acc += (means(p) - acc) / t
             if not record:
                 continue
-            far = [np.linalg.norm(a - z0) for a in (z, output)]
-            beyond = None
-            if not all(n <= limit for n in far):
-                beyond = ("not finite" if not np.isfinite(far).all()
-                          else f"beyond {limit:.3g} from z0")
-            records.append(TrajectoryRecord(
-                t=t, mean_iterate=_client_mean(p) if one_client else mean,
-                output_avg=output.copy(), drift_z=drift, beyond=beyond))
-    return read_run(Trajectory(records=records), cfg, algo)
+            for r, z0, limit, out, drift, recs in zip(
+                    rows, z0s, limits, output, drifts, records):
+                far = [np.linalg.norm(a - z0) for a in (z[r], out)]
+                beyond = None
+                if not all(n <= limit for n in far):
+                    beyond = ("not finite" if not np.isfinite(far).all()
+                              else f"beyond {limit:.3g} from z0")
+                recs.append(TrajectoryRecord(
+                    t=t, mean_iterate=_client_mean(p[r]),
+                    output_avg=out.copy(), drift_z=drift, beyond=beyond))
+    trajs = tuple(read_run(Trajectory(records=recs), run, algo)
+                  for run, recs in zip(runs, records))
+    return trajs if isinstance(cfg, RunStack) else trajs[0]
 
 
-def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
+def _run_extragradient(oracle: OracleSpec, cfg: RunConfig | RunStack,
                        reg: RegularizerSpec, algo: str,
-                       offsets: np.ndarray | None = None) -> Trajectory:
+                       offsets: np.ndarray | None = None):
     """Two-query extra-gradient family in the dual space (Eq. (5)/(7) shape).
 
     The round-t mirror map is ``prox(reg, z, t * eta)`` for t >= 1 and
@@ -308,7 +433,7 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
     that :func:`mirror_map` is as a public call.  With ``offsets``,
     client m queries V(z) + offsets[m].
     """
-    eta = cfg.eta
+    eta = _per_row(_runs_of(cfg), "eta")
     eta_op = _operand(eta)
     mirror = reg.kind != "zero"  # else the mirror map is the identity
 
@@ -317,21 +442,22 @@ def _run_extragradient(oracle: OracleSpec, cfg: RunConfig,
         q = sample_oracle(oracle, u, draws=draws[0])
         x = z - eta_op * (q if offsets is None else q + offsets)
         if sync:
-            x[:] = _client_mean(x)
+            sync(x)
         v = prox(reg, x, t * eta) if mirror else x
         q = sample_oracle(oracle, v, draws=draws[1])
         return z - eta_op * (q if offsets is None else q + offsets), v
     return _round_loop(cfg, oracle, step, algo,
-                       ((0, PHASE_EXTRAPOLATE, 0.0), (0, PHASE_UPDATE, 0.0)))
+                       ((0, PHASE_EXTRAPOLATE, False),
+                        (0, PHASE_UPDATE, False)))
 
 
-def run_lesgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
+def run_lesgd(oracle: OracleSpec, cfg: RunConfig | RunStack):
     """Local Extra SGD: extrapolate at z, update with the operator at x."""
     return _run_extragradient(oracle, cfg, ZERO_REG, "lesgd")
 
 
 def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
-            cfg: RunConfig) -> Trajectory:
+            cfg: RunConfig | RunStack):
     """Local dual averaging: extra-gradient on dual states, queried in primal.
 
     The round-t mirror map is the prox of phi with weight t * eta; with a
@@ -341,10 +467,11 @@ def run_lda(oracle: OracleSpec, reg: RegularizerSpec,
 
 
 def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
-                     cfg: RunConfig) -> Trajectory:
-    """LESGD where client m queries V(z) + offsets[m]; offsets is (M, d).
+                     cfg: RunConfig | RunStack):
+    """LESGD where client m queries V(z) + offsets[m]; offsets is (M, d),
+    a stack's runs' offsets stacked like their clients.
 
-    The mean operator is V itself when the offsets sum to zero.
+    The mean operator is V itself when a run's offsets sum to zero.
     """
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape != (cfg.M, oracle.dim):
@@ -353,32 +480,35 @@ def run_lesgd_hetero(oracle: OracleSpec, offsets: np.ndarray,
     return _run_extragradient(oracle, cfg, ZERO_REG, "lesgd-hetero", offsets)
 
 
-def run_lsgd(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
-    """Plain local SGD on the operator; sound only for co-coercive classes."""
+def run_lsgd(oracle: OracleSpec, cfg: RunConfig | RunStack):
+    """Plain local SGD on the operator; sound only for co-coercive classes.
+    Without a finite co-coercivity constant it warns once per run."""
     if not (oracle.base.beta < math.inf):
-        warnings.warn("operator does not declare a finite co-coercivity "
-                      "constant; plain local SGD has no guarantee on this "
-                      "problem", RuntimeWarning)
+        for _ in _runs_of(cfg):
+            warnings.warn("operator does not declare a finite co-coercivity "
+                          "constant; plain local SGD has no guarantee on "
+                          "this problem", RuntimeWarning)
 
-    eta_op = _operand(cfg.eta)
+    eta_op = _operand(_per_row(_runs_of(cfg), "eta"))
 
     def step(t, x, sync, draws):
         x = x - eta_op * sample_oracle(oracle, x, draws=draws[0])
         return x, x
     return _round_loop(cfg, oracle, step, "lsgd",
-                       ((0, PHASE_EXTRAPOLATE, 0.0),))
+                       ((0, PHASE_EXTRAPOLATE, False),))
 
 
-def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
-                     gamma: float, H: int,
-                     draws: Sequence[Draws | None] | None = None
+def solve_inner_prox(oracle: OracleSpec, z: np.ndarray,
+                     eta: float | np.ndarray, gamma: float | np.ndarray,
+                     H: int, draws: Sequence[Draws | None] | None = None
                      ) -> np.ndarray:
     """H SGD steps on the regularized operator V(x) + (x - z) / eta.
 
-    ``z`` is one anchor (d,) or an (M, d) client stack.  ``draws[ell]``
-    holds inner query ell + 1's pre-drawn rows (None when it draws
-    nothing); smoothing reaches these inner queries only through their
-    shift rows.  Without ``draws`` the oracle must be exact.
+    ``z`` is one anchor (d,) or an (M, d) client stack, and ``eta`` and
+    ``gamma`` floats or (M, 1) per-row columns.  ``draws[ell]`` holds
+    inner query ell + 1's pre-drawn rows (None when it draws nothing);
+    smoothing reaches these inner queries only through their shift rows.
+    Without ``draws`` the oracle must be exact.
     """
     draws = draws or [None] * H
     eta, gamma = _operand(eta), _operand(gamma)
@@ -389,32 +519,40 @@ def solve_inner_prox(oracle: OracleSpec, z: np.ndarray, eta: float,
     return x
 
 
-def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig, delta: float,
-                      algo: str) -> Trajectory:
-    eta, H, gamma = cfg.eta, cfg.H, cfg.gamma
-    if H is None or gamma is None:
-        missing = "H" if H is None else "gamma"
-        raise ValueError(f"{algo} needs RunConfig.{missing}; none is derived")
-
+def _run_inexact_prox(oracle: OracleSpec, cfg: RunConfig | RunStack,
+                      smoothed: bool, algo: str):
+    runs = _runs_of(cfg)
+    for run in runs:
+        if run.H is None or run.gamma is None:
+            missing = "H" if run.H is None else "gamma"
+            raise ValueError(f"{algo} needs RunConfig.{missing}; none is "
+                             "derived")
+    H = cfg.H
+    eta, gamma = _per_row(runs, "eta"), _per_row(runs, "gamma")
     eta_op = _operand(eta)
 
     def step(t, z, sync, draws):
         x = solve_inner_prox(oracle, z, eta, gamma, H, draws=draws[:H])
         # outer extra step: fresh, unsmoothed draw at x_t^m
         return z - eta_op * sample_oracle(oracle, x, draws=draws[H]), x
-    inner = [(ell, PHASE_INNER, delta) for ell in range(1, H + 1)]
+    inner = [(ell, PHASE_INNER, smoothed) for ell in range(1, H + 1)]
     return _round_loop(cfg, oracle, step, algo,
-                       inner + [(0, PHASE_UPDATE, 0.0)])
+                       inner + [(0, PHASE_UPDATE, False)])
 
 
-def run_lippax(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
+def run_lippax(oracle: OracleSpec, cfg: RunConfig | RunStack):
     """Local inexact proximal point with an extra-gradient outer step."""
-    return _run_inexact_prox(oracle, cfg, 0.0, "lippax")
+    return _run_inexact_prox(oracle, cfg, False, "lippax")
 
 
-def run_slippax(oracle: OracleSpec, cfg: RunConfig) -> Trajectory:
-    """run_lippax with Gaussian smoothing of the inner-loop queries only."""
-    return _run_inexact_prox(oracle, cfg, cfg.delta, "slippax")
+def run_slippax(oracle: OracleSpec, cfg: RunConfig | RunStack):
+    """run_lippax with Gaussian smoothing of the inner-loop queries only,
+    each run's at its own delta; a stack's runs smooth all or none."""
+    smoothed = {run.delta > 0 for run in _runs_of(cfg)}
+    if len(smoothed) > 1:
+        raise ValueError("a stack's runs must all smooth (delta > 0) or "
+                         "none")
+    return _run_inexact_prox(oracle, cfg, smoothed.pop(), "slippax")
 
 
 def derived_gamma(eta: float, L: float) -> float:

@@ -12,6 +12,10 @@ longest R, and every run on it reads its own records from it; each
 diverging run still warns once, as it does alone.  The group's records
 are evaluated once too: a record's gap and distance cells, computed for
 the first run that writes it, are read by every later run of the group.
+The distinct trajectories that share sigma, K, R, H and the record
+cadence (and whether they smooth) are simulated as one stack of client
+rows, one runner call of at most STACK_ROWS rows, each with its own M,
+seed and step sizes; every CSV byte is the one each run writes alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS,
-                         DivergenceWarning, RunConfig, Trajectory,
+                         DivergenceWarning, RunConfig, RunStack, Trajectory,
                          constants_of, default_inner_steps, derived_gamma,
                          read_run, run_lda, run_lesgd, run_lesgd_hetero,
                          run_lippax, run_lsgd, run_slippax, step_size)
@@ -124,6 +128,14 @@ _BOUND = (None, lambda v: _is_number(v) or _is_point(v),
           "must be a finite number or a list of them")
 REQUIRED = object()  # the default of a field every config must give
 MAX_RUNS = 4096  # cap on a config's sweep points times seeds
+# Client rows one runner call may stack (_stacks).  A step's arrays, and
+# a pre-drawn block of one step, grow with a stack's rows, so this bounds
+# a runner call's working memory whatever MAX_RUNS allows; a run with
+# more clients is a stack of its own.  On acceptance criterion 2's
+# fixture (d = 10, K = 8, R = 200, 20 seeds at each of M = 1, 4, 16) on
+# a 2-core x86 host, caps of 64, 256 and 1024 rows took 4.6, 3.5 and
+# 4.1 s (medians of 3; 6.4 s unstacked) at the same peak RSS.
+STACK_ROWS = 256
 # Largest gap.D, and largest distance from z0 to gap.center: squared
 # distances overflow just above 1e154, and this leaves the gap
 # evaluators room for the operator's constants.
@@ -448,28 +460,52 @@ def _oracle(cfg: ExperimentConfig, op: OperatorSpec,
                       sigma=spec["sigma"])
 
 
-def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
-              offsets: np.ndarray | None,
-              plans: Sequence[RunConfig]) -> Trajectory:
-    """One runner call that every plan of a group can read its run from
-    (:func:`read_run`): at the longest plan, recording at the gcd of the
-    plans' record_every and of the shorter plans' T.  Its own
-    DivergenceWarning would name the longest plan at that cadence, so
-    it is dropped; each plan's reading warns for itself."""
+def _shared_plan(plans: Sequence[RunConfig]) -> RunConfig:
+    """The run that every plan of a draw-free group can read its run from
+    (:func:`read_run`): the longest plan, recording at the gcd of the
+    plans' record_every and of the shorter plans' T."""
     longest = max(plans, key=lambda plan: plan.T)
     every = math.gcd(*(plan.record_every for plan in plans),
                      *(plan.T for plan in plans if plan.T < longest.T))
-    run_cfg = replace(longest, record_every=every)
+    return replace(longest, record_every=every)
+
+
+def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
+              offsets: Sequence[np.ndarray | None],
+              stack: RunStack) -> tuple[Trajectory, ...]:
+    """One runner call on a stack, one trajectory per run.  A run's own
+    DivergenceWarning would name it at the stack's cadence and length,
+    not as a plan reads it, so it is dropped; each plan's reading warns
+    for itself."""
     algo_id = cfg.algorithm["id"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DivergenceWarning)
         if algo_id == "lesgd-hetero":
-            return run_lesgd_hetero(oracle, offsets, run_cfg)
+            return run_lesgd_hetero(oracle, np.concatenate(offsets), stack)
         if algo_id == "lda":
-            return run_lda(oracle, cfg.regularizer, run_cfg)
+            return run_lda(oracle, cfg.regularizer, stack)
         runner = {"lesgd": run_lesgd, "lippax": run_lippax,
                   "slippax": run_slippax, "lsgd": run_lsgd}[algo_id]
-        return runner(oracle, run_cfg)
+        return runner(oracle, stack)
+
+
+def _stacks(sigmas: Sequence[float],
+            sims: Sequence[RunConfig]) -> list[list[int]]:
+    """The simulations, by index, as stacks: in order, each joins the
+    last stack of its kind (the same sigma, K, R, H and record_every,
+    and whether it smooths) while that stack's rows stay within
+    STACK_ROWS, and else starts one."""
+    stacks: list[list[int]] = []
+    last: dict = {}
+    for g, (sigma, sim) in enumerate(zip(sigmas, sims)):
+        kind = (sigma, sim.K, sim.R, sim.H, sim.record_every, sim.delta > 0)
+        stack = last.get(kind)
+        if stack is None or (sum(sims[h].M for h in stack) + sim.M
+                             > STACK_ROWS):
+            stack = last[kind] = []
+            stacks.append(stack)
+        stack.append(g)
+    return stacks
 
 
 def _runs(cfg: ExperimentConfig) -> Iterator[
@@ -481,14 +517,16 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
 
     A run that draws nothing (sigma 0, delta 0) takes steps that depend
     on the config and its (M, K, eta, gamma, H, delta) alone, so the
-    runs with one such key are one group, simulated once
-    (:func:`_simulate`); a run that draws is a group of its own.  Every
-    run is planned from the first run's operator before any runner
-    call.  build_problem runs once per runner call, right before it:
-    the first group simulates on the planning operator, and each later
-    group on one it builds at its first run.  Every run of a group reads
-    the group's operator, trajectory and gap cells, which are dropped
-    once its last run has read them.
+    runs with one such key are one group, simulated once, at
+    :func:`_shared_plan`; a run that draws is a group of its own.  The
+    groups' simulations are then stacked (:func:`_stacks`), and each
+    stack is one runner call (:func:`_simulate`).  Every run is planned
+    from the first run's operator before any runner call.  build_problem
+    runs once per runner call, right before it, at the stack's first
+    run: the first stack simulates on the planning operator, and each
+    later one on one it builds.  Every run of a group reads the group's
+    operator, trajectory and gap cells, which are dropped once its last
+    run has read them.
 
     The gap cells map a step t to the (GapEstimate, dist_to_solution)
     of the group's record at t, filled by :func:`_execute_run`.  A gap's
@@ -508,18 +546,25 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
     groups: dict = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)
+    members = list(groups.values())
+    group_of = {i: g for g, runs in enumerate(members) for i in runs}
+    sims = [_shared_plan([plans[i] for i in runs]) for runs in members]
+    stack_of = {g: stack for stack in _stacks(
+        [specs[runs[0]]["sigma"] for runs in members], sims) for g in stack}
     shared: dict = {}
-    for i, (spec, plan, key) in enumerate(zip(specs, plans, keys)):
-        members = groups[key]
-        if i == members[0]:
+    for i, (spec, plan) in enumerate(zip(specs, plans)):
+        g = group_of[i]
+        if g not in shared:
             op = build_problem(cfg) if i else op
-            shared[key] = op, _simulate(cfg, _oracle(cfg, op, spec),
-                                        offsets[i],
-                                        [plans[j] for j in members]), {}
-        group_op, group, cells = shared[key]
+            stack = stack_of[g]
+            trajs = _simulate(cfg, _oracle(cfg, op, spec),
+                              [offsets[members[h][0]] for h in stack],
+                              RunStack(tuple(sims[h] for h in stack)))
+            shared.update((h, (op, traj, {})) for h, traj in zip(stack, trajs))
+        group_op, group, cells = shared[g]
         traj = read_run(group, plan, cfg.algorithm["id"])
-        if i == members[-1]:
-            del shared[key]
+        if i == members[g][-1]:
+            del shared[g]
         yield spec, group_op, plan, traj, cells
 
 

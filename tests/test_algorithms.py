@@ -10,7 +10,7 @@ import pytest
 
 from fedvi import algorithms
 from fedvi.algorithms import (ALGO_IDS, DivergenceWarning, RunConfig,
-                              constants_of, default_inner_steps,
+                              RunStack, constants_of, default_inner_steps,
                               derived_gamma, dispersion, run_lda, run_lesgd,
                               run_lesgd_hetero, run_lippax, run_lsgd,
                               run_slippax, solve_inner_prox, step_size)
@@ -792,11 +792,12 @@ class TestRoundDraws:
         blocks = []
         draw_steps = algorithms._draw_steps
 
-        def recording(oracle, stream, steps, queries, M):
+        def recording(oracle, streams, steps, queries, radii):
             blocks.append(list(steps))
-            cells = 2 * len(queries) * M * oracle.dim * len(steps)
+            assert [M for _, M in streams] == [len(radii)] == [cfg.M]
+            cells = 2 * len(queries) * len(radii) * oracle.dim * len(steps)
             assert cells <= budget or len(steps) == 1
-            return draw_steps(oracle, stream, steps, queries, M)
+            return draw_steps(oracle, streams, steps, queries, radii)
         monkeypatch.setattr(algorithms, "_draw_steps", recording)
         monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", budget)
         _run(algo, oracle, cfg)
@@ -837,6 +838,181 @@ class TestRoundDraws:
         assert counts["queries"] == queries_per_step * steps
         assert counts["rows"] == queries_per_step * steps * cfg.M
         assert counts["at"] == drawing * steps * cfg.M
+
+
+def _stack_runs(L, z0, record_every=1):
+    """Runs of several M, seeds and step sizes for one stack: runs of one
+    M side by side (1, 1 and 3, 3) and alone (2, then 1)."""
+    return [RunConfig(M=M, K=4, R=3, eta=eta, H=3,
+                      gamma=derived_gamma(eta, L), delta=delta,
+                      master_seed=seed, record_every=record_every, z0=z0)
+            for M, seed, eta, delta in [
+                (1, 3, 0.15, 0.3), (1, 4, 0.1, 0.2), (3, 5, 0.15, 0.3),
+                (3, 6, 0.12, 0.1), (2, 7, 0.15, 0.05), (1, 8, 0.08, 0.3)]]
+
+
+def _stacked_and_alone(algo, oracle, runs):
+    """The stack's trajectories, and each run's by a runner call alone;
+    heterogeneous runs get offsets of their own M each."""
+    if algo == "lesgd-hetero":
+        offsets = []
+        for run in runs:
+            offs = np.random.default_rng(run.M).standard_normal(
+                (run.M, oracle.dim))
+            offsets.append(offs - offs.mean(axis=0))
+        return (run_lesgd_hetero(oracle, np.concatenate(offsets),
+                                 RunStack(tuple(runs))),
+                [run_lesgd_hetero(oracle, offs, run)
+                 for offs, run in zip(offsets, runs)])
+    return (_run(algo, oracle, RunStack(tuple(runs)))[0],
+            [_run(algo, oracle, run)[0] for run in runs])
+
+
+def _assert_stack_is_alone(stacked, alone):
+    assert len(stacked) == len(alone)
+    for s, a in zip(stacked, alone):
+        assert _trajectory_bits(s) == _trajectory_bits(a)
+        assert s.diverged_at == a.diverged_at
+
+
+class TestRunStacks:
+    """A stack of runs gives each run the bits it has alone."""
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("algo", RUN_IDS)
+    def test_stack_equals_runs_alone_bitwise(self, algo, sigma,
+                                             record_every):
+        oracle = OracleSpec(base=make_test_problem("bounded-nonlinear", 5,
+                                                   seed=9), sigma=sigma)
+        runs = _stack_runs(oracle.base.L, np.linspace(-1.0, 1.0, 5),
+                           record_every)
+        _assert_stack_is_alone(*_stacked_and_alone(algo, oracle, runs))
+
+    @pytest.mark.filterwarnings("ignore:operator does not declare")
+    @pytest.mark.parametrize("algo", RUN_IDS)
+    def test_signed_zeros_stack_equals_runs_alone_bitwise(self, algo):
+        """From z0 = -0.0 on the skew operator the means decide every
+        zero's sign, in each run's sync and output alike."""
+        oracle = OracleSpec(base=make_test_problem("skew", 4),
+                            noise_model="none")
+        runs = _stack_runs(oracle.base.L, np.full(4, -0.0))
+        _assert_stack_is_alone(*_stacked_and_alone(algo, oracle, runs))
+
+    def test_synced_states_equal_runs_alone_bitwise(self):
+        """The states each step is given are each run's own after every
+        sync, signed zeros included: a one-client run syncs to 0.0 + row,
+        which no record shows."""
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1),
+                            noise_model="none")
+        runs = _stack_runs(oracle.base.L, np.array([-0.0, 0.0, -0.0]))
+
+        def given(cfg):
+            states = []
+
+            def step(t, z, sync, draws):
+                states.append(z.copy())
+                return z.copy(), z
+            algorithms._round_loop(cfg, oracle, step, "stub",
+                                   ((0, PHASE_EXTRAPOLATE, False),))
+            return states
+        ends = np.cumsum([run.M for run in runs])[:-1]
+        alone = [given(run) for run in runs]
+        for t, z in enumerate(given(RunStack(tuple(runs)))):
+            assert [_bits(part) for part in np.split(z, ends)] == [
+                _bits(states[t]) for states in alone]
+        assert np.signbit(alone[0][0]).any()
+        assert not np.signbit(alone[0][-1]).any()
+
+    def test_one_call_draws_each_row_once(self, monkeypatch):
+        """A stack's step is one sample_oracle call per query on all of
+        its rows, and one RngStream.at call per row that draws."""
+        oracle = OracleSpec(base=make_test_problem("affine", 5, seed=9),
+                            sigma=0.8)
+        stack = RunStack(tuple(_stack_runs(oracle.base.L, None)))
+        counts = {"at": 0, "queries": 0, "rows": 0}
+        at, sample = RngStream.at, algorithms.sample_oracle
+
+        def counting_at(self, *path):
+            counts["at"] += 1
+            return at(self, *path)
+
+        def counting_sample(oracle, z, *args, **kwargs):
+            counts["queries"] += 1
+            counts["rows"] += len(z)
+            return sample(oracle, z, *args, **kwargs)
+        monkeypatch.setattr(RngStream, "at", counting_at)
+        monkeypatch.setattr(algorithms, "sample_oracle", counting_sample)
+        run_lesgd(oracle, stack)
+        assert stack.M == 11
+        assert counts == {"at": 2 * stack.M * stack.T,
+                          "queries": 2 * stack.T,
+                          "rows": 2 * stack.M * stack.T}
+
+    def test_diverging_run_leaves_its_neighbours_alone(self):
+        """The middle run's step is too large: it diverges and warns as it
+        does alone, and the runs beside it keep their bits and stay ok."""
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1),
+                            sigma=0.5)
+        runs = [RunConfig(M=M, K=2, R=20, eta=eta, master_seed=seed,
+                          reach=1.0)
+                for M, eta, seed in [(2, 0.1, 0), (1, 3.0, 1), (3, 0.1, 2)]]
+
+        def call(cfg):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = run_lesgd(oracle, cfg)
+            return out, [str(w.message) for w in caught
+                         if w.category is DivergenceWarning]
+        stacked, messages = call(RunStack(tuple(runs)))
+        alone = [call(run) for run in runs]
+        _assert_stack_is_alone(stacked, [traj for traj, _ in alone])
+        assert [traj.diverged_at is None for traj in stacked] == [
+            True, False, True]
+        assert messages == [m for _, ms in alone for m in ms]
+        assert len(messages) == 1 and "master_seed 1," in messages[0]
+
+    def test_lsgd_warns_once_per_run(self):
+        oracle = OracleSpec(base=make_test_problem("skew", 2), sigma=0.5)
+        stack = RunStack(tuple(RunConfig(M=M, K=2, R=2, eta=0.1,
+                                         master_seed=seed)
+                               for M, seed in [(1, 0), (2, 1), (1, 2)]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_lsgd(oracle, stack)
+        assert ["co-coercivity" in str(w.message) for w in caught] == [
+            True] * 3
+
+    def test_a_one_run_stack_returns_a_tuple(self):
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1),
+                            sigma=0.5)
+        run = RunConfig(M=2, K=2, R=3, eta=0.1, master_seed=4)
+        (traj,) = run_lesgd(oracle, RunStack((run,)))
+        assert _trajectory_bits(traj) == _trajectory_bits(
+            run_lesgd(oracle, run))
+
+    @pytest.mark.parametrize("field,value", [
+        ("K", 3), ("R", 4), ("H", 2), ("record_every", 2)])
+    def test_runs_must_share_the_step_shape(self, field, value):
+        first = RunConfig(M=2, K=2, R=3, H=3, eta=0.1)
+        with pytest.raises(ValueError, match=f"share {field}"):
+            RunStack((first, replace(first, **{field: value})))
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            RunStack(())
+
+    def test_slippax_runs_smooth_all_or_none(self):
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1))
+        run = RunConfig(M=1, K=1, R=2, eta=0.1, H=2, gamma=0.05, delta=0.2)
+        with pytest.raises(ValueError, match="smooth"):
+            run_slippax(oracle, RunStack((run, replace(run, delta=0.0))))
+
+    def test_hetero_offsets_cover_the_stack_rows(self):
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1))
+        run = RunConfig(M=2, K=1, R=2, eta=0.1)
+        with pytest.raises(ValueError, match=r"expected \(M, d\) = \(4, 3\)"):
+            run_lesgd_hetero(oracle, np.zeros((2, 3)), RunStack((run, run)))
 
 
 class TestClientMean:

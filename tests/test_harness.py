@@ -621,18 +621,26 @@ class TestSharedTrajectories:
             algorithm={"id": "lippax", "eta": 0.2},
             federation={"M": 2, "K": 2, "R": 2},
             sweep={"R": [2, 8, 32]}), [2, 8, 32], 42, 3),
-        # a run that draws is a group of its own: one gap per row
+        # a run that draws is a group of its own, one gap per row, and
+        # the three are one stack
         (minimal_config(noise={"sigma": 0.5, "model": "gaussian-isotropic"},
-                        seeds=[0, 1, 2]), [10, 10, 10], 30, 3),
+                        seeds=[0, 1, 2]), [10], 30, 1),
+        # three draw-free groups (M = 1, 2, 3) of one K and R: one stack
+        (minimal_config(sweep={"M": [1, 2, 3]}), [10], 30, 1),
+        # drawing runs stack by R, and by sigma
+        (minimal_config(noise={"sigma": 0.5, "model": "gaussian-isotropic"},
+                        sweep={"M": [1, 2], "R": [4, 8],
+                               "sigma": [0.5, 1.0]}),
+         [4, 4, 8, 8], 48, 4),
     ], ids=["seeds", "rate-sweep", "lda-T7-R", "lippax-default-H",
-            "stochastic"])
+            "stochastic", "draw-free-M", "stochastic-R-sigma"])
     def test_one_runner_call_per_distinct_trajectory(self, monkeypatch,
                                                      tree, calls, gaps,
                                                      builds):
-        """One runner call per distinct trajectory, at its longest R, one
-        operator build per runner call and one gap call per distinct
-        record of it; and every CSV byte is the one each run writes
-        alone."""
+        """One runner call per stack of distinct trajectories, each at
+        its longest R, one operator build per runner call and one gap
+        call per distinct record; and every CSV byte is the one each run
+        writes alone."""
         made = _runner_calls(monkeypatch)
         evaluated = _calls(monkeypatch, "composite_gap")
         built = _calls(monkeypatch, "build_problem")
@@ -680,6 +688,91 @@ class TestSharedTrajectories:
             warnings.simplefilter("always")
             run_experiment(tree)
         assert ["co-coercivity" in str(w.message) for w in caught] == [True]
+
+
+def _m_sweep(algorithm, problem, Ms, sigma=0.5, D=1.0, **fields):
+    """A drawing config over sweep.M and two seeds: one stack."""
+    return dict({"problem": problem, "algorithm": algorithm,
+                 "federation": {"M": 1, "K": 2, "R": 6},
+                 "noise": {"sigma": sigma, "model": "gaussian-isotropic"},
+                 "gap": {"D": D}, "sweep": {"M": Ms}, "seeds": [0, 1],
+                 "log_every": 2}, **fields)
+
+
+class TestStacks:
+    """A config's runs that share sigma, K, R, H and record cadence are
+    one runner call, and every CSV byte is the one each run writes
+    alone."""
+
+    @pytest.mark.filterwarnings("ignore:operator does not declare")
+    @pytest.mark.parametrize("tree,varies", [
+        # T1's variance branch binds at small D: eta grows with M
+        (_m_sweep({"id": "lesgd", "schedule": "T1"},
+                  {"kind": "affine", "dim": 3, "seed": 1}, [1, 4, 16],
+                  sigma=5.0, D=0.01), "eta"),
+        (_m_sweep({"id": "lda", "schedule": "T7"},
+                  {"kind": "bilinear-saddle", "dim": 4, "seed": 9},
+                  [1, 2, 3], D=0.05,
+                  regularizer={"kind": "l1", "lam": 0.1}), "eta"),
+        # each M draws its own offsets, so xi and eta differ with M
+        (_m_sweep({"id": "lesgd-hetero", "schedule": "T8"},
+                  {"kind": "affine", "dim": 3, "seed": 1,
+                   "hetero": {"offset_scale": 0.5}}, [2, 3]), "eta"),
+        # gamma is derived from each run's eta
+        (_m_sweep({"id": "lippax", "schedule": "T4"},
+                  {"kind": "affine", "dim": 3, "seed": 1}, [1, 4],
+                  sigma=2.0, D=0.01), "gamma"),
+        # T5 sets every run's delta, and each row is smoothed by it
+        (_m_sweep({"id": "slippax", "schedule": "T5"},
+                  {"kind": "bounded-nonlinear", "dim": 4, "seed": 2},
+                  [1, 3]), "delta"),
+        (_m_sweep({"id": "lsgd", "schedule": "T6"},
+                  {"kind": "quadratic-gradient", "dim": 3, "seed": 1},
+                  [1, 2, 4], sigma=3.0), "eta"),
+    ], ids=["lesgd-M", "lda-l1", "lesgd-hetero", "lippax-T4",
+            "slippax-T5", "lsgd"])
+    def test_one_stack_writes_the_runs_alone(self, monkeypatch, tree,
+                                             varies):
+        made = _runner_calls(monkeypatch)
+        rows = run_experiment(tree)
+        assert made == [6]
+        values = {getattr(row, varies) for row in rows}
+        assert len(values) > 1 if varies != "delta" else values != {0.0}
+        assert {row.status for row in rows} == {"ok"}
+        assert rows_to_csv(rows) == _csv_of_runs_alone(tree)
+
+    def test_stacks_split_at_stack_rows(self, monkeypatch):
+        """Runs join a stack while its rows stay within STACK_ROWS."""
+        monkeypatch.setattr(harness, "STACK_ROWS", 5)
+        tree = _m_sweep({"id": "lesgd", "eta": 0.05},
+                        {"kind": "affine", "dim": 3, "seed": 1}, [1, 2, 4])
+        tree["seeds"] = [0, 1, 2]
+        sizes = []
+        simulate = harness._simulate
+
+        def recording(cfg, oracle, offsets, stack):
+            sizes.append([run.M for run in stack.runs])
+            return simulate(cfg, oracle, offsets, stack)
+        monkeypatch.setattr(harness, "_simulate", recording)
+        text = rows_to_csv(run_experiment(tree))
+        assert sizes == [[1, 1, 1, 2], [2, 2], [4], [4], [4]]
+        assert text == _csv_of_runs_alone(tree)
+
+    def test_drawing_lsgd_warns_once_per_run(self, monkeypatch):
+        """Co-coercivity is warned once per run: three seeds in one stack
+        warn three times."""
+        made = _runner_calls(monkeypatch)
+        tree = minimal_config(problem={"kind": "skew", "dim": 2, "seed": 0},
+                              algorithm={"id": "lsgd", "eta": 0.1},
+                              noise={"sigma": 0.5,
+                                     "model": "gaussian-isotropic"},
+                              seeds=[0, 1, 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(tree)
+        assert made == [10]
+        assert ["co-coercivity" in str(w.message) for w in caught] == [
+            True] * 3
 
 
 def _stochastic(algorithm, M, **problem):
