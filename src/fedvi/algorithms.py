@@ -39,7 +39,8 @@ import numpy as np
 from .operators import OperatorSpec, operator_bound_on_ball
 from .oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from .regularizers import RegularizerSpec, ZERO_REG, prox
-from .rng import PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream
+from .rng import (PHASE_EXTRAPOLATE, PHASE_INNER, PHASE_UPDATE, RngStream,
+                  fill_stems)
 
 # How many times its problem's scale a run may stray from z0 before it
 # counts as blown up (RunConfig.growth_limit).
@@ -203,11 +204,14 @@ def read_run(shared: Trajectory, cfg: RunConfig, algo: str) -> Trajectory:
 # Cells (query rows x d, both draw tags) one pre-drawn block may hold.  A
 # run's randomness is drawn ahead in blocks of consecutive whole steps
 # under this budget, one step at least, so a table's memory grows with
-# neither K nor R.  A block may span rounds.  On the stochastic-lesgd
-# benchmark (d = 10, K = 8, M up to 16) on a 2-core x86 host, budgets of
-# 1 << 13 and 1 << 16 cells ran no more than 3% faster than this one but
-# raised the process's peak RSS by about 0.1 MB and 1.2 MB.
-DRAW_BLOCK_CELLS = 1 << 12
+# neither K nor R.  A block may span rounds, and each block pays one
+# fill_stems pass.  On a 2-core x86 host (medians of 6 seeds), budgets of
+# 1 << 12, 1 << 13, 1 << 14, 1 << 15 and 1 << 16 cells took x0.87, x0.78,
+# x0.75, x0.75 and x0.74 of the wall time of 1 << 12 cells without the
+# fill on the stochastic-lesgd benchmark (d = 10, K = 8, M up to 16), and
+# x0.97, x0.87, x0.84, x0.84 and x0.84 on nonlinear-lippax; they raised
+# stochastic-lesgd's peak RSS of 38 MB by 0.0, 0.1, 0.3, 0.7 and 1.4 MB.
+DRAW_BLOCK_CELLS = 1 << 14
 
 # The query slots of one local step: (inner step, phase, smoothed).  A
 # smoothed query shifts each row by its own run's delta.
@@ -222,15 +226,18 @@ def _draw_steps(oracle: OracleSpec, streams: Sequence[tuple[RngStream, int]],
     ``streams`` holds each run's (RngStream, M) in stack order, and
     ``radii`` the smoothing radius of each of the stack's rows.  Row m
     of a run in query j of step t is on that run's path (m, t, inner_j,
-    phase_j); each row that draws takes one :meth:`RngStream.at` key,
-    and all of them are one :func:`draw_rows` call.  Returns one tuple
-    per step whose entry j is query j's rows, one per stack row, or None
-    when it draws nothing.
+    phase_j); one :func:`fill_stems` pass makes the block's stems of
+    those paths, each row that draws takes one :meth:`RngStream.at` key
+    on its stem, and all of them are one :func:`draw_rows` call.
+    Returns one tuple per step whose entry j is query j's rows, one per
+    stack row, or None when it draws nothing.
     """
     live = [query for query in queries if query[2] or oracle.is_stochastic()]
+    if live:
+        fill_stems(streams, steps, sorted({inner for inner, _, _ in live}))
     ats = [(stream.at, range(M)) for stream, M in streams]
     keys = [at(m, t, inner, phase) for t in steps for inner, phase, _ in live
-            for at, clients in ats for m in clients] if live else []
+            for at, clients in ats for m in clients]
     n = len(radii)
     step_radii = np.tile(np.concatenate(
         [radii if smooth else np.zeros(n) for _, _, smooth in live]),

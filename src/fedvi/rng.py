@@ -12,10 +12,17 @@ other paths were consumed before it, or in which order, and
 pass whose row m equals the one-key draw bit for bit.  The hash is the
 SplitMix64 finalizer (Steele, Lea & Flood, "Fast splittable
 pseudorandom number generators", OOPSLA'14).
+
+A key is a chain of SplitMix64 steps, one per path component.  The
+paths of a block of steps share their stems, the chain up to the phase,
+and :func:`fill_stems` makes a block's stems for every stream of a
+client stack in one vectorized pass; :meth:`RngStream.at` then folds in
+the phase alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,50 +63,82 @@ def _absorb(h: int, *parts: int) -> int:
     return h
 
 
+def _finalize(x: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer on a uint64 array, in place; returns x.
+
+    numpy's uint64 arithmetic wraps modulo 2**64, so each cell has the
+    bits of the scalar xor-shift-multiply steps of :func:`_mix`.
+    """
+    t = x >> np.uint64(30)
+    x ^= t
+    x *= np.uint64(_MIX1)
+    np.right_shift(x, np.uint64(27), out=t)
+    x ^= t
+    x *= np.uint64(_MIX2)
+    np.right_shift(x, np.uint64(31), out=t)
+    x ^= t
+    return x
+
+
+def _mixes(h: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over broadcast uint64 arrays, cell by cell."""
+    x = h ^ part
+    x += np.uint64(_GOLDEN)
+    return _finalize(x)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic family of path keys under one master seed.
 
     The master seed is taken modulo 2**64.  The key of path (client,
     step, inner, phase) is ``_absorb(prefix, client, step, inner,
-    phase)``, and :meth:`at` reuses the stems that paths share: the
-    client stage ``_absorb(prefix, client)``, kept for every client the
-    stream has seen, and the current step's heads ``_absorb(stage,
-    step)`` and (client, inner) stems, kept until a call names another
-    step.  Then a call on a known stem folds in ``phase`` alone.  The
-    step's heads and stems are one ``(step, heads, stems)`` triple that
-    a new step replaces whole, so an entry is only ever read under the
-    step and stream it was made for, in any call order and under any
-    thread interleaving, and the memo holds one step's stems at a time.
+    phase)``.  :meth:`at` looks the stem ``_absorb(prefix, client, step,
+    inner)`` up in the stream's memo, which :func:`fill_stems` replaces
+    whole with one block's stems, makes it by the plain chain on a miss
+    without keeping it, and folds in ``phase``.  ``at`` only reads the
+    memo, so its keys hold in any call order and under any thread
+    interleaving, and the memo holds one block's stems at most.
     """
 
     master_seed: int
     _prefix: int = field(init=False, repr=False, compare=False)
-    _stages: dict = field(init=False, repr=False, compare=False)
-    _memo: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_prefix", _absorb(0, self.master_seed))
-        object.__setattr__(self, "_stages", {})
-        object.__setattr__(self, "_memo", (None, {}, {}))
+        object.__setattr__(self, "_memo", {})
 
     def at(self, client: int, step: int, inner: int = 0,
            phase: int = 0) -> int:
         """Key of one path; the same path always yields the same key."""
-        memo_step, heads, stems = self._memo
-        if memo_step != step:
-            heads, stems = {}, {}
-            object.__setattr__(self, "_memo", (step, heads, stems))
-        stem = stems.get((client, inner))
-        if stem is None:
-            head = heads.get(client)
-            if head is None:
-                stage = self._stages.get(client)
-                if stage is None:
-                    stage = self._stages[client] = _mix(self._prefix, client)
-                head = heads[client] = _mix(stage, step)
-            stem = stems[client, inner] = _mix(head, inner)
-        return _mix(stem, phase)
+        h = self._memo.get((client, step, inner))
+        if h is None:
+            h = _absorb(self._prefix, client, step, inner)
+        return _mix(h, phase)
+
+
+def fill_stems(streams: Sequence[tuple[RngStream, int]],
+               steps: Sequence[int], inners: Sequence[int]) -> None:
+    """Replace each stream's memo with one block's stems, in one pass.
+
+    ``streams`` holds (RngStream, M) pairs.  Stream s's memo becomes
+    the stems ``_absorb(prefix_s, m, t, inner)`` of its clients m < M
+    for every t in ``steps`` and inner in ``inners``, keyed by (m, t,
+    inner); steps and inners lie in [0, 2**64).
+    """
+    counts = [M for _, M in streams]
+    prefixes = np.repeat(np.array([stream._prefix for stream, _ in streams],
+                                  dtype=np.uint64), counts)
+    clients = np.concatenate([np.arange(M, dtype=np.uint64) for M in counts])
+    heads = _mixes(_mixes(prefixes, clients)[:, None],
+                   np.array(steps, dtype=np.uint64))
+    stems = iter(_mixes(heads[..., None], np.array(inners, dtype=np.uint64))
+                 .ravel().tolist())
+    for stream, M in streams:
+        # zip stops at the end of the paths without taking a stem
+        object.__setattr__(stream, "_memo", dict(zip(
+            itertools.product(range(M), steps, inners), stems)))
 
 
 def uniforms(keys: Sequence[int], n: int, tag: int) -> np.ndarray:
@@ -113,15 +152,7 @@ def uniforms(keys: Sequence[int], n: int, tag: int) -> np.ndarray:
     """
     c = np.arange((tag << 32) + 1, (tag << 32) + n + 1, dtype=np.uint64)
     c *= np.uint64(_GOLDEN)
-    x = np.array(keys, dtype=np.uint64).reshape(-1, 1) + c
-    t = x >> np.uint64(30)
-    x ^= t
-    x *= np.uint64(_MIX1)
-    np.right_shift(x, np.uint64(27), out=t)
-    x ^= t
-    x *= np.uint64(_MIX2)
-    np.right_shift(x, np.uint64(31), out=t)
-    x ^= t
+    x = _finalize(np.array(keys, dtype=np.uint64).reshape(-1, 1) + c)
     x >>= np.uint64(11)
     x |= np.uint64(1)
     return x * 2.0 ** -53

@@ -700,6 +700,25 @@ def _trajectory_bits(traj):
             for r in traj.records]
 
 
+def _count_draws(monkeypatch):
+    """Counts of RngStream.at calls, sample_oracle calls and the rows
+    those calls query, kept while the test runs."""
+    counts = {"at": 0, "queries": 0, "rows": 0}
+    at, sample = RngStream.at, algorithms.sample_oracle
+
+    def counting_at(self, *path):
+        counts["at"] += 1
+        return at(self, *path)
+
+    def counting_sample(oracle, z, *args, **kwargs):
+        counts["queries"] += 1
+        counts["rows"] += len(z)
+        return sample(oracle, z, *args, **kwargs)
+    monkeypatch.setattr(RngStream, "at", counting_at)
+    monkeypatch.setattr(algorithms, "sample_oracle", counting_sample)
+    return counts
+
+
 class TestRoundDraws:
     """A run's randomness drawn ahead gives the per-query draws' bits."""
 
@@ -819,19 +838,7 @@ class TestRoundDraws:
         query on the (M, d) stack."""
         oracle, cfg = self._case("affine", "gaussian-isotropic", sigma, 3, 4,
                                  delta)
-        counts = {"at": 0, "queries": 0, "rows": 0}
-        at, sample = RngStream.at, algorithms.sample_oracle
-
-        def counting_at(self, *path):
-            counts["at"] += 1
-            return at(self, *path)
-
-        def counting_sample(oracle, z, *args, **kwargs):
-            counts["queries"] += 1
-            counts["rows"] += len(z)
-            return sample(oracle, z, *args, **kwargs)
-        monkeypatch.setattr(RngStream, "at", counting_at)
-        monkeypatch.setattr(algorithms, "sample_oracle", counting_sample)
+        counts = _count_draws(monkeypatch)
         _run(algo, oracle, cfg)
         steps = cfg.T
         drawing = queries_per_step if sigma > 0 else 3 if delta > 0 else 0
@@ -924,30 +931,26 @@ class TestRunStacks:
         assert np.signbit(alone[0][0]).any()
         assert not np.signbit(alone[0][-1]).any()
 
-    def test_one_call_draws_each_row_once(self, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:operator does not declare")
+    @pytest.mark.parametrize("algo,sigma,queries,drawing", [
+        ("lesgd", 0.8, 2, 2), ("lsgd", 0.8, 1, 1),
+        ("slippax", 0.8, 4, 4),  # H = 3 smoothed inner queries, extra step
+        ("slippax", 0.0, 4, 3)])  # the smoothed inner queries alone
+    def test_one_call_draws_each_row_once(self, monkeypatch, algo, sigma,
+                                          queries, drawing):
         """A stack's step is one sample_oracle call per query on all of
-        its rows, and one RngStream.at call per row that draws."""
+        its rows, and one RngStream.at call per row that draws: runs of
+        mixed M, each smoothing at its own delta > 0, take M K R keys a
+        drawing query, summed over the runs."""
         oracle = OracleSpec(base=make_test_problem("affine", 5, seed=9),
-                            sigma=0.8)
+                            sigma=sigma)
         stack = RunStack(tuple(_stack_runs(oracle.base.L, None)))
-        counts = {"at": 0, "queries": 0, "rows": 0}
-        at, sample = RngStream.at, algorithms.sample_oracle
-
-        def counting_at(self, *path):
-            counts["at"] += 1
-            return at(self, *path)
-
-        def counting_sample(oracle, z, *args, **kwargs):
-            counts["queries"] += 1
-            counts["rows"] += len(z)
-            return sample(oracle, z, *args, **kwargs)
-        monkeypatch.setattr(RngStream, "at", counting_at)
-        monkeypatch.setattr(algorithms, "sample_oracle", counting_sample)
-        run_lesgd(oracle, stack)
+        counts = _count_draws(monkeypatch)
+        _run(algo, oracle, stack)
         assert stack.M == 11
-        assert counts == {"at": 2 * stack.M * stack.T,
-                          "queries": 2 * stack.T,
-                          "rows": 2 * stack.M * stack.T}
+        assert counts == {"at": drawing * stack.M * stack.T,
+                          "queries": queries * stack.T,
+                          "rows": queries * stack.M * stack.T}
 
     def test_diverging_run_leaves_its_neighbours_alone(self):
         """The middle run's step is too large: it diverges and warns as it

@@ -1,5 +1,6 @@
 """Stochastic oracle calibration and path-keyed stream determinism."""
 
+import itertools
 import math
 import sys
 import threading
@@ -9,7 +10,8 @@ import pytest
 
 from fedvi.operators import make_test_problem
 from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
-from fedvi.rng import RngStream, _absorb, normals, uniforms
+from fedvi.rng import (RngStream, _absorb, _mix, _mixes, fill_stems, normals,
+                       uniforms)
 
 
 def _draws(oracle, z, n, seed=0, delta=0.0):
@@ -252,22 +254,31 @@ class TestRngStream:
             -0.5532042629724585, -0.5996166615877916, 0.32250115515272243,
             -0.7142613004007768]], rtol=1e-14)
 
-    def test_memoised_keys_equal_the_plain_chain(self):
-        """``at`` reuses client stages and step stems; every key still equals
-        the uncached chain, whatever the call order, and streams sharing the
-        calls keep apart."""
+    def test_filled_memo_keys_equal_the_plain_chain(self):
+        """Random multi-stream fills: every key, on a filled stem or on a
+        miss (wide and negative parts too), equals the uncached chain in
+        any call order, each memo holds its last block's stems alone, and
+        streams sharing the calls keep apart."""
         rng = np.random.default_rng(5)
         wide = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 2 ** 70 + 1, -1, -2,
                 -(2 ** 64) - 5]
 
-        def part(n):  # mostly small, so stems repeat; at times masked
-            return (int(rng.integers(n)) if rng.random() < 0.8
+        def part(n):  # mostly small, so paths fall in the block; at times
+            return (int(rng.integers(n)) if rng.random() < 0.8  # masked
                     else wide[rng.integers(len(wide))])
         # seeds 11 and 2**64 + 11 are one stream modulo 2**64
         streams = [RngStream(11), RngStream(2 ** 64 + 11), RngStream(-4)]
         for trial in range(20):
-            calls = [(int(rng.integers(3)), part(3), part(4), part(3),
-                      part(3)) for _ in range(400)]
+            Ms = [int(M) for M in rng.integers(1, 4, size=3)]
+            first = int(rng.integers(4))
+            steps = range(first, first + int(rng.integers(1, 4)))
+            inners = sorted(set(rng.integers(4, size=2).tolist()))
+            fill_stems(list(zip(streams, Ms)), steps, inners)
+            for stream, M in zip(streams, Ms):
+                assert set(stream._memo) == set(
+                    itertools.product(range(M), steps, inners))
+            calls = [(int(rng.integers(3)), part(4), part(first + 4),
+                      part(4), part(3)) for _ in range(400)]
             if trial % 2:  # runs of one step, revisited across streams
                 calls.sort(key=lambda c: c[2])
             for s, client, step, inner, phase in calls:
@@ -275,6 +286,20 @@ class TestRngStream:
                     streams[s]._prefix, client, step, inner, phase)
         assert streams[0].at(3, 17, 2, 1) == streams[1].at(3, 17, 2, 1)
         assert streams[0].at(3, 17, 2, 1) != streams[2].at(3, 17, 2, 1)
+
+    def test_array_mix_matches_mix(self):
+        """The array SplitMix64 step has _mix's bits on edge stems, steps
+        up to 2**32 and inners 0..H, alone and chained as a fill chains."""
+        H = 5
+        stems = [0, 1, 2 ** 63, 2 ** 64 - 1, 0x9E3779B97F4A7C15]
+        steps = [0, 1, 2, 2 ** 31, 2 ** 32 - 1, 2 ** 32]
+        got = _mixes(np.array(stems, dtype=np.uint64)[:, None],
+                     np.array(steps, dtype=np.uint64))
+        assert got.tolist() == [[_mix(h, t) for t in steps] for h in stems]
+        chained = _mixes(got[..., None], np.arange(H + 1, dtype=np.uint64))
+        assert chained.tolist() == [[[_absorb(h, t, ell)
+                                      for ell in range(H + 1)]
+                                     for t in steps] for h in stems]
 
     def test_memoised_keys_hold_under_threads(self):
         """Threads that share one stream and keep changing its step, with a
