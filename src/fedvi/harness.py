@@ -43,7 +43,7 @@ from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
                         make_test_problem, verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, draw_rows, sample_oracle
 from .regularizers import REG_KINDS, RegularizerSpec
-from .rng import RngStream
+from .rng import RngStream, fill_keys
 
 
 class ConfigError(ValueError):
@@ -737,7 +737,9 @@ def verify_problem(cfg: ExperimentConfig) -> list[str]:
         stream = RngStream(0)
         z = np.zeros(op.dim)
         n = 20_000
-        # n independent draws at z: one stacked query on n path keys
+        # n independent draws at z: one stacked query on n path keys,
+        # made by one fill
+        fill_keys([(stream, 1)], range(n), [(0, 0)])
         draws = draw_rows(oracle, [stream.at(0, i) for i in range(n)])
         samples = sample_oracle(oracle, np.tile(z, (n, 1)), draws=draws)
         exact = sample_oracle(OracleSpec(base=op), z)

@@ -13,11 +13,11 @@ pass whose row m equals the one-key draw bit for bit.  The hash is the
 SplitMix64 finalizer (Steele, Lea & Flood, "Fast splittable
 pseudorandom number generators", OOPSLA'14).
 
-A key is a chain of SplitMix64 steps, one per path component.  The
-paths of a block of steps share their stems, the chain up to the phase,
-and :func:`fill_stems` makes a block's stems for every stream of a
-client stack in one vectorized pass; :meth:`RngStream.at` then folds in
-the phase alone.
+A key is a chain of SplitMix64 steps, one per path component.
+:func:`fill_keys` makes the whole keys of a block of steps, for every
+stream of a client stack and every query slot (inner, phase) of the
+block, in one vectorized pass; :meth:`RngStream.at` then looks its key
+up.
 """
 
 from __future__ import annotations
@@ -93,12 +93,11 @@ class RngStream:
 
     The master seed is taken modulo 2**64.  The key of path (client,
     step, inner, phase) is ``_absorb(prefix, client, step, inner,
-    phase)``.  :meth:`at` looks the stem ``_absorb(prefix, client, step,
-    inner)`` up in the stream's memo, which :func:`fill_stems` replaces
-    whole with one block's stems, makes it by the plain chain on a miss
-    without keeping it, and folds in ``phase``.  ``at`` only reads the
-    memo, so its keys hold in any call order and under any thread
-    interleaving, and the memo holds one block's stems at most.
+    phase)``.  :meth:`at` looks the key up in the stream's memo, which
+    :func:`fill_keys` replaces whole with one block's keys, and on a
+    miss makes it by the plain chain without keeping it.  ``at`` only
+    reads the memo, so its keys hold in any call order and under any
+    thread interleaving, and the memo holds one block's keys at most.
     """
 
     master_seed: int
@@ -112,20 +111,21 @@ class RngStream:
     def at(self, client: int, step: int, inner: int = 0,
            phase: int = 0) -> int:
         """Key of one path; the same path always yields the same key."""
-        h = self._memo.get((client, step, inner))
-        if h is None:
-            h = _absorb(self._prefix, client, step, inner)
-        return _mix(h, phase)
+        key = self._memo.get((client, step, inner, phase))
+        if key is None:
+            return _absorb(self._prefix, client, step, inner, phase)
+        return key
 
 
-def fill_stems(streams: Sequence[tuple[RngStream, int]],
-               steps: Sequence[int], inners: Sequence[int]) -> None:
-    """Replace each stream's memo with one block's stems, in one pass.
+def fill_keys(streams: Sequence[tuple[RngStream, int]],
+              steps: Sequence[int], slots: Sequence[tuple[int, int]]) -> None:
+    """Replace each stream's memo with one block's keys, in one pass.
 
-    ``streams`` holds (RngStream, M) pairs.  Stream s's memo becomes
-    the stems ``_absorb(prefix_s, m, t, inner)`` of its clients m < M
-    for every t in ``steps`` and inner in ``inners``, keyed by (m, t,
-    inner); steps and inners lie in [0, 2**64).
+    ``streams`` holds (RngStream, M) pairs and ``slots`` the block's
+    (inner, phase) query slots.  Stream s's memo becomes the keys
+    ``_absorb(prefix_s, m, t, inner, phase)`` of its clients m < M for
+    every t in ``steps`` and slot in ``slots``, keyed by (m, t, inner,
+    phase); steps, inners and phases lie in [0, 2**64).
     """
     counts = [M for _, M in streams]
     prefixes = np.repeat(np.array([stream._prefix for stream, _ in streams],
@@ -133,12 +133,17 @@ def fill_stems(streams: Sequence[tuple[RngStream, int]],
     clients = np.concatenate([np.arange(M, dtype=np.uint64) for M in counts])
     heads = _mixes(_mixes(prefixes, clients)[:, None],
                    np.array(steps, dtype=np.uint64))
-    stems = iter(_mixes(heads[..., None], np.array(inners, dtype=np.uint64))
-                 .ravel().tolist())
-    for stream, M in streams:
-        # zip stops at the end of the paths without taking a stem
-        object.__setattr__(stream, "_memo", dict(zip(
-            itertools.product(range(M), steps, inners), stems)))
+    inners, phases = np.array(slots, dtype=np.uint64).T[:, :, None, None]
+    # (slot, row, step) order, so each slot's keys of a stream are one run
+    keys = iter(_mixes(_mixes(heads, inners), phases).ravel().tolist())
+    memos = [{} for _ in streams]
+    for inner, phase in slots:
+        for memo, M in zip(memos, counts):
+            # zip stops at the end of the paths without taking a key
+            memo.update(zip(itertools.product(range(M), steps, (inner,),
+                                              (phase,)), keys))
+    for (stream, _), memo in zip(streams, memos):
+        object.__setattr__(stream, "_memo", memo)
 
 
 def uniforms(keys: Sequence[int], n: int, tag: int) -> np.ndarray:

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedvi import algorithms
-from fedvi.algorithms import (ALGO_IDS, DivergenceWarning, RunConfig,
-                              RunStack, constants_of, default_inner_steps,
+from fedvi import algorithms, rng
+from fedvi.algorithms import (ALGO_IDS, THEOREM_IDS, DivergenceWarning,
+                              RunConfig, RunStack, constants_of, default_inner_steps,
                               derived_gamma, dispersion, run_lda, run_lesgd,
                               run_lesgd_hetero, run_lippax, run_lsgd,
                               run_slippax, solve_inner_prox, step_size)
@@ -116,6 +116,39 @@ class TestStepSize:
             step_size("T8", {"L": 1.0}, SHAPE)
         with pytest.raises(ValueError, match="d"):
             step_size("T5", {"L": 1.0, "G": 1.0}, SHAPE)
+
+    @pytest.mark.parametrize("c,f", [(3.0, 7.0), (4.0, 2.0)])
+    def test_branches_that_miss_the_units(self, c, f):
+        """Lengths scaled by c and operator values by f: D by c; sigma, G
+        and xi by f; L and beta by f/c; Lambda by f/c**2; d is unitless.
+        A step size is a length over a value, so a branch should scale by
+        c/f.  Five do not: this pins which ones (zero-based), and the
+        power of f/c by which each misses."""
+        units = {"D": (1, 0), "sigma": (0, 1), "G": (0, 1), "xi": (0, 1),
+                 "L": (-1, 1), "beta": (-1, 1), "Lambda": (-2, 1)}
+
+        def scaled(values):
+            return {k: v * c ** units[k][0] * f ** units[k][1]
+                    if k in units else v for k, v in values.items()}
+        constants = {"L": 1.5, "G": 3.0, "beta": 2.0, "Lambda": 0.7,
+                     "d": 10, "xi": 0.4}
+        shape = {"M": 4, "K": 8, "R": 16, "sigma": 0.5, "D": 2.0}
+        misses = {}
+        for theorem in THEOREM_IDS:
+            base = step_size(theorem, constants, shape).branches
+            moved = step_size(theorem, scaled(constants),
+                              scaled(shape)).branches
+            for j, (b, m) in enumerate(zip(base, moved)):
+                off = m / b / (c / f)
+                if off != pytest.approx(1.0, rel=1e-12):
+                    misses.setdefault(theorem, {})[j] = (
+                        math.log(off) / math.log(f / c))
+        assert {t: sorted(js) for t, js in misses.items()} == {
+            "T3": [2], "T4": [1], "T5": [1, 2], "T7": [1]}
+        for theorem, powers in {"T3": {2: 1 / 5}, "T4": {1: 1 / 5},
+                                "T5": {1: 1 / 5, 2: -1 / 3},
+                                "T7": {1: -1 / 3}}.items():
+            assert misses[theorem] == pytest.approx(powers, rel=1e-9)
 
     def test_tie_break_reports_lowest_branch(self):
         shape = {"M": 1, "K": 1, "R": 1, "sigma": 64.0, "D": 16.0}
@@ -951,6 +984,28 @@ class TestRunStacks:
         assert counts == {"at": drawing * stack.M * stack.T,
                           "queries": queries * stack.T,
                           "rows": queries * stack.M * stack.T}
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("algo", ["lesgd", "lsgd", "lippax", "slippax"])
+    def test_every_drawn_key_comes_from_the_fill(self, monkeypatch, algo,
+                                                 stacked):
+        """Stochastic runs, smoothed at delta > 0 for SLIPPAX, alone and as
+        a stack of mixed M: the plain chain runs once per run, for its
+        stream's prefix, so every key RngStream.at hands out is a hit on
+        the block's fill, never a miss."""
+        oracle = OracleSpec(base=make_test_problem("affine", 5, seed=9),
+                            sigma=0.8)
+        runs = _stack_runs(oracle.base.L, None)
+        cfg = RunStack(tuple(runs)) if stacked else runs[2]
+        absorb, calls = rng._absorb, []
+
+        def counting(h, *parts):
+            calls.append((h, *parts))
+            return absorb(h, *parts)
+        monkeypatch.setattr(rng, "_absorb", counting)
+        _run(algo, oracle, cfg)
+        assert sorted(calls) == sorted(
+            (0, run.master_seed) for run in (runs if stacked else [cfg]))
 
     def test_diverging_run_leaves_its_neighbours_alone(self):
         """The middle run's step is too large: it diverges and warns as it

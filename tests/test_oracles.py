@@ -10,7 +10,7 @@ import pytest
 
 from fedvi.operators import make_test_problem
 from fedvi.oracles import OracleSpec, draw_rows, sample_oracle
-from fedvi.rng import (RngStream, _absorb, _mix, _mixes, fill_stems, normals,
+from fedvi.rng import (RngStream, _absorb, _mix, _mixes, fill_keys, normals,
                        uniforms)
 
 
@@ -255,10 +255,11 @@ class TestRngStream:
             -0.7142613004007768]], rtol=1e-14)
 
     def test_filled_memo_keys_equal_the_plain_chain(self):
-        """Random multi-stream fills: every key, on a filled stem or on a
-        miss (wide and negative parts too), equals the uncached chain in
-        any call order, each memo holds its last block's stems alone, and
-        streams sharing the calls keep apart."""
+        """Random multi-stream fills over random slot lists (LIPPAX's
+        among them): each memo holds its last block's (m, t, inner,
+        phase) paths alone, and every key, in the block or on a miss
+        (wide and negative parts too), equals the uncached chain in any
+        call order, with streams sharing the calls kept apart."""
         rng = np.random.default_rng(5)
         wide = [2 ** 64 - 1, 2 ** 64, 2 ** 64 + 3, 2 ** 70 + 1, -1, -2,
                 -(2 ** 64) - 5]
@@ -268,17 +269,26 @@ class TestRngStream:
                     else wide[rng.integers(len(wide))])
         # seeds 11 and 2**64 + 11 are one stream modulo 2**64
         streams = [RngStream(11), RngStream(2 ** 64 + 11), RngStream(-4)]
-        for trial in range(20):
+        for trial in range(30):
             Ms = [int(M) for M in rng.integers(1, 4, size=3)]
             first = int(rng.integers(4))
             steps = range(first, first + int(rng.integers(1, 4)))
-            inners = sorted(set(rng.integers(4, size=2).tolist()))
-            fill_stems(list(zip(streams, Ms)), steps, inners)
+            if trial % 3 == 2:  # LIPPAX's inner loop, then its update
+                H = int(rng.integers(1, 4))
+                slots = [(ell, 2) for ell in range(1, H + 1)] + [(0, 1)]
+            else:
+                slots = [tuple(slot) for slot in
+                         rng.integers(4, size=(int(rng.integers(1, 4)), 2))
+                         .tolist()]
+            fill_keys(list(zip(streams, Ms)), steps, slots)
             for stream, M in zip(streams, Ms):
-                assert set(stream._memo) == set(
-                    itertools.product(range(M), steps, inners))
+                assert set(stream._memo) == {
+                    (m, t, inner, phase) for m in range(M) for t in steps
+                    for inner, phase in slots}
+                for path in stream._memo:
+                    assert stream.at(*path) == _absorb(stream._prefix, *path)
             calls = [(int(rng.integers(3)), part(4), part(first + 4),
-                      part(4), part(3)) for _ in range(400)]
+                      part(4), part(4)) for _ in range(400)]
             if trial % 2:  # runs of one step, revisited across streams
                 calls.sort(key=lambda c: c[2])
             for s, client, step, inner, phase in calls:
