@@ -20,8 +20,12 @@ Runs that share K, R, H and the record cadence may be simulated as one
 :class:`RunStack`: their client rows, run after run, are one stack that
 each step queries once, each row drawing from its own run's keys, and
 each run keeps its own M, step sizes, seed, sync mean, running output,
-records and divergence warning.  Every operation on a row is the one it
-meets alone, so each run's trajectory has the bits of its run alone.
+records and divergence warning.  One builder, :func:`_client_means`,
+gives a stack's client means, which both the sync and the running
+outputs take in: one reduce per span of consecutive runs with one M,
+with the bits of each run's own :func:`_client_mean`, which a run alone
+takes directly.  Every operation on a row is the one it meets alone, so
+each run's trajectory has the bits of its run alone.
 """
 
 from __future__ import annotations
@@ -288,6 +292,9 @@ def _per_row(runs: Sequence[RunConfig], name: str) -> float | np.ndarray:
     an (M, 1) column holding each stack row's run's value.  A row meets
     its run's value either way, elementwise, so its bits are the same."""
     values = [getattr(run, name) for run in runs]
+    # a float operand costs less than a column: always taking the column
+    # took x1.29 of composite-lda's and x1.11 of sweep-2workers' wall time
+    # (2-core host, alternating pairs)
     if all(v == values[0] for v in values):
         return values[0]
     return np.repeat(values, [run.M for run in runs])[:, None]
@@ -314,56 +321,26 @@ def dispersion(points: np.ndarray) -> float:
     return float(_client_mean(((points - center) ** 2).sum(axis=1)))
 
 
-def _blocks(counts: Sequence[int]) -> list[tuple[slice, slice, int, int]]:
-    """A stack's maximal spans of consecutive runs with one M, each as
-    (its runs, its rows, n = its run count, M).  numpy's sum over axis
-    1 of the (n, M, d) rows of a span has the bits of each run's own
-    ``np.add.reduce`` over axis 0."""
-    blocks, run, row = [], 0, 0
+def _client_means(counts: Sequence[int], dim: int) -> Callable:
+    """The function from a client stack, its runs' ``counts`` rows in run
+    order, to each run's :func:`_client_mean` as a (runs, d) array.
+
+    Each span of consecutive runs with one M is one ``np.add.reduce``
+    over axis 1 of its (n, M, d) rows, which has the bits of each run's
+    own reduce over axis 0; for M = 1 that is ``0.0 + row``, the bits
+    :func:`_client_mean` gives."""
+    spans, run, row = [], 0, 0
     for M, same in itertools.groupby(counts):
         n = len(list(same))
-        blocks.append((slice(run, run + n), slice(row, row + n * M), n, M))
+        spans.append((slice(run, run + n), slice(row, row + n * M), n, M))
         run, row = run + n, row + n * M
-    return blocks
-
-
-def _sync(blocks: list, dim: int) -> Callable[[np.ndarray], None]:
-    """The function that replaces each run's rows of a client stack, in
-    place, by their :func:`_client_mean`."""
-    if len(blocks) == 1 and blocks[0][2] == 1:
-        def sync(a):
-            a[:] = _client_mean(a)
-        return sync
-
-    def sync(a):
-        for _, rows, n, M in blocks:
-            if M == 1:
-                a[rows] += 0.0
-            else:
-                a[rows] = np.repeat(np.add.reduce(
-                    a[rows].reshape(n, M, dim), axis=1) / M, M, axis=0)
-    return sync
-
-
-def _output_means(blocks: list, dim: int) -> Callable:
-    """The function from a stack p to its runs' client means, (runs, d)
-    or (d,) for one run, whose rows the running outputs take in.  A run
-    with M = 1 gives its row as it is: its mean would turn -0.0 entries
-    into +0.0, which add into the output alike."""
-    if len(blocks) == 1 and blocks[0][2] == 1:
-        return operator.itemgetter(0) if blocks[0][3] == 1 else _client_mean
-    sums = np.empty((blocks[-1][0].stop, dim))
-    counts = np.concatenate([np.full((n, 1), float(M))
-                             for _, _, n, M in blocks])
+    sums = np.empty((run, dim))
+    divisors = np.array(counts, dtype=float)[:, None]
 
     def means(p):
-        for runs, rows, n, M in blocks:
-            if M == 1:
-                sums[runs] = p[rows]
-            else:
-                np.add.reduce(p[rows].reshape(n, M, dim), axis=1,
-                              out=sums[runs])
-        return sums / counts
+        for runs, rows, n, M in spans:
+            np.add.reduce(p[rows].reshape(n, M, dim), axis=1, out=sums[runs])
+        return sums / divisors
     return means
 
 
@@ -391,18 +368,32 @@ def _round_loop(cfg: RunConfig | RunStack, oracle: OracleSpec,
     runs = _runs_of(cfg)
     dim = oracle.dim
     counts = [run.M for run in runs]
-    blocks = _blocks(counts)
     rows = [slice(end - M, end)
             for end, M in zip(itertools.accumulate(counts), counts)]
     z0s = [run.initial_point(dim) for run in runs]
     limits = [run.growth_limit(oracle.sigma) for run in runs]
     z = np.repeat(z0s, counts, axis=0)
     output = np.zeros((len(runs), dim))
-    # the running outputs in the shape means(p) has: (d,) for one run
-    acc = output[0] if len(runs) == 1 else output
     records: list[list[TrajectoryRecord]] = [[] for _ in runs]
     cadence, K, T = cfg.record_every, cfg.K, cfg.T
-    sync, means = _sync(blocks, dim), _output_means(blocks, dim)
+    # acc: the running outputs, in the shape means(p) has
+    if len(runs) > 1:
+        acc, means = output, _client_means(counts, dim)
+
+        def sync(a):
+            a[:] = np.repeat(means(a), counts, axis=0)
+    else:
+        # a run alone keeps (d,) means and output: its _client_mean, or at
+        # M = 1 its row as it is (a -0.0 entry adds into the output as
+        # +0.0 does).  Through _client_means, one-run stacks took x1.06
+        # of composite-lda's and x1.08 of sweep-2workers' wall time, and
+        # their outputs alone x1.05 of composite-lda's (2-core host,
+        # alternating pairs).
+        acc = output[0]
+        means = operator.itemgetter(0) if counts == [1] else _client_mean
+
+        def sync(a):
+            a[:] = _client_mean(a)
     draws = _step_draws(oracle, runs, queries)
     # a diverging run reports itself below, not through numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):

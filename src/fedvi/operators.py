@@ -67,8 +67,11 @@ class OperatorSpec:
         if self.L < 0:
             raise ValueError("L must be nonnegative")
         if self.is_affine:
-            s_min = float(self.sym_eigh[0].min())
-            if s_min < -1e-10:
+            # relative to the spectrum's scale, so units do not decide
+            # whether a monotone matrix's rounding passes
+            lam = self.sym_eigh[0]
+            s_min = float(lam.min())
+            if s_min < -1e-10 * max(1.0, float(np.abs(lam).max())):
                 raise ValueError(
                     f"affine matrix is not monotone: min sym eigenvalue {s_min:g}")
 
@@ -173,8 +176,8 @@ def beta_affine(A: np.ndarray) -> float:
     lam, U = np.linalg.eigh(S)
     lmax = float(lam.max(initial=0.0))
     if lmax <= 0.0:
-        # S == 0: co-coercive only if A == 0.
-        return 0.0 if np.allclose(A, 0.0) else INF
+        # S == 0: co-coercive only if A == 0, at any scale
+        return 0.0 if not A.any() else INF
     pos = lam > 1e-12 * lmax
     if not pos.all():
         null_vecs = U[:, ~pos]

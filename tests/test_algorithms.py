@@ -495,6 +495,15 @@ class TestRunLsgd:
         with pytest.warns(RuntimeWarning, match="co-coercivity"):
             run_lsgd(OracleSpec(base=op), RunConfig(M=1, K=1, R=1, eta=0.1))
 
+    @pytest.mark.parametrize("L", [1e-8, 1e-12])
+    def test_small_skew_has_no_t6_step_and_warns(self, L):
+        """A rotation is not co-coercive however small its scale."""
+        op = make_test_problem("skew", 2, {"L": L})
+        with pytest.raises(ValueError, match="requires a finite beta"):
+            step_size("T6", constants_of(op, np.zeros(2), 1.0), SHAPE)
+        with pytest.warns(RuntimeWarning, match="co-coercivity"):
+            run_lsgd(OracleSpec(base=op), RunConfig(M=1, K=1, R=1, eta=0.1))
+
 
 class TestRunLda:
     def test_zero_regularizer_equals_lesgd_bitwise(self):

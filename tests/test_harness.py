@@ -22,7 +22,7 @@ from fedvi.harness import (MAX_GAP_RADIUS, MAX_RUNS, REQUIRED, SCHEMA,
                            ConfigError, ExperimentConfig, _run_config,
                            build_problem, fit_rate, rows_to_csv,
                            run_experiment, verify_problem)
-from fedvi.operators import PARAMS
+from fedvi.operators import PARAMS, make_test_problem
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream
 from run_reference import compare_reduction, run_single
@@ -802,6 +802,65 @@ class TestRunSingle:
             gap = restricted_gap(op, rec.output_avg, np.zeros(op.dim), 1.0)
             assert gap.value == row.gap_value
             assert rec.drift_z == row.drift_z
+
+
+# (algorithm, zoo kind) per runner; lda's step is set by hand because
+# T7's G branch does not scale by c / f (TestStepSize)
+COVARIANT_RUNNERS = {
+    "lesgd-T1": ({"id": "lesgd", "schedule": "T1"}, "affine"),
+    "lesgd-T2": ({"id": "lesgd", "schedule": "T2"}, "affine"),
+    "lippax-T3": ({"id": "lippax", "schedule": "T3"}, "affine"),
+    "slippax-T5": ({"id": "slippax", "schedule": "T5"}, "affine"),
+    "lesgd-hetero-T8": ({"id": "lesgd-hetero", "schedule": "T8"}, "affine"),
+    "lsgd-T6": ({"id": "lsgd", "schedule": "T6"}, "quadratic-gradient"),
+    "lda-eta": ({"id": "lda", "eta": 0.1}, "affine"),
+}
+ZOO_PARAMS = {"affine": {"mu": 0.0},
+              "quadratic-gradient": {"eig_range": [0.0, 1.0]}}
+
+
+class TestUnitCovariance:
+    """Lengths scaled by c and operator values by f: a run from c z0 on
+    A -> (f / c) A, b -> f b (client offsets f times), with gap radius
+    c D, takes steps eta c / f along c times the iterates, so its gaps
+    are c f times the gaps of the unscaled run.  At sigma = 0 every
+    schedule branch that is not infinite scales so."""
+
+    @staticmethod
+    def _run(tmp_path, algorithm, kind, seed, c, f, name):
+        op = make_test_problem(kind, 4, ZOO_PARAMS[kind], seed)
+        # A then b, one row each, as load_affine_text reads them
+        lines = np.vstack([op.payload["A"] * (f / c), op.payload["b"] * f])
+        path = tmp_path / name
+        path.write_text("\n".join(["4", *(" ".join(map(repr, row))
+                                          for row in lines.tolist())]))
+        problem = {"kind": "affine", "file": str(path)}
+        if algorithm["id"] == "lesgd-hetero":
+            problem.update(seed=seed, hetero={"offset_scale": 0.3 * f})
+        algorithm = dict(algorithm)
+        if "eta" in algorithm:
+            algorithm["eta"] *= c / f
+        z0 = np.random.default_rng(seed).standard_normal(4) * c
+        tree = minimal_config(problem=problem, algorithm=algorithm,
+                              federation={"M": 2, "K": 3, "R": 4},
+                              z0=z0.tolist(), gap={"D": 2.0 * c})
+        final = run_experiment(tree)[-1]
+        assert final.round == 4 and final.status == "ok"
+        return final
+
+    @pytest.mark.parametrize("c,f", [(4, 2), (3, 7), (1, 1e8), (1e-4, 1e4)])
+    @pytest.mark.parametrize("runner", COVARIANT_RUNNERS)
+    def test_eta_scales_by_c_over_f_and_gap_by_c_f(self, tmp_path, runner,
+                                                   c, f):
+        algorithm, kind = COVARIANT_RUNNERS[runner]
+        for seed in range(6):
+            base = self._run(tmp_path, algorithm, kind, seed, 1, 1, "base")
+            scaled = self._run(tmp_path, algorithm, kind, seed, c, f,
+                               "scaled")
+            assert scaled.eta / base.eta == pytest.approx(c / f, rel=1e-8)
+            assert base.gap_value != 0
+            assert scaled.gap_value / base.gap_value == pytest.approx(
+                c * f, rel=1e-8)
 
 
 class TestFitRate:

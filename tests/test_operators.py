@@ -381,3 +381,48 @@ class TestMatrixFile:
         path.write_text(f"{d}\n")
         with pytest.raises(ValueError, match=f"dimension {d} is below 1"):
             load_affine_text(path)
+
+
+class TestScaleFreeDeclarations:
+    """Whether an affine operator is monotone or co-coercive is a property
+    of its matrix up to scale, so no unit choice may change the verdict."""
+
+    @pytest.mark.parametrize("L", [1e6, 1e8])
+    @pytest.mark.parametrize("d", [3, 10, 40])
+    def test_monotone_affine_accepted_at_any_scale(self, L, d):
+        for seed in range(20):
+            op = make_test_problem("affine", d, {"L": L, "mu": 0}, seed)
+            assert op.L == pytest.approx(L, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_monotone_quadratic_accepted_at_any_scale(self, d):
+        for seed in range(20):
+            make_test_problem("quadratic-gradient", d,
+                              {"eig_range": [0, 1e8]}, seed)
+
+    def test_monotone_matrix_file_accepted_at_any_scale(self, tmp_path):
+        for seed in range(10):
+            op = make_test_problem("affine", 6, {"mu": 0}, seed)
+            A = op.payload["A"] * 1e8
+            path = tmp_path / f"m{seed}.txt"
+            path.write_text("\n".join(["6", *(" ".join(map(repr, row)) for row
+                                              in [*A.tolist(), [0.0] * 6])]))
+            np.testing.assert_array_equal(load_affine_text(path).payload["A"],
+                                          A)
+
+    @pytest.mark.parametrize("L", [1.0, 1e8])
+    def test_non_monotone_rejected_at_any_scale(self, L):
+        """A least symmetric eigenvalue of -1e-3 L is no rounding."""
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        S = (Q * np.linspace(-1e-3, 1.0, 5)) @ Q.T
+        A = L * (S + operators._random_skew(rng, 5))
+        with pytest.raises(ValueError, match="not monotone"):
+            affine_operator(A, np.zeros(5))
+
+    @pytest.mark.parametrize("L", [1e-8, 1e-12, 1e-300])
+    def test_small_skew_is_not_cocoercive(self, L):
+        assert make_test_problem("skew", 4, {"L": L}).beta == math.inf
+
+    def test_zero_matrix_is_cocoercive(self):
+        assert affine_operator(np.zeros((3, 3)), np.ones(3)).beta == 0.0

@@ -4,13 +4,13 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 35 CSVs are the three ``configs/*.json`` (their ``output`` field
+The 37 CSVs are the three ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
-``perfbench/workloads.py`` at seeds 1-3, and the twenty small
+``perfbench/workloads.py`` at seeds 1-3, and the twenty-two small
 ``EXTRA`` configs below, which reach the algorithms, schedules, noise
 models, operators, sweeps, configured step sizes, gap branches,
-shared draw-free trajectories and signed zeros those leave out
-(``affine3.txt`` is the ``problem.file`` one reads); each is the
+shared draw-free trajectories, signed zeros and ragged stacks those
+leave out (``affine3.txt`` is the ``problem.file`` one reads); each is the
 ``rows_to_csv`` text of one ``run_experiment`` call.  fedvi is imported
 from SRC, by default this checkout's ``src/``; the configs, workloads
 and matrix file are always read from this checkout.  Running it on two
@@ -111,6 +111,17 @@ EXTRA = {
         _BILINEAR, {"id": "lda", "eta": 0.2}, 3, 4, 6, 0.0,
         regularizer={"kind": "box-indicator", "lo": -0.25, "hi": 0.25},
         z0=_SIGNED_ZEROS, log_every=1),
+    # ragged stacks of M = 1 and M > 1 runs: the draw-free M = 1 and M = 3
+    # groups from signed zeros are one stack [1, 3], and the four
+    # stochastic runs one stack [1, 1, 2, 2]
+    "lda-l1-signed-zeros-M-sweep": _extra(
+        _BILINEAR, {"id": "lda", "eta": 0.2}, 3, 4, 6, 0.0,
+        regularizer={"kind": "l1", "lam": 0.3}, z0=_SIGNED_ZEROS,
+        log_every=1, sweep={"M": [1, 3]}),
+    "lesgd-T1-M-sweep": _extra(
+        {"kind": "affine", "dim": 3, "seed": 4},
+        {"id": "lesgd", "schedule": "T1"}, 2, 4, 10, 0.5,
+        sweep={"M": [1, 2]}),
 }
 
 
