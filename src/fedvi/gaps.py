@@ -109,10 +109,11 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     gt = U.T @ g
     two_lam = 2.0 * lam
 
-    # interior stationary point, when it exists
-    free = lam > 1e-14 * max(lam.max(initial=0.0), 1.0)
+    # interior stationary point, when it exists (zero tests scale-free)
+    free = lam > 1e-14 * op.L
     pinned = ~free
-    if np.all(np.abs(gt[pinned]) <= 1e-14 * max(1.0, np.linalg.norm(gt))):
+    norm = np.linalg.norm(gt)
+    if np.all(np.abs(gt[pinned]) <= 1e-14 * norm):
         wt = np.zeros_like(gt)
         wt[free] = gt[free] / (2.0 * lam[free])
         if np.linalg.norm(wt) <= D:
@@ -121,8 +122,8 @@ def _exact_concave_max(op: OperatorSpec, x_o: np.ndarray, center: np.ndarray,
     # boundary: bisect [0, hi] to float resolution (at most 200 halvings)
     # for the least nu with ||w(nu)|| <= D, keeping the feasible end.
     # lam >= 0 gives ||w(nu)|| <= ||gt|| / nu, so hi = 2 ||gt|| / D is
-    # feasible from the start.
-    lo, hi = 0.0, 2.0 * np.linalg.norm(gt) / D
+    # feasible from the start; its 1-norm keeps hi > 0 if ||gt|| underflows.
+    lo, hi = 0.0, 2.0 * (norm or np.abs(gt).sum()) / D
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

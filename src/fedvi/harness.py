@@ -12,10 +12,10 @@ longest R, and every run on it reads its own records from it; each
 diverging run still warns once, as it does alone.  The group's records
 are evaluated once too: a record's gap and distance cells, computed for
 the first run that writes it, are read by every later run of the group.
-The distinct trajectories that share sigma, K, R, H and the record
-cadence (and whether they smooth) are simulated as one stack of client
-rows, one runner call of at most STACK_ROWS rows, each with its own M,
-seed and step sizes; every CSV byte is the one each run writes alone.
+The distinct trajectories that share sigma and what ``RunStack.SHARED``
+names are simulated as one stack of client rows, one runner call of at
+most STACK_ROWS rows, each with its own M, seed and step sizes; every
+CSV byte is the one each run writes alone.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 import os
 import struct
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,7 +37,8 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS,
                          DivergenceWarning, RunConfig, RunStack, Trajectory,
                          constants_of, default_inner_steps, derived_gamma,
                          read_run, run_lda, run_lesgd, run_lesgd_hetero,
-                         run_lippax, run_lsgd, run_slippax, step_size)
+                         run_lippax, run_lsgd, run_slippax, shared_run,
+                         step_size)
 from .gaps import composite_gap
 from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
                         make_test_problem, verify_properties)
@@ -460,16 +461,6 @@ def _oracle(cfg: ExperimentConfig, op: OperatorSpec,
                       sigma=spec["sigma"])
 
 
-def _shared_plan(plans: Sequence[RunConfig]) -> RunConfig:
-    """The run that every plan of a draw-free group can read its run from
-    (:func:`read_run`): the longest plan, recording at the gcd of the
-    plans' record_every and of the shorter plans' T."""
-    longest = max(plans, key=lambda plan: plan.T)
-    every = math.gcd(*(plan.record_every for plan in plans),
-                     *(plan.T for plan in plans if plan.T < longest.T))
-    return replace(longest, record_every=every)
-
-
 def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
               offsets: Sequence[np.ndarray | None],
               stack: RunStack) -> tuple[Trajectory, ...]:
@@ -492,13 +483,13 @@ def _simulate(cfg: ExperimentConfig, oracle: OracleSpec,
 def _stacks(sigmas: Sequence[float],
             sims: Sequence[RunConfig]) -> list[list[int]]:
     """The simulations, by index, as stacks: in order, each joins the
-    last stack of its kind (the same sigma, K, R, H and record_every,
-    and whether it smooths) while that stack's rows stay within
-    STACK_ROWS, and else starts one."""
+    last stack of its kind (the same sigma, since a runner call has one
+    oracle, and the same values of ``RunStack.SHARED``) while that
+    stack's rows stay within STACK_ROWS, and else starts one."""
     stacks: list[list[int]] = []
     last: dict = {}
     for g, (sigma, sim) in enumerate(zip(sigmas, sims)):
-        kind = (sigma, sim.K, sim.R, sim.H, sim.record_every, sim.delta > 0)
+        kind = (sigma, *(getattr(sim, name) for name in RunStack.SHARED))
         stack = last.get(kind)
         if stack is None or (sum(sims[h].M for h in stack) + sim.M
                              > STACK_ROWS):
@@ -518,7 +509,7 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
     A run that draws nothing (sigma 0, delta 0) takes steps that depend
     on the config and its (M, K, eta, gamma, H, delta) alone, so the
     runs with one such key are one group, simulated once, at
-    :func:`_shared_plan`; a run that draws is a group of its own.  The
+    :func:`shared_run`; a run that draws is a group of its own.  The
     groups' simulations are then stacked (:func:`_stacks`), and each
     stack is one runner call (:func:`_simulate`).  Every run is planned
     from the first run's operator before any runner call.  build_problem
@@ -548,7 +539,7 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
         groups.setdefault(key, []).append(i)
     members = list(groups.values())
     group_of = {i: g for g, runs in enumerate(members) for i in runs}
-    sims = [_shared_plan([plans[i] for i in runs]) for runs in members]
+    sims = [shared_run([plans[i] for i in runs]) for runs in members]
     stack_of = {g: stack for stack in _stacks(
         [specs[runs[0]]["sigma"] for runs in members], sims) for g in stack}
     shared: dict = {}

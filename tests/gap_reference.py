@@ -135,8 +135,8 @@ def reference_exact_concave_max(op, x_o, center, D):
     lam, U = np.linalg.eigh(0.5 * (A + A.T))
     lam = np.maximum(lam, 0.0)
     gt = U.T @ g
-    free = lam > 1e-14 * max(lam.max(initial=0.0), 1.0)
-    if np.all(np.abs(gt[~free]) <= 1e-14 * max(1.0, np.linalg.norm(gt))):
+    free = lam > 1e-14 * op.L
+    if np.all(np.abs(gt[~free]) <= 1e-14 * np.linalg.norm(gt)):
         wt = np.zeros_like(gt)
         wt[free] = gt[free] / (2.0 * lam[free])
         if np.linalg.norm(wt) <= D:

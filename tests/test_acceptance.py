@@ -38,6 +38,12 @@ def _config_1():
         Path(__file__).parents[1] / "configs" / "lesgd_rate_sweep.json")
 
 
+def _config_11():
+    """The shipped rate sweep under LESGD's refined schedule T2."""
+    return ExperimentConfig.from_file(
+        Path(__file__).parents[1] / "configs" / "lesgd_rate_sweep_t2.json")
+
+
 def _configs_2():
     """Variance-branch step size eta = D sqrt(M) / (sigma sqrt(6KR)),
     forced per M level (the schedule min would pick the drift branch at
@@ -280,3 +286,24 @@ class TestAcceptance:
         elapsed = time.perf_counter() - t0
         _report(10, same, f"CSV bytes identical for workers in {{1,8}} "
                           f"across both configs, {elapsed:.0f}s")
+
+    def test_criterion_11_refined_schedule_t2_against_t1(self, config1_rows):
+        """T2 keeps criterion 1's rate, and its lead over T1 at every R is
+        the step-size ratio, as D^2 / (eta K R) at sigma = 0 predicts."""
+        t0 = time.perf_counter()
+        rows_t2 = run_experiment(_config_11())
+        elapsed = time.perf_counter() - t0
+        assert all(r.status == "ok" and r.gap_certified
+                   for r in config1_rows[0] + rows_t2)
+        fit = fit_rate(rows_t2, [], "R")[()]
+        finals = [{r.R: r for r in rows if r.round == r.R}
+                  for rows in (config1_rows[0], rows_t2)]
+        assert list(finals[0]) == list(finals[1]) == [50, 100, 200, 400, 800]
+        ratios = [(t1.gap_value / t2.gap_value) / (t2.eta / t1.eta)
+                  for t1, t2 in zip(finals[0].values(), finals[1].values())]
+        ok = ((-1.25 <= fit.slope <= -0.80) and fit.r2 >= 0.95
+              and all(0.8 <= r <= 1.25 for r in ratios) and elapsed < 60)
+        _report(11, ok, f"T2 slope={fit.slope:.3f} in [-1.25,-0.80], "
+                        f"r2={fit.r2:.4f} >= 0.95, gap ratio T1/T2 over "
+                        f"eta ratio {min(ratios):.3f}..{max(ratios):.3f} "
+                        f"in [0.8,1.25], {elapsed:.1f}s < 60s")

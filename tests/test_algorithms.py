@@ -11,9 +11,10 @@ import pytest
 from fedvi import algorithms, rng
 from fedvi.algorithms import (ALGO_IDS, THEOREM_IDS, DivergenceWarning,
                               RunConfig, RunStack, constants_of, default_inner_steps,
-                              derived_gamma, dispersion, run_lda, run_lesgd,
-                              run_lesgd_hetero, run_lippax, run_lsgd,
-                              run_slippax, solve_inner_prox, step_size)
+                              derived_gamma, dispersion, read_run, run_lda,
+                              run_lesgd, run_lesgd_hetero, run_lippax,
+                              run_lsgd, run_slippax, shared_run,
+                              solve_inner_prox, step_size)
 from fedvi.operators import (affine_operator, eval_operator,
                              make_test_problem, operator_bound_on_ball)
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
@@ -1065,6 +1066,15 @@ class TestRunStacks:
         with pytest.raises(ValueError, match=f"share {field}"):
             RunStack((first, replace(first, **{field: value})))
 
+    def test_runs_must_share_whether_they_smooth(self):
+        """Mixed smoothing is refused when the stack is built, whatever
+        runner it is for; runs that all smooth may differ in delta."""
+        run = RunConfig(M=1, K=1, R=2, eta=0.1, delta=0.2)
+        with pytest.raises(ValueError, match="must share smooths"):
+            run_lesgd(OracleSpec(base=make_test_problem("affine", 3, seed=1)),
+                      RunStack((run, replace(run, delta=0.0))))
+        assert RunStack((run, replace(run, delta=0.5))).smooths
+
     def test_rejects_an_empty_stack(self):
         with pytest.raises(ValueError, match="at least one run"):
             RunStack(())
@@ -1080,6 +1090,26 @@ class TestRunStacks:
         run = RunConfig(M=2, K=1, R=2, eta=0.1)
         with pytest.raises(ValueError, match=r"expected \(M, d\) = \(4, 3\)"):
             run_lesgd_hetero(oracle, np.zeros((2, 3)), RunStack((run, run)))
+
+
+class TestSharedRun:
+    def test_every_plan_reads_its_run_alone(self):
+        """Draw-free plans of one step size read their runs, records and
+        all, from one run of shared_run's plan."""
+        oracle = OracleSpec(base=make_test_problem("affine", 3, seed=1))
+        plans = [RunConfig(M=2, K=2, R=R, eta=0.1, record_every=every)
+                 for R, every in [(3, 2), (5, 3), (4, 4)]]
+        shared = shared_run(plans)
+        assert (shared.R, shared.record_every) == (5, 1)
+        traj = run_lesgd(oracle, shared)
+        for plan in plans:
+            assert _trajectory_bits(read_run(traj, plan, "lesgd")) == \
+                _trajectory_bits(run_lesgd(oracle, plan))
+
+    def test_records_at_the_gcd_of_cadences_and_shorter_lengths(self):
+        plans = [RunConfig(K=2, R=R, record_every=every)
+                 for R, every in [(12, 8), (6, 4), (12, 12)]]
+        assert shared_run(plans) == replace(plans[0], record_every=4)
 
 
 class TestClientMean:

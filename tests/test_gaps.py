@@ -157,6 +157,37 @@ class TestRestrictedGap:
         assert est.value == pytest.approx(grid_oracle(op, x_o, np.zeros(2), 1.0),
                                           abs=1e-3)
 
+    SCALED_KINDS = [("affine", {"mu": 0}), ("skew", {}),
+                    ("bilinear-saddle", {}), ("quadratic-gradient", {})]
+
+    def _scaled_gaps(self, scale):
+        """(gap of A, b, gap of scale A, scale b) on each SCALED_KINDS
+        operator at d = 6, seeds 1 and 3, centre 0 and D = 1."""
+        x_o = np.random.default_rng(0).standard_normal(6)
+        for kind, params in self.SCALED_KINDS:
+            for seed in (1, 3):
+                op = make_test_problem(kind, 6, params, seed)
+                A, b = op.payload["A"], op.payload["b"]
+                yield (restricted_gap(op, x_o, np.zeros(6), 1.0),
+                       restricted_gap(affine_operator(scale * A, scale * b),
+                                      x_o, np.zeros(6), 1.0))
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-16, 1e-8, 1e8, 1e100])
+    def test_exact_gap_scales_with_the_operator(self, scale):
+        """The zero-eigenvalue cut is relative to L and the pinned-gradient
+        test to ||g||, so scaling A and b scales the gap."""
+        for unscaled, scaled in self._scaled_gaps(scale):
+            assert scaled.certified
+            assert scaled.value == pytest.approx(scale * unscaled.value,
+                                                 rel=1e-12, abs=0.0)
+
+    def test_exact_gap_stays_finite_at_subnormal_scale(self):
+        """At 1e-300 ||g||'s squares underflow; the solve still returns a
+        point of the ball, and a finite value (no accuracy is claimed)."""
+        for _, scaled in self._scaled_gaps(1e-300):
+            assert np.isfinite(scaled.value)
+            assert np.linalg.norm(scaled.maximizer) <= 1.0 + 1e-12
+
     def test_exact_concave_matches_grid_on_random_instances(self):
         rng = np.random.default_rng(0)
         for i in range(5):

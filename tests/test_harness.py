@@ -7,6 +7,7 @@ import math
 import re
 import threading
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from fedvi.operators import PARAMS, make_test_problem
 from fedvi.oracles import Draws, OracleSpec, draw_rows, sample_oracle
 from fedvi.rng import RngStream
 from run_reference import compare_reduction, run_single
+
+
+SHIPPED = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
 
 
 def minimal_config(**overrides):
@@ -1060,6 +1064,23 @@ class TestCli:
         assert cli_main(["fit", out_csv, "--x", "R", "--group", "algo"]) == 0
         captured = capsys.readouterr().out
         assert "slope=" in captured
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_verify_passes_on_every_shipped_config(self, path, capsys):
+        assert cli_main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "all property checks passed\n"
+
+    def test_verify_fails_with_exit_code_3(self, monkeypatch, capsys):
+        """A problem that declares half its L fails the smoothness check."""
+        build = harness.build_problem
+
+        def halved(cfg):
+            op = build(cfg)
+            return replace(op, L=0.5 * op.L)
+        monkeypatch.setattr(harness, "build_problem", halved)
+        assert cli_main(["verify", str(SHIPPED[0])]) == 3
+        assert re.search(r"^FAIL smoothness: measured L \S+ exceeds "
+                         r"declared 0\.5$", capsys.readouterr().out, re.M)
 
     def test_workers_flag_is_rejected(self, tmp_path, capsys):
         cfg_path = self._write(tmp_path, minimal_config())

@@ -426,3 +426,34 @@ class TestScaleFreeDeclarations:
 
     def test_zero_matrix_is_cocoercive(self):
         assert affine_operator(np.zeros((3, 3)), np.ones(3)).beta == 0.0
+
+
+class TestMonotonicityRelativeToL:
+    """The monotonicity check measures the least symmetric eigenvalue
+    against the declared L = ||A||, with no floor of 1."""
+
+    SCALES = [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12]
+
+    @staticmethod
+    def _parts():
+        rng = np.random.default_rng(0)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        S = (Q * np.array([-1e-3, 0.2, 0.5, 1.0])) @ Q.T
+        K = operators._random_skew(rng, 4)
+        N = rng.standard_normal((4, 4))
+        return S, K, N + N.T
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_non_monotone_refused_at_any_scale(self, scale):
+        """A least symmetric eigenvalue of -1e-3 ||A|| is no rounding."""
+        S, K, _ = self._parts()
+        with pytest.raises(ValueError, match="not monotone"):
+            affine_operator(scale * (S + K), np.zeros(4))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_near_skew_accepted_at_any_scale(self, scale):
+        """A skew matrix plus symmetric noise of 1e-15 is monotone up to
+        rounding, though its symmetric part is that noise alone."""
+        _, K, N = self._parts()
+        op = affine_operator(scale * (K + 1e-15 * N), np.zeros(4))
+        assert op.sym_eigh[0].min() < 0
