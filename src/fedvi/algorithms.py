@@ -235,61 +235,51 @@ DRAW_BLOCK_CELLS = 1 << 14
 Queries = Sequence[tuple[int, int, bool]]
 
 
-def _draw_steps(oracle: OracleSpec, streams: Sequence[tuple[RngStream, int]],
-                steps: Sequence[int], queries: Queries,
-                radii: np.ndarray) -> Iterator[tuple]:
-    """Pre-drawn rows of every query of the given steps, in one pass.
-
-    ``streams`` holds each run's (RngStream, M) in stack order, and
-    ``radii`` the smoothing radius of each of the stack's rows.  Row m
-    of a run in query j of step t is on that run's path (m, t, inner_j,
-    phase_j); one :func:`fill_keys` pass makes the block's keys of
-    those paths, each row that draws looks its key up with one
-    :meth:`RngStream.at` call, and all of them are one :func:`draw_rows`
-    call.
-    Returns one tuple per step whose entry j is query j's rows, one per
-    stack row, or None when it draws nothing.
-    """
-    live = [query for query in queries if query[2] or oracle.is_stochastic()]
-    if live:
-        fill_keys(streams, steps, [(inner, phase) for inner, phase, _ in live])
-    ats = [(stream.at, range(M)) for stream, M in streams]
-    keys = [at(m, t, inner, phase) for t in steps for inner, phase, _ in live
-            for at, clients in ats for m in clients]
-    n = len(radii)
-    step_radii = np.tile(np.concatenate(
-        [radii if smooth else np.zeros(n) for _, _, smooth in live]),
-        len(steps)) if any(smooth for _, _, smooth in live) else None
-    # draw_rows returns the noise rows in (step, query, row) order and the
-    # shift rows in that order for the smoothed queries alone, so each
-    # query's rows over the steps are the next column of one or both
-    shifts, noises = (iter(() if rows is None else rows.reshape(
-        len(steps), -1, n, oracle.dim).swapaxes(0, 1))
-        for rows in draw_rows(oracle, keys, step_radii))
-    none = [None] * len(steps)
-    return zip(*[map(Draws, next(shifts) if smooth else none,
-                     next(noises, none))
-                 if smooth or oracle.is_stochastic() else none
-                 for _, _, smooth in queries])
-
-
 def _step_draws(oracle: OracleSpec, runs: Sequence[RunConfig],
-                queries: Queries):
+                queries: Queries) -> Iterator[tuple]:
     """Each step's pre-drawn query rows for t = 1..T, over the stack of
-    the runs' client rows.
+    the runs' client rows: one tuple per step whose entry j is query j's
+    rows, one per stack row, or None when it draws nothing.
 
     The T steps are drawn ahead in blocks of consecutive whole steps of
     at most DRAW_BLOCK_CELLS cells, one step at least; a block may span
-    rounds, since a draw depends on its key alone.
+    rounds, since a draw depends on its key alone.  Row m of a run in
+    query j of step t is on that run's path (m, t, inner_j, phase_j);
+    one :func:`fill_keys` pass makes a block's keys of those paths, each
+    row that draws looks its key up with one :meth:`RngStream.at` call,
+    and all of them are one :func:`draw_rows` call.
     """
     streams = [(RngStream(run.master_seed), run.M) for run in runs]
+    ats = [(stream.at, range(M)) for stream, M in streams]
+    stochastic = oracle.is_stochastic()
+    live = [query for query in queries if query[2] or stochastic]
+    slots = [(inner, phase) for inner, phase, _ in live]
     radii = np.repeat([run.delta for run in runs], [run.M for run in runs])
-    T = runs[0].T
-    per_block = max(1, DRAW_BLOCK_CELLS
-                    // (2 * len(queries) * len(radii) * oracle.dim))
+    n, d, T = len(radii), oracle.dim, runs[0].T
+    # the smoothing radius of each drawing row of one step, or None
+    step_radii = (np.concatenate([radii if smooth else np.zeros(n)
+                                  for _, _, smooth in live])
+                  if any(smooth for _, _, smooth in live) else None)
+    per_block = max(1, DRAW_BLOCK_CELLS // (2 * len(queries) * n * d))
     for first in range(1, T + 1, per_block):
         steps = range(first, min(first + per_block, T + 1))
-        yield from _draw_steps(oracle, streams, steps, queries, radii)
+        if live:
+            fill_keys(streams, steps, slots)
+        keys = [at(m, t, inner, phase) for t in steps for inner, phase in slots
+                for at, clients in ats for m in clients]
+        block_radii = (None if step_radii is None
+                       else np.tile(step_radii, len(steps)))
+        # draw_rows returns noise rows in (step, query, row) order and shift
+        # rows in that order for the smoothed queries alone, so each query's
+        # rows over the steps are the next column of one or both
+        shifts, noises = (iter(() if rows is None else rows.reshape(
+            len(steps), -1, n, d).swapaxes(0, 1))
+            for rows in draw_rows(oracle, keys, block_radii))
+        none = [None] * len(steps)
+        yield from zip(*[map(Draws, next(shifts) if smooth else none,
+                             next(noises, none))
+                         if smooth or stochastic else none
+                         for _, _, smooth in queries])
 
 
 def _operand(c: float | np.ndarray) -> np.ndarray:

@@ -38,6 +38,8 @@ def _cmd_fit(args) -> int:
     for key, fit in sorted(fits.items()):
         label = ",".join(f"{g}={v}" for g, v in zip(group_by, key)) or "all"
         print(f"{label}: slope={fit.slope:+.4f} r2={fit.r2:.4f} "
+              f"predicted={fit.predicted_slope:+.4f} "
+              f"gap*etaKR={fit.normalized[0]:.4g}..{fit.normalized[1]:.4g} "
               f"n={len(fit.pairs)} excluded={fit.n_excluded}")
     return 0
 

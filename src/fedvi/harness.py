@@ -82,11 +82,20 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 @dataclass
 class RateFit:
-    """Log-log least-squares fit of gap against one experiment axis."""
+    """Log-log least-squares fit of gap against one experiment axis.
+
+    ``predicted_slope`` is the slope, fitted on the same rows, of
+    log(1 / (eta K R)): the theorems' leading term D^2 / (eta K R), which
+    at a schedule's eta lies within a constant factor of its bound (D is
+    fixed within a config).  ``normalized`` is the (min, max) of
+    gap * eta K R over those rows.
+    """
 
     pairs: list[tuple[float, float]]
     slope: float
     r2: float
+    predicted_slope: float
+    normalized: tuple[float, float]
     n_excluded: int = 0
 
 
@@ -659,7 +668,8 @@ def _row_get(row, name: str):
 
 def fit_rate(rows: Sequence, group_by: Sequence[str],
              x_name: str) -> dict[tuple, RateFit]:
-    """Least squares on (log x, log gap) over final-round rows, per group.
+    """Least squares on (log x, log gap) over final-round rows, per group,
+    and on (log x, log(1 / (eta K R))) over the same rows.
 
     Rows whose x or gap is not a positive finite number, or whose gap is
     empty (a diverged run), have no finite logarithm; they are excluded
@@ -667,13 +677,13 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
     every final row excluded included, raises a ValueError naming it
     and its excluded count; so do rows with no final round, as ().
     """
-    final: dict[tuple, list[tuple[float, float]]] = {}
+    final: dict[tuple, list[tuple[float, float, float]]] = {}
     excluded: dict[tuple, int] = {}
     for row in rows:
         if int(_row_get(row, "round")) != int(_row_get(row, "R")):
             continue
         key = tuple(_row_get(row, g) for g in group_by)
-        pairs = final.setdefault(key, [])
+        usable = final.setdefault(key, [])
         x = float(_row_get(row, x_name))
         gap = _row_get(row, "gap_value")
         # an empty gap is a diverged run's
@@ -681,23 +691,29 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
         if not (0 < x < math.inf and 0 < gap < math.inf):
             excluded[key] = excluded.get(key, 0) + 1
             continue
-        pairs.append((x, gap))
+        usable.append((x, gap, math.prod(
+            float(_row_get(row, name)) for name in ("eta", "K", "R"))))
     fits = {}
-    for key, pairs in (final or {(): []}).items():
-        xs = sorted({p[0] for p in pairs})
+    for key, usable in (final or {(): []}).items():
+        xs = sorted({p[0] for p in usable})
         if len(xs) < 4:
             raise ValueError(
                 f"group {key}: need >= 4 distinct {x_name} values, got "
                 f"{len(xs)} ({excluded.get(key, 0)} excluded)")
-        lx = np.log([p[0] for p in pairs])
-        ly = np.log([p[1] for p in pairs])
+        x, gap, ekr = map(np.array, zip(*usable))
+        lx, ly = np.log(x), np.log(gap)
         slope, intercept = np.polyfit(lx, ly, 1)
         pred = slope * lx + intercept
         ss_res = float(((ly - pred) ** 2).sum())
         ss_tot = float(((ly - ly.mean()) ** 2).sum())
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        fits[key] = RateFit(pairs=sorted(pairs), slope=float(slope), r2=r2,
-                            n_excluded=excluded.get(key, 0))
+        predicted = np.polyfit(lx, np.log(1 / ekr), 1)[0]
+        normalized = gap * ekr
+        fits[key] = RateFit(
+            pairs=sorted(p[:2] for p in usable), slope=float(slope), r2=r2,
+            predicted_slope=float(predicted),
+            normalized=(float(normalized.min()), float(normalized.max())),
+            n_excluded=excluded.get(key, 0))
     return fits
 
 

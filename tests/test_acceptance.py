@@ -44,6 +44,13 @@ def _config_11():
         Path(__file__).parents[1] / "configs" / "lesgd_rate_sweep_t2.json")
 
 
+def _configs_12():
+    """The shipped stochastic K sweep under LESGD's T1, then under T2."""
+    return [ExperimentConfig.from_file(
+        Path(__file__).parents[1] / "configs" / name)
+        for name in ("lesgd_k_sweep.json", "lesgd_k_sweep_t2.json")]
+
+
 def _configs_2():
     """Variance-branch step size eta = D sqrt(M) / (sigma sqrt(6KR)),
     forced per M level (the schedule min would pick the drift branch at
@@ -307,3 +314,35 @@ class TestAcceptance:
                         f"r2={fit.r2:.4f} >= 0.95, gap ratio T1/T2 over "
                         f"eta ratio {min(ratios):.3f}..{max(ratios):.3f} "
                         f"in [0.8,1.25], {elapsed:.1f}s < 60s")
+
+    def test_criterion_12_refined_schedule_across_K(self):
+        """Under noise, T2's mean final gap lies below T1's at every K.
+        Reported without a gate: the lead over the step-size ratio, which
+        D^2 / (eta K R) predicts to be 1, and both K slopes next to the
+        slope that term predicts."""
+        t0 = time.perf_counter()
+        runs = [run_experiment(cfg) for cfg in _configs_12()]
+        elapsed = time.perf_counter() - t0
+        assert all(r.status == "ok" for rows in runs for r in rows)
+        finals = []
+        for rows in runs:
+            by_k = {}
+            for r in rows:
+                if r.round == r.R:
+                    by_k.setdefault(r.K, []).append(r)
+            finals.append(by_k)
+        assert list(finals[0]) == list(finals[1]) == [4, 8, 16, 32, 64]
+        gaps = [{K: np.mean([r.gap_value for r in rs])
+                 for K, rs in by_k.items()} for by_k in finals]
+        # a schedule's eta is the same for every seed at one K
+        leads = [(gaps[0][K] / gaps[1][K])
+                 / (finals[1][K][0].eta / finals[0][K][0].eta)
+                 for K in gaps[0]]
+        t1, t2 = (fit_rate(rows, [], "K")[()] for rows in runs)
+        ok = all(gaps[1][K] < gaps[0][K] for K in gaps[0]) and elapsed < 60
+        _report(12, ok, f"T2 gap < T1 gap at K=4..64; (T1/T2 gap)/(eta "
+                        f"ratio) {', '.join(f'{x:.2f}' for x in leads)}; "
+                        f"K slope T1 {t1.slope:.3f} (predicted "
+                        f"{t1.predicted_slope:.3f}), T2 {t2.slope:.3f} "
+                        f"(predicted {t2.predicted_slope:.3f}); "
+                        f"{elapsed:.1f}s < 60s")

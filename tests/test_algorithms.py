@@ -852,15 +852,15 @@ class TestRoundDraws:
         round boundaries (K = 5)."""
         oracle, cfg = self._case("affine", "gaussian-isotropic", 0.8, 3, 5)
         blocks = []
-        draw_steps = algorithms._draw_steps
+        fill_keys = algorithms.fill_keys
 
-        def recording(oracle, streams, steps, queries, radii):
+        def recording(streams, steps, slots):
             blocks.append(list(steps))
-            assert [M for _, M in streams] == [len(radii)] == [cfg.M]
-            cells = 2 * len(queries) * len(radii) * oracle.dim * len(steps)
+            assert [M for _, M in streams] == [cfg.M]
+            cells = 2 * len(slots) * cfg.M * oracle.dim * len(steps)
             assert cells <= budget or len(steps) == 1
-            return draw_steps(oracle, streams, steps, queries, radii)
-        monkeypatch.setattr(algorithms, "_draw_steps", recording)
+            return fill_keys(streams, steps, slots)
+        monkeypatch.setattr(algorithms, "fill_keys", recording)
         monkeypatch.setattr(algorithms, "DRAW_BLOCK_CELLS", budget)
         _run(algo, oracle, cfg)
         assert [t for block in blocks for t in block] == list(

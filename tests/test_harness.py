@@ -861,7 +861,8 @@ class TestUnitCovariance:
             base = self._run(tmp_path, algorithm, kind, seed, 1, 1, "base")
             scaled = self._run(tmp_path, algorithm, kind, seed, c, f,
                                "scaled")
-            assert scaled.eta / base.eta == pytest.approx(c / f, rel=1e-8)
+            assert scaled.eta / base.eta == pytest.approx(c / f, rel=1e-8,
+                                                          abs=0)
             assert base.gap_value != 0
             assert scaled.gap_value / base.gap_value == pytest.approx(
                 c * f, rel=1e-8)
@@ -870,8 +871,8 @@ class TestUnitCovariance:
 class TestFitRate:
     def _rows(self, law, Rs=(50, 100, 200, 400), algo="lesgd"):
         return [
-            {"algo": algo, "sigma": 0.0, "R": R, "round": R,
-             "gap_value": law(R)} for R in Rs
+            {"algo": algo, "sigma": 0.0, "eta": 0.1, "K": 1, "R": R,
+             "round": R, "gap_value": law(R)} for R in Rs
         ]
 
     def test_recovers_planted_inverse_law(self):
@@ -933,7 +934,7 @@ class TestFitRate:
     def test_infinite_gaps_and_x_excluded_and_counted(self):
         """inf has no finite logarithm: an inf gap or x is skipped like
         a NaN one, not fitted."""
-        rows = [{"sigma": sigma, "R": 10, "round": 10,
+        rows = [{"sigma": sigma, "eta": 0.1, "K": 1, "R": 10, "round": 10,
                  "gap_value": 3.0 * sigma ** 2}
                 for sigma in (0.5, 1, 2, 4, 8, 16)]
         rows[1]["gap_value"] = "inf"
@@ -944,6 +945,16 @@ class TestFitRate:
         assert fit.n_excluded == 2
         assert [x for x, _ in fit.pairs] == [0.5, 2, 4, 16]
         assert abs(fit.slope - 2.0) < 1e-9
+
+    def test_predicted_slope_on_criterion_1_rows(self):
+        """At a fixed K and a schedule eta that does not move with R,
+        D^2 / (eta K R) falls as 1/R, to rounding."""
+        rows = run_experiment(ExperimentConfig.from_file(
+            Path(__file__).parents[1] / "configs" / "lesgd_rate_sweep.json"))
+        fit = fit_rate(rows, [], "R")[()]
+        assert abs(fit.predicted_slope + 1) < 1e-12
+        lo, hi = fit.normalized
+        assert 0 < lo <= hi < math.inf
 
     def test_non_final_rounds_ignored(self):
         rows = self._rows(lambda R: 100.0 / R)
@@ -1064,6 +1075,7 @@ class TestCli:
         assert cli_main(["fit", out_csv, "--x", "R", "--group", "algo"]) == 0
         captured = capsys.readouterr().out
         assert "slope=" in captured
+        assert "predicted=" in captured
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_verify_passes_on_every_shipped_config(self, path, capsys):
@@ -1386,9 +1398,10 @@ class TestCli:
     @pytest.mark.parametrize("text,group", [
         ("", "()"),
         ("algo,sigma,R,round,gap_value\nlesgd,0,40,20,0.1\n", "()"),
-        ("algo,sigma,R,round,gap_value\n"
-         + "".join(f"lesgd,0,{R},{R},{1 / R}\n" for R in (5, 10, 20, 40))
-         + "".join(f"lippax,0,{R},{R},\n" for R in (5, 10, 20)),
+        ("algo,sigma,eta,K,R,round,gap_value\n"
+         + "".join(f"lesgd,0,0.1,1,{R},{R},{1 / R}\n"
+                   for R in (5, 10, 20, 40))
+         + "".join(f"lippax,0,0.1,1,{R},{R},\n" for R in (5, 10, 20)),
          "('lippax',)")], ids=["empty", "no-final-round", "all-excluded"])
     def test_fit_with_no_usable_group_exits_2(self, tmp_path, capsys, text,
                                               group):
@@ -1404,14 +1417,16 @@ class TestCli:
     @pytest.mark.parametrize("column,args", [
         ("gap_value", ["--x", "R"]), ("round", ["--x", "R"]),
         ("R", ["--x", "R"]), ("sigma", ["--x", "sigma"]),
-        ("algo", ["--x", "R", "--group", "algo"])])
+        ("algo", ["--x", "R", "--group", "algo"]), ("eta", ["--x", "R"]),
+        ("K", ["--x", "R"])])
     def test_fit_missing_column_exits_2(self, tmp_path, capsys, column,
                                         args):
-        header = ["algo", "sigma", "R", "round", "gap_value"]
+        header = ["algo", "sigma", "eta", "K", "R", "round", "gap_value"]
         lines = [",".join(c for c in header if c != column)]
         for R in (50, 100, 200, 400):
-            cells = {"algo": "lesgd", "sigma": str(R / 100), "R": str(R),
-                     "round": str(R), "gap_value": str(1 / R)}
+            cells = {"algo": "lesgd", "sigma": str(R / 100), "eta": "0.1",
+                     "K": "1", "R": str(R), "round": str(R),
+                     "gap_value": str(1 / R)}
             lines.append(",".join(cells[c] for c in header if c != column))
         path = tmp_path / "rows.csv"
         path.write_text("\n".join(lines) + "\n")

@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python tools/csv_digests.py [SRC]
 
-The 38 CSVs are the four ``configs/*.json`` (their ``output`` field
+The 40 CSVs are the six ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
 ``perfbench/workloads.py`` at seeds 1-3, and the twenty-two small
 ``EXTRA`` configs below, which reach the algorithms, schedules, noise
