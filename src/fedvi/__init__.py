@@ -6,8 +6,8 @@ from .algorithms import (DivergenceWarning, RunConfig, RunStack, StepSizePlan,
                          run_lesgd_hetero, run_lippax, run_lsgd, run_slippax,
                          solve_inner_prox, step_size)
 from .gaps import GapEstimate, composite_gap, restricted_gap
-from .harness import (ConfigError, ExperimentConfig, RateFit, ResultRow,
-                      fit_rate, run_experiment)
+from .harness import (ConfigError, ExperimentConfig, GapBallWarning, RateFit,
+                      ResultRow, fit_rate, run_experiment)
 from .operators import (OperatorSpec, PropertyReport, affine_operator,
                         eval_operator, load_affine_text, make_test_problem,
                         op_jacobian, op_value_vjp, operator_bound_on_ball,

@@ -37,8 +37,9 @@ def _cmd_fit(args) -> int:
         return 2
     for key, fit in sorted(fits.items()):
         label = ",".join(f"{g}={v}" for g, v in zip(group_by, key)) or "all"
-        print(f"{label}: slope={fit.slope:+.4f} r2={fit.r2:.4f} "
-              f"predicted={fit.predicted_slope:+.4f} "
+        lo, hi = fit.slope_ci
+        print(f"{label}: slope={fit.slope:+.4f} ci95=[{lo:+.4f}, {hi:+.4f}] "
+              f"r2={fit.r2:.4f} predicted={fit.predicted_slope:+.4f} "
               f"gap*etaKR={fit.normalized[0]:.4g}..{fit.normalized[1]:.4g} "
               f"n={len(fit.pairs)} excluded={fit.n_excluded}")
     return 0
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
 
     p_fit = sub.add_parser("fit", help="log-log slope fit over a CSV")
     p_fit.add_argument("csv")
-    p_fit.add_argument("--x", required=True, choices=["M", "K", "R", "sigma"])
+    p_fit.add_argument("--x", required=True, choices=list(SCHEMA["sweep"]))
     p_fit.add_argument("--group", default="")
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -40,8 +40,8 @@ from .algorithms import (ALGO_IDS, DELTA_RULES, THEOREM_IDS,
                          run_lippax, run_lsgd, run_slippax, shared_run,
                          step_size)
 from .gaps import composite_gap
-from .operators import (KINDS, OperatorSpec, _is_number, load_affine_text,
-                        make_test_problem, verify_properties)
+from .operators import (KINDS, VERIFY_PAIRS, OperatorSpec, _is_number,
+                        load_affine_text, make_test_problem, verify_properties)
 from .oracles import NOISE_MODELS, OracleSpec, draw_rows, sample_oracle
 from .regularizers import REG_KINDS, RegularizerSpec
 from .rng import RngStream, fill_keys
@@ -53,6 +53,11 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class GapBallWarning(UserWarning):
+    """The gap ball misses the operator's known solution, so a gap the
+    CSV reports can read below zero (:func:`_check_gap_ball`)."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,8 @@ class RateFit:
     log(1 / (eta K R)): the theorems' leading term D^2 / (eta K R), which
     at a schedule's eta lies within a constant factor of its bound (D is
     fixed within a config).  ``normalized`` is the (min, max) of
-    gap * eta K R over those rows.
+    gap * eta K R over those rows.  ``slope_ci`` is the seed-bootstrap
+    95% interval of the slope (:func:`_slope_ci`).
     """
 
     pairs: list[tuple[float, float]]
@@ -96,6 +102,7 @@ class RateFit:
     r2: float
     predicted_slope: float
     normalized: tuple[float, float]
+    slope_ci: tuple[float, float]
     n_excluded: int = 0
 
 
@@ -138,6 +145,7 @@ _BOUND = (None, lambda v: _is_number(v) or _is_point(v),
           "must be a finite number or a list of them")
 REQUIRED = object()  # the default of a field every config must give
 MAX_RUNS = 4096  # cap on a config's sweep points times seeds
+BOOTSTRAP_RESAMPLES = 2000  # seed resamples behind each RateFit.slope_ci
 # Client rows one runner call may stack (_stacks).  A step's arrays, and
 # a pre-drawn block of one step, grow with a stack's rows, so this bounds
 # a runner call's working memory whatever MAX_RUNS allows; a run with
@@ -251,7 +259,7 @@ class ExperimentConfig:
     """Validated experiment description; build with from_dict / from_file.
 
     Every block holds all of its SCHEMA fields, defaults filled in,
-    except ``sweep``, which holds the swept axes only.
+    except ``sweep``, which holds the swept axes only, in SCHEMA's order.
     """
 
     problem: dict
@@ -370,8 +378,8 @@ class ExperimentConfig:
     def expand_runs(self) -> list[dict]:
         """Cross product of sweep axes and seeds, in enumeration order."""
         base = dict(self.federation, sigma=self.noise["sigma"])
-        axes = [[(name, v) for v in self.sweep[name]]
-                for name in ("M", "K", "R", "sigma") if name in self.sweep]
+        axes = [[(name, v) for v in values]
+                for name, values in self.sweep.items()]
         return [dict(base, **dict(combo), seed=seed)
                 for combo in itertools.product(*axes) for seed in self.seeds]
 
@@ -422,6 +430,20 @@ def _hetero_offsets(op: OperatorSpec, cfg: ExperimentConfig,
     _expect(np.isfinite(offsets).all(), "problem.hetero.offset_scale",
             f"{scale!r} leaves a client offset that is not finite")
     return offsets
+
+
+def _check_gap_ball(cfg: ExperimentConfig, op: OperatorSpec) -> None:
+    """Warn when the gap ball misses op's known solution z*.  With the
+    zero regularizer z* solves the VI, so a gap ball without it measures
+    the gap on a region the solution lies outside; an LDA regularizer
+    moves the solution, and the check is skipped."""
+    if cfg.regularizer.kind != "zero" or op.solution is None:
+        return
+    miss = float(np.linalg.norm(cfg.gap_center(op.dim) - op.solution))
+    if miss > cfg.gap["D"]:
+        warnings.warn(GapBallWarning(
+            f"the gap ball misses the solution: |center - z*| = {miss:g} "
+            f"> gap.D = {cfg.gap['D']:g}"))
 
 
 def _run_config(cfg: ExperimentConfig, op: OperatorSpec, spec: dict,
@@ -535,6 +557,7 @@ def _runs(cfg: ExperimentConfig) -> Iterator[
     """
     specs = cfg.expand_runs()
     op = build_problem(cfg)
+    _check_gap_ball(cfg, op)
     offsets = [_hetero_offsets(op, cfg, spec["M"])
                if cfg.algorithm["id"] == "lesgd-hetero" else None
                for spec in specs]
@@ -692,7 +715,8 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
             excluded[key] = excluded.get(key, 0) + 1
             continue
         usable.append((x, gap, math.prod(
-            float(_row_get(row, name)) for name in ("eta", "K", "R"))))
+            float(_row_get(row, name)) for name in ("eta", "K", "R")),
+            int(_row_get(row, "seed"))))
     fits = {}
     for key, usable in (final or {(): []}).items():
         xs = sorted({p[0] for p in usable})
@@ -700,7 +724,7 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
             raise ValueError(
                 f"group {key}: need >= 4 distinct {x_name} values, got "
                 f"{len(xs)} ({excluded.get(key, 0)} excluded)")
-        x, gap, ekr = map(np.array, zip(*usable))
+        x, gap, ekr, seeds = map(np.array, zip(*usable))
         lx, ly = np.log(x), np.log(gap)
         slope, intercept = np.polyfit(lx, ly, 1)
         pred = slope * lx + intercept
@@ -713,20 +737,53 @@ def fit_rate(rows: Sequence, group_by: Sequence[str],
             pairs=sorted(p[:2] for p in usable), slope=float(slope), r2=r2,
             predicted_slope=float(predicted),
             normalized=(float(normalized.min()), float(normalized.max())),
+            slope_ci=_slope_ci(x, lx, ly, seeds, float(slope)),
             n_excluded=excluded.get(key, 0))
     return fits
+
+
+def _slope_ci(x: np.ndarray, lx: np.ndarray, ly: np.ndarray,
+              seeds: np.ndarray, slope: float) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of the least-squares slope of ly
+    on lx over BOOTSTRAP_RESAMPLES resamples of a group's rows.
+
+    A resample draws the group's seeds with replacement, from
+    ``default_rng(0)``, and each drawn seed brings all of its rows, once
+    per draw; one with fewer than 4 distinct x is skipped.  The slope of
+    a resample is its covariance over its variance, polyfit's estimator
+    in closed form.  Rows of one seed give (slope, slope).
+    """
+    _, seed_of = np.unique(seeds, return_inverse=True)
+    n_seeds = seed_of.max() + 1
+    if n_seeds == 1:
+        return slope, slope
+    # each seed's row count and sums, about the group's means
+    u, v = lx - lx.mean(), ly - ly.mean()
+    sums = np.zeros((n_seeds, 5))
+    np.add.at(sums, seed_of, np.stack([np.ones_like(u), u, v, u * u, u * v],
+                                      axis=1))
+    _, x_of = np.unique(x, return_inverse=True)
+    has_x = np.zeros((n_seeds, x_of.max() + 1), bool)
+    has_x[seed_of, x_of] = True
+    draws = np.random.default_rng(0).integers(
+        n_seeds, size=(BOOTSTRAP_RESAMPLES, n_seeds))
+    counts = np.zeros((BOOTSTRAP_RESAMPLES, n_seeds))
+    np.add.at(counts, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], draws), 1)
+    counts = counts[((counts > 0) @ has_x).sum(axis=1) >= 4]
+    n, su, sv, suu, suv = (counts @ sums).T
+    lo, hi = np.percentile((suv - su * sv / n) / (suu - su * su / n),
+                           [2.5, 97.5])
+    return float(lo), float(hi)
 
 
 def verify_problem(cfg: ExperimentConfig) -> list[str]:
     """Property/invariant suite for the configured problem; returns failures."""
     op = build_problem(cfg)
     failures = []
-    radius, n_pairs = 10.0 * cfg.gap["D"], 10_000
-    report = verify_properties(op, n_pairs=n_pairs, domain_radius=radius,
-                               seed=0)
+    report = verify_properties(op, domain_radius=10.0 * cfg.gap["D"])
     if report.monotone_violations > 0:
         failures.append(f"monotonicity: {report.monotone_violations} "
-                        f"violating pairs out of {n_pairs}")
+                        f"violating pairs out of {VERIFY_PAIRS}")
     if report.measured_L > op.L * (1 + 1e-6):
         failures.append(f"smoothness: measured L {report.measured_L:g} "
                         f"exceeds declared {op.L:g}")

@@ -318,8 +318,8 @@ class TestAcceptance:
     def test_criterion_12_refined_schedule_across_K(self):
         """Under noise, T2's mean final gap lies below T1's at every K.
         Reported without a gate: the lead over the step-size ratio, which
-        D^2 / (eta K R) predicts to be 1, and both K slopes next to the
-        slope that term predicts."""
+        D^2 / (eta K R) predicts to be 1, and both K slopes, with their
+        seed-bootstrap CIs, next to the slope that term predicts."""
         t0 = time.perf_counter()
         runs = [run_experiment(cfg) for cfg in _configs_12()]
         elapsed = time.perf_counter() - t0
@@ -342,7 +342,10 @@ class TestAcceptance:
         ok = all(gaps[1][K] < gaps[0][K] for K in gaps[0]) and elapsed < 60
         _report(12, ok, f"T2 gap < T1 gap at K=4..64; (T1/T2 gap)/(eta "
                         f"ratio) {', '.join(f'{x:.2f}' for x in leads)}; "
-                        f"K slope T1 {t1.slope:.3f} (predicted "
-                        f"{t1.predicted_slope:.3f}), T2 {t2.slope:.3f} "
-                        f"(predicted {t2.predicted_slope:.3f}); "
+                        f"K slope T1 {t1.slope:.3f} (seed-bootstrap 95% CI "
+                        f"[{t1.slope_ci[0]:.3f}, {t1.slope_ci[1]:.3f}], "
+                        f"predicted {t1.predicted_slope:.3f}), T2 "
+                        f"{t2.slope:.3f} (CI [{t2.slope_ci[0]:.3f}, "
+                        f"{t2.slope_ci[1]:.3f}], predicted "
+                        f"{t2.predicted_slope:.3f}); "
                         f"{elapsed:.1f}s < 60s")

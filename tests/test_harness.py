@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fedvi import DivergenceWarning, harness
+from fedvi import DivergenceWarning, GapBallWarning, harness
 from fedvi.algorithms import default_inner_steps, derived_gamma
 from fedvi.cli import main as cli_main
 from fedvi.gaps import restricted_gap
@@ -394,6 +394,23 @@ class TestRunExperiment:
         for m in (1, 2):
             assert by_m_a[m] == by_m_b[m]
 
+    def test_sweep_axes_enumerate_in_schema_order(self):
+        """A sweep that lists sigma before M still enumerates its runs in
+        SCHEMA's (M, sigma) order, and writes the same CSV."""
+        noise = {"sigma": 0.0, "model": "gaussian-isotropic"}
+        trees = [minimal_config(noise=noise, gap={"D": 12.0},
+                                sweep=dict(axes))
+                 for axes in ([("M", [1, 2]), ("sigma", [0.0, 0.5])],
+                              [("sigma", [0.0, 0.5]), ("M", [1, 2])])]
+        assert list(trees[1]["sweep"]) == ["sigma", "M"]
+        runs = [[(spec["M"], spec["sigma"]) for spec in
+                 ExperimentConfig.from_dict(tree).expand_runs()]
+                for tree in trees]
+        assert runs[0] == runs[1] == [(1, 0.0), (1, 0.5), (2, 0.0),
+                                      (2, 0.5)]
+        assert rows_to_csv(run_experiment(trees[0])) == rows_to_csv(
+            run_experiment(trees[1]))
+
     def test_theorem_schedule_resolves_step_size(self):
         tree = minimal_config()
         tree["algorithm"] = {"id": "lesgd", "schedule": "T1"}
@@ -666,6 +683,7 @@ class TestSharedTrajectories:
         def run(config):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
+                warnings.simplefilter("ignore", GapBallWarning)
                 rows = run_experiment(config)
             return rows, [str(w.message) for w in caught]
 
@@ -872,7 +890,7 @@ class TestFitRate:
     def _rows(self, law, Rs=(50, 100, 200, 400), algo="lesgd"):
         return [
             {"algo": algo, "sigma": 0.0, "eta": 0.1, "K": 1, "R": R,
-             "round": R, "gap_value": law(R)} for R in Rs
+             "round": R, "gap_value": law(R), "seed": 0} for R in Rs
         ]
 
     def test_recovers_planted_inverse_law(self):
@@ -880,6 +898,35 @@ class TestFitRate:
         fit = fits[("lesgd",)]
         assert abs(fit.slope + 1.0) < 1e-9
         assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+        assert fit.slope_ci == (fit.slope, fit.slope)  # one seed
+
+    def test_seed_bootstrap_ci_is_the_resampled_polyfit_slopes(self):
+        """The CI is the percentiles of polyfit's slope over the seed
+        resamples, written out as a loop, and holds the fitted slope.
+        Seed 2 holds three R and seed 3 one, so a resample of one of
+        them alone has too few distinct R and is skipped."""
+        noise = np.random.default_rng(1).lognormal(0.0, 0.3, (4, 4))
+        rows = [dict(row, seed=seed, gap_value=row["gap_value"] * f)
+                for seed in range(4)
+                for row, f in zip(self._rows(lambda R: 100.0 / R),
+                                  noise[seed])
+                if seed < 2 or (row["R"] < 300) == (seed == 2)]
+        rng = np.random.default_rng(0)
+        slopes = []
+        for _ in range(harness.BOOTSTRAP_RESAMPLES):
+            drawn = [r for s in rng.integers(4, size=4) for r in rows
+                     if r["seed"] == s]
+            if len({r["R"] for r in drawn}) >= 4:
+                slopes.append(np.polyfit(
+                    np.log([r["R"] for r in drawn]),
+                    np.log([r["gap_value"] for r in drawn]), 1)[0])
+        assert len(slopes) < harness.BOOTSTRAP_RESAMPLES
+        fit = fit_rate(rows, [], "R")[()]
+        lo, hi = fit.slope_ci
+        assert [lo, hi] == pytest.approx(np.percentile(slopes, [2.5, 97.5]),
+                                         rel=1e-9)
+        assert lo < fit.slope < hi
+        assert fit_rate(rows, [], "R")[()].slope_ci == (lo, hi)
 
     def test_recovers_inverse_sqrt_law(self):
         fits = fit_rate(self._rows(lambda R: 7.0 / math.sqrt(R)), [], "R")
@@ -935,7 +982,7 @@ class TestFitRate:
         """inf has no finite logarithm: an inf gap or x is skipped like
         a NaN one, not fitted."""
         rows = [{"sigma": sigma, "eta": 0.1, "K": 1, "R": 10, "round": 10,
-                 "gap_value": 3.0 * sigma ** 2}
+                 "gap_value": 3.0 * sigma ** 2, "seed": 0}
                 for sigma in (0.5, 1, 2, 4, 8, 16)]
         rows[1]["gap_value"] = "inf"
         rows[4]["sigma"] = "inf"
@@ -962,6 +1009,39 @@ class TestFitRate:
                      "gap_value": 99.0})
         fits = fit_rate(rows, [], "R")
         assert abs(fits[()].slope + 1.0) < 1e-9
+
+
+class TestGapBallWarning:
+    def _caught(self, tree):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(tree)
+        return [str(w.message) for w in caught
+                if w.category is GapBallWarning]
+
+    def test_warns_once_per_config(self):
+        """minimal_config's ball of radius 1 about 0 misses z*, 4.93 away:
+        one warning for its four runs, naming both numbers."""
+        assert self._caught(minimal_config(sweep={"M": [1, 2]},
+                                           seeds=[0, 1])) == [
+            "the gap ball misses the solution: |center - z*| = 4.92745 "
+            "> gap.D = 1"]
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+    def test_silent_on_every_shipped_config(self, path):
+        cfg = ExperimentConfig.from_file(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", GapBallWarning)
+            harness._check_gap_ball(cfg, build_problem(cfg))
+
+    def test_silent_when_a_regularizer_moves_the_solution(self):
+        """With l1 the solution is the composite problem's, not V's zero,
+        so a ball that misses V's zero is no miss."""
+        tree = minimal_config(algorithm={"id": "lda", "eta": 0.1},
+                              regularizer={"kind": "l1", "lam": 0.1})
+        op = build_problem(ExperimentConfig.from_dict(tree))
+        assert np.linalg.norm(op.solution) > tree["gap"]["D"]
+        assert self._caught(tree) == []
 
 
 class TestCompareReduction:
@@ -1075,7 +1155,26 @@ class TestCli:
         assert cli_main(["fit", out_csv, "--x", "R", "--group", "algo"]) == 0
         captured = capsys.readouterr().out
         assert "slope=" in captured
+        assert "ci95=" in captured
         assert "predicted=" in captured
+
+    @pytest.mark.parametrize("x", [*SCHEMA["sweep"], "eta", "seed"])
+    def test_fit_x_is_a_sweep_axis(self, tmp_path, capsys, x):
+        """--x takes each sweep axis, and argparse rejects any other."""
+        header = ["M", "K", "R", "sigma", "eta", "round", "gap_value",
+                  "seed"]
+        lines = [",".join(header)] + [
+            f"{v},{v},{v},{v},0.1,{v},{1 / v},{v}" for v in (1, 2, 4, 8)]
+        path = tmp_path / "rows.csv"
+        path.write_text("\n".join(lines) + "\n")
+        if x in SCHEMA["sweep"]:
+            assert cli_main(["fit", str(path), "--x", x]) == 0
+            assert capsys.readouterr().out.startswith("all: slope=-1.0000 ")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["fit", str(path), "--x", x])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
     def test_verify_passes_on_every_shipped_config(self, path, capsys):
@@ -1130,6 +1229,7 @@ class TestCli:
         cfg_path = self._write(tmp_path, tree)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
+            warnings.simplefilter("ignore", GapBallWarning)
             assert cli_main(["run", cfg_path, "--out",
                              str(tmp_path / "d.csv")]) == 0
         messages = [str(w.message) for w in caught]
@@ -1349,6 +1449,7 @@ class TestCli:
             tree["algorithm"] = algorithm
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            warnings.simplefilter("ignore", GapBallWarning)
             assert cli_main(["run", self._write(tmp_path, tree)]) == code
         assert capsys.readouterr().err == (
             "" if rejected is None else f"config rejected: {rejected}\n")
@@ -1398,10 +1499,10 @@ class TestCli:
     @pytest.mark.parametrize("text,group", [
         ("", "()"),
         ("algo,sigma,R,round,gap_value\nlesgd,0,40,20,0.1\n", "()"),
-        ("algo,sigma,eta,K,R,round,gap_value\n"
-         + "".join(f"lesgd,0,0.1,1,{R},{R},{1 / R}\n"
+        ("algo,sigma,eta,K,R,round,gap_value,seed\n"
+         + "".join(f"lesgd,0,0.1,1,{R},{R},{1 / R},0\n"
                    for R in (5, 10, 20, 40))
-         + "".join(f"lippax,0,0.1,1,{R},{R},\n" for R in (5, 10, 20)),
+         + "".join(f"lippax,0,0.1,1,{R},{R},,0\n" for R in (5, 10, 20)),
          "('lippax',)")], ids=["empty", "no-final-round", "all-excluded"])
     def test_fit_with_no_usable_group_exits_2(self, tmp_path, capsys, text,
                                               group):
@@ -1418,15 +1519,16 @@ class TestCli:
         ("gap_value", ["--x", "R"]), ("round", ["--x", "R"]),
         ("R", ["--x", "R"]), ("sigma", ["--x", "sigma"]),
         ("algo", ["--x", "R", "--group", "algo"]), ("eta", ["--x", "R"]),
-        ("K", ["--x", "R"])])
+        ("K", ["--x", "R"]), ("seed", ["--x", "R"])])
     def test_fit_missing_column_exits_2(self, tmp_path, capsys, column,
                                         args):
-        header = ["algo", "sigma", "eta", "K", "R", "round", "gap_value"]
+        header = ["algo", "sigma", "eta", "K", "R", "round", "gap_value",
+                  "seed"]
         lines = [",".join(c for c in header if c != column)]
         for R in (50, 100, 200, 400):
             cells = {"algo": "lesgd", "sigma": str(R / 100), "eta": "0.1",
                      "K": "1", "R": str(R), "round": str(R),
-                     "gap_value": str(1 / R)}
+                     "gap_value": str(1 / R), "seed": "0"}
             lines.append(",".join(cells[c] for c in header if c != column))
         path = tmp_path / "rows.csv"
         path.write_text("\n".join(lines) + "\n")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedvi import operators
-from fedvi.operators import (KINDS, PARAMS, OperatorSpec, affine_operator,
-                             eval_operator, load_affine_text,
+from fedvi.operators import (KINDS, PARAMS, VERIFY_PAIRS, OperatorSpec,
+                             affine_operator, eval_operator, load_affine_text,
                              make_test_problem, op_jacobian, op_value_vjp,
                              operator_bound_on_ball, verify_properties)
 from fedvi.oracles import OracleSpec, sample_oracle
@@ -187,8 +187,7 @@ class TestMakeTestProblem:
         """Top Hessian eigenvalue is both L and the co-coercivity constant."""
         op = make_test_problem("quadratic-gradient", 5,
                                {"eig_range": [0.1, 1.0]}, seed=4)
-        report = verify_properties(op, n_pairs=10_000, domain_radius=10.0,
-                                   seed=1)
+        report = verify_properties(op, domain_radius=10.0)
         assert 0.99 <= report.measured_L <= 1.01
         assert report.measured_L <= 1.02 * op.L
         assert report.measured_beta <= op.beta * (1 + 1e-6)
@@ -259,10 +258,10 @@ class TestMakeTestProblem:
 class TestVerifyProperties:
     @pytest.mark.parametrize("op", ZOO, ids=lambda o: o.kind)
     def test_zoo_monotone_and_smooth(self, op):
-        report = verify_properties(op, n_pairs=10_000, domain_radius=10.0,
-                                   seed=0)
+        report = verify_properties(op, domain_radius=10.0)
         assert report.monotone_violations == 0
         assert report.measured_L <= op.L * (1 + 1e-6)
+        assert verify_properties(op, domain_radius=10.0) == report
 
     def test_skew_beta_is_infinite(self):
         """||V(z)-V(z')||^2 = ||z-z'||^2 while the inner product is 0."""
@@ -271,7 +270,7 @@ class TestVerifyProperties:
         dv = eval_operator(op, z) - eval_operator(op, zp)
         assert abs(dv @ (z - zp)) < 1e-15
         assert np.linalg.norm(dv) ** 2 == 1.0
-        report = verify_properties(op, n_pairs=1000, domain_radius=5.0, seed=0)
+        report = verify_properties(op, domain_radius=5.0)
         assert report.measured_beta == np.inf
 
     @pytest.mark.parametrize("radius", [1e4, 1e7, 1e151])
@@ -279,16 +278,15 @@ class TestVerifyProperties:
         """A bilinear saddle's inner products are rounding noise of size
         eps |V| |x - y|, which grows with the ball."""
         op = make_test_problem("bilinear-saddle", 3, seed=1)
-        report = verify_properties(op, n_pairs=10_000, domain_radius=radius,
-                                   seed=0)
+        report = verify_properties(op, domain_radius=radius)
         assert report.monotone_violations == 0
 
     def test_measured_G_is_the_largest_sampled_norm(self):
         op = make_test_problem("bounded-nonlinear", 4, seed=5)
-        report = verify_properties(op, n_pairs=500, domain_radius=3.0, seed=1)
-        rng = np.random.default_rng(1)
+        report = verify_properties(op, domain_radius=3.0)
+        rng = np.random.default_rng(0)
         norms = [np.linalg.norm(eval_operator(
-            op, operators._sample_ball(rng, 500, 4, 3.0)), axis=1)
+            op, operators._sample_ball(rng, VERIFY_PAIRS, 4, 3.0)), axis=1)
             for _ in range(2)]
         assert report.measured_G == max(n.max() for n in norms)
 
@@ -297,14 +295,12 @@ class TestVerifyProperties:
         """V(z) = -z: every pair is a violation, however large the ball."""
         monkeypatch.setattr(operators, "eval_operator", lambda op, z: -z)
         op = make_test_problem("affine", 4, seed=0)
-        report = verify_properties(op, n_pairs=2000, domain_radius=radius,
-                                   seed=3)
-        assert report.monotone_violations == 2000
+        report = verify_properties(op, domain_radius=radius)
+        assert report.monotone_violations == VERIFY_PAIRS
 
     def test_affine_monotone_zero_violations(self):
         op = make_test_problem("affine", 8, {"L": 1.0, "mu": 0.0}, seed=9)
-        report = verify_properties(op, n_pairs=10_000, domain_radius=10.0,
-                                   seed=2)
+        report = verify_properties(op, domain_radius=10.0)
         assert report.monotone_violations == 0
 
     def test_non_monotone_affine_rejected_at_construction(self):
