@@ -93,8 +93,8 @@ class RateFit:
     log(1 / (eta K R)): the theorems' leading term D^2 / (eta K R), which
     at a schedule's eta lies within a constant factor of its bound (D is
     fixed within a config).  ``normalized`` is the (min, max) of
-    gap * eta K R over those rows.  ``slope_ci`` is the seed-bootstrap
-    95% interval of the slope (:func:`_slope_ci`).
+    gap * eta K R over those rows.  ``slope_ci`` is the 2.5th to 97.5th
+    percentile interval of the slope over seed resamples (:func:`_slope_ci`).
     """
 
     pairs: list[tuple[float, float]]
@@ -751,28 +751,22 @@ def _slope_ci(x: np.ndarray, lx: np.ndarray, ly: np.ndarray,
     ``default_rng(0)``, and each drawn seed brings all of its rows, once
     per draw; one with fewer than 4 distinct x is skipped.  The slope of
     a resample is its covariance over its variance, polyfit's estimator
-    in closed form.  Rows of one seed give (slope, slope).
+    in closed form.  Rows of one seed give (slope, slope).  With three
+    seeds each one-seed resample has probability 1/27 > 2.5%, so the
+    interval is the range of the single-seed slopes.
     """
-    _, seed_of = np.unique(seeds, return_inverse=True)
-    n_seeds = seed_of.max() + 1
-    if n_seeds == 1:
+    rows_of = [np.flatnonzero(seeds == s) for s in np.unique(seeds)]
+    if len(rows_of) == 1:
         return slope, slope
-    # each seed's row count and sums, about the group's means
-    u, v = lx - lx.mean(), ly - ly.mean()
-    sums = np.zeros((n_seeds, 5))
-    np.add.at(sums, seed_of, np.stack([np.ones_like(u), u, v, u * u, u * v],
-                                      axis=1))
-    _, x_of = np.unique(x, return_inverse=True)
-    has_x = np.zeros((n_seeds, x_of.max() + 1), bool)
-    has_x[seed_of, x_of] = True
     draws = np.random.default_rng(0).integers(
-        n_seeds, size=(BOOTSTRAP_RESAMPLES, n_seeds))
-    counts = np.zeros((BOOTSTRAP_RESAMPLES, n_seeds))
-    np.add.at(counts, (np.arange(BOOTSTRAP_RESAMPLES)[:, None], draws), 1)
-    counts = counts[((counts > 0) @ has_x).sum(axis=1) >= 4]
-    n, su, sv, suu, suv = (counts @ sums).T
-    lo, hi = np.percentile((suv - su * sv / n) / (suu - su * su / n),
-                           [2.5, 97.5])
+        len(rows_of), size=(BOOTSTRAP_RESAMPLES, len(rows_of)))
+    slopes = []
+    for drawn in draws:
+        rows = np.concatenate([rows_of[s] for s in drawn])
+        if len(np.unique(x[rows])) >= 4:
+            u = lx[rows] - lx[rows].mean()
+            slopes.append(u @ ly[rows] / (u @ u))
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
     return float(lo), float(hi)
 
 

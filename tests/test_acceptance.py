@@ -342,7 +342,7 @@ class TestAcceptance:
         ok = all(gaps[1][K] < gaps[0][K] for K in gaps[0]) and elapsed < 60
         _report(12, ok, f"T2 gap < T1 gap at K=4..64; (T1/T2 gap)/(eta "
                         f"ratio) {', '.join(f'{x:.2f}' for x in leads)}; "
-                        f"K slope T1 {t1.slope:.3f} (seed-bootstrap 95% CI "
+                        f"K slope T1 {t1.slope:.3f} (seed-bootstrap CI "
                         f"[{t1.slope_ci[0]:.3f}, {t1.slope_ci[1]:.3f}], "
                         f"predicted {t1.predicted_slope:.3f}), T2 "
                         f"{t2.slope:.3f} (CI [{t2.slope_ci[0]:.3f}, "

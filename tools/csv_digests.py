@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python tools/csv_digests.py [--check] [SRC]
+    python tools/csv_digests.py [SRC]
 
 The 40 CSVs are the six ``configs/*.json`` (their ``output`` field
 dropped, so nothing is written), every workload of
@@ -15,21 +15,17 @@ leave out (``affine3.txt`` is the ``problem.file`` one reads); each is the
 from SRC, by default this checkout's ``src/``; the configs, workloads
 and matrix file are always read from this checkout.  Running it on two
 trees and diffing the outputs shows whether a change keeps every CSV
-byte.  With ``--check`` it prints instead ``changed``, ``new`` or
-``missing`` and the name of each CSV whose digest differs from
-``tests/csv_digests.txt``, and exits 1 if any does.
+byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RECORDED = ROOT / "tests" / "csv_digests.txt"
 SEEDS = (1, 2, 3)
 
 
@@ -155,33 +151,15 @@ def configs() -> list[tuple[str, dict]]:
     return named + list(EXTRA.items())
 
 
-def check(digests: dict[str, str]) -> int:
-    """Print each name whose digest differs from RECORDED; 1 if any does."""
-    recorded = dict(line.split() for line in RECORDED.read_text().splitlines())
-    diffs = [f"{'changed' if name in recorded else 'new'} {name}"
-             for name, digest in digests.items()
-             if recorded.get(name) != digest]
-    diffs += [f"missing {name}" for name in recorded if name not in digests]
-    print("\n".join(diffs) if diffs else
-          f"all {len(digests)} digests match the recorded ones")
-    return 1 if diffs else 0
-
-
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with tests/csv_digests.txt instead")
-    parser.add_argument("src", nargs="?", default=ROOT / "src",
-                        help="the src/ directory fedvi is imported from")
-    args = parser.parse_args(argv)
-    harness = load_fedvi(Path(args.src).resolve())
-    digests = {}
+    if len(argv) > 1:
+        sys.exit(f"usage: {Path(__file__).name} [SRC]")
+    src = Path(argv[0] if argv else ROOT / "src").resolve()
+    harness = load_fedvi(src)
     for name, tree in configs():
         text = harness.rows_to_csv(harness.run_experiment(tree))
-        digests[name] = hashlib.sha256(text.encode()).hexdigest()
-        if not args.check:
-            print(name, digests[name], flush=True)
-    return check(digests) if args.check else 0
+        print(name, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+    return 0
 
 
 if __name__ == "__main__":
